@@ -36,12 +36,11 @@ def main(argv=None):
     parser.add_argument("--json", action="store_true", help="emit one JSON object per rule")
     args = parser.parse_args(argv)
 
-    rules = args.rules if isinstance(args.rules, list) else parse_rules(args.rules)
     stages = [int(s) for s in args.stages.split(",")]
     pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): 0.0})
 
     rows = []
-    for a, b in rules:
+    for a, b in args.rules:
         spec = ShiftSpec(kind="renewal", renewal_rule=(a, b))
         family = build_family(spec, pot, stages, use_cache=not args.no_cache)
         probe = bp_boundedness_probe(family, spec, args.scan_to)

@@ -25,9 +25,10 @@ stop moving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
+from .digraph import bfs_distances
 from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk
 from .potential import (
     PotentialSpec,
@@ -87,6 +88,15 @@ class CutoffReport:
     local_connect_len: int
     wide_connect_len: int
     wide_bound: int
+
+
+def bounds_payload(bounds: UpperBoundReport | None) -> dict | None:
+    """JSON form of a bound report, with ``per_letter`` as sorted [letter, bound] pairs."""
+    if bounds is None:
+        return None
+    payload = asdict(bounds)
+    payload["per_letter"] = sorted([a, x] for a, x in bounds.per_letter.items())
+    return payload
 
 
 def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> BarrierResult:
@@ -201,16 +211,7 @@ def _max_pairwise_connect(core: FiniteShift) -> int:
     """Largest over ordered letter pairs (i, b) of the least edge count i -> b."""
     worst = 1
     for b in core.letters:
-        dist = {b: 0}
-        frontier = [b]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for p in core.pred[x]:
-                    if p not in dist:
-                        dist[p] = dist[x] + 1
-                        nxt.append(p)
-            frontier = nxt
+        dist = bfs_distances(b, core.pred)
         for i in core.letters:
             if i == b:
                 d = min(dist[s] for s in core.succ[b]) + 1

@@ -12,18 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
-from .barrier import CutoffReport, compute_barrier, letter_cutoff
+from .barrier import bounds_payload, compute_barrier, letter_cutoff
 from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
 from .potential import PotentialSpec, TAIL_LINEAR, parse_potential, validate_table
 from .shift_space import (
     KIND_EXPLICIT,
     KIND_FULL,
     KIND_RENEWAL,
-    ConditionVerdict,
     FiniteShift,
     ShiftSpec,
+    TruncationError,
     Word,
     check_bi,
     check_bp,
@@ -38,34 +38,12 @@ from .truncation import (
     DIVERGENT,
     BoundednessProbe,
     Stage,
-    StabilizationReport,
     bp_boundedness_probe,
     build_family,
     stabilization_experiment,
 )
 
 SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    shift_path: str | None = None
-    potential_path: str | None = None
-    values_path: str | None = None
-    values_b_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "json"
-    tol: float = DEFAULT_TOL
-    use_cache: bool = True
-    max_letter: int | None = None
-    stages: tuple[int, ...] = ()
-    letters: tuple[int, ...] = ()
-    scan_to: int | None = None
-    assert_verdict: bool = False
-    horizon: int = 100
-    renewal_a: int = 2
-    renewal_b: int = 0
 
 
 def _word_key(word: Word) -> str:
@@ -106,89 +84,66 @@ def _load_values_csv(path: str) -> dict[Word, float]:
     return values
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as handle:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, payload: dict) -> None:
-    _emit(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _emit_json(args: argparse.Namespace, payload: dict) -> None:
+    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _verdict_payload(verdict: ConditionVerdict) -> dict:
-    return {
-        "condition": verdict.condition,
-        "status": verdict.status,
-        "bound": verdict.bound,
-        "witnesses": list(verdict.witnesses),
-        "detail": verdict.detail,
-    }
-
-
-def _cutoff_payload(cutoff: CutoffReport) -> dict:
-    return {
-        "letter": cutoff.letter,
-        "excursion_cutoff": cutoff.excursion_cutoff,
-        "confinement_bound": cutoff.confinement_bound,
-        "local_connect_len": cutoff.local_connect_len,
-        "wide_connect_len": cutoff.wide_connect_len,
-        "wide_bound": cutoff.wide_bound,
-    }
-
-
-def _load_inputs(cfg: RunConfig) -> tuple[ShiftSpec, PotentialSpec]:
-    if not cfg.shift_path or not cfg.potential_path:
-        raise ValueError("--shift and --potential are required")
-    spec = parse_shift_spec(_read_text(cfg.shift_path))
-    pot = parse_potential(_read_text(cfg.potential_path))
+def _load_inputs(args: argparse.Namespace) -> tuple[ShiftSpec, PotentialSpec]:
+    spec = parse_shift_spec(_read_text(args.shift))
+    pot = parse_potential(_read_text(args.potential))
     validate_table(pot, spec)
     return spec, pot
 
 
-def _finite_for(cfg: RunConfig, spec: ShiftSpec) -> FiniteShift:
+def _finite_for(args: argparse.Namespace, spec: ShiftSpec) -> FiniteShift:
     if spec.kind in (KIND_EXPLICIT, KIND_FULL):
-        bound = spec.max_letter() if cfg.max_letter is None else cfg.max_letter
+        bound = spec.max_letter() if args.max_letter is None else args.max_letter
         return truncate(spec, bound)
-    if cfg.max_letter is None:
+    if args.max_letter is None:
         raise ValueError("--max-letter is required for countable-alphabet shifts")
-    return covering_core(spec, range(cfg.max_letter + 1))
+    return covering_core(spec, range(args.max_letter + 1))
 
 
-def _optimized_graph(cfg: RunConfig) -> tuple[ShiftSpec, PotentialSpec, WeightedMemoryGraph]:
-    spec, pot = _load_inputs(cfg)
-    finite = _finite_for(cfg, spec)
+def _optimized_graph(
+    args: argparse.Namespace,
+) -> tuple[ShiftSpec, PotentialSpec, WeightedMemoryGraph]:
+    spec, pot = _load_inputs(args)
+    finite = _finite_for(args, spec)
     graph = build_memory_graph(finite, pot)
-    optimize(graph, cfg.tol)
+    optimize(graph, args.tol)
     return spec, pot, graph
 
 
-def _cmd_shift_check(cfg: RunConfig) -> int:
-    if not cfg.shift_path:
-        raise ValueError("--shift is required")
-    spec = parse_shift_spec(_read_text(cfg.shift_path))
+def _cmd_shift_check(args: argparse.Namespace) -> int:
+    spec = parse_shift_spec(_read_text(args.shift))
     transitive = None
     if spec.kind in (KIND_EXPLICIT, KIND_FULL):
         transitive = is_transitive(truncate(spec, spec.max_letter()))
     _emit_json(
-        cfg,
+        args,
         {
             "schema": SCHEMA,
             "kind": spec.kind,
-            "bp": _verdict_payload(check_bp(spec, cfg.horizon)),
-            "bi": _verdict_payload(check_bi(spec, cfg.horizon)),
+            "bp": asdict(check_bp(spec, args.horizon)),
+            "bi": asdict(check_bi(spec, args.horizon)),
             "transitive": transitive,
         },
     )
     return 0
 
 
-def _cmd_optimize(cfg: RunConfig) -> int:
-    _, _, graph = _optimized_graph(cfg)
+def _cmd_optimize(args: argparse.Namespace) -> int:
+    _, _, graph = _optimized_graph(args)
     _emit_json(
-        cfg,
+        args,
         {
             "schema": SCHEMA,
             "m": graph.max_mean,
@@ -199,45 +154,40 @@ def _cmd_optimize(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_barrier(cfg: RunConfig) -> int:
-    spec, pot, graph = _optimized_graph(cfg)
-    result = compute_barrier(graph, cfg.tol)
-    if cfg.fmt == "csv":
+def _cmd_barrier(args: argparse.Namespace) -> int:
+    spec, pot, graph = _optimized_graph(args)
+    result = compute_barrier(graph, args.tol)
+    if args.format == "csv":
         rows = [f"{_word_key(v)},{value!r}" for v, value in sorted(result.values.items())]
-        _emit(cfg, "\n".join(rows) + "\n")
+        _emit(args, "\n".join(rows) + "\n")
         return 0
 
-    bounds = result.bounds
-    cutoff = letter_cutoff(spec, pot, graph.shift, result.base_vertex[0])
+    base_letter = result.base_vertex[0]
+    try:
+        cutoff = asdict(letter_cutoff(spec, pot, graph.shift, base_letter))
+    except TruncationError as exc:
+        # the cutoff is a diagnostic; its failure must not hide the barrier
+        cutoff = {"letter": base_letter, "error": str(exc)}
     _emit_json(
-        cfg,
+        args,
         {
             "schema": SCHEMA,
             "m": result.max_mean,
             "base": list(result.base_vertex),
             "values": {_word_key(v): x for v, x in result.values.items()},
-            "bounds": {
-                "per_letter": sorted([a, x] for a, x in bounds.per_letter.items()),
-                "low_letter_peak": bounds.low_letter_peak,
-                "base_cycle_peak": bounds.base_cycle_peak,
-                "low_letter_cutoff": bounds.low_letter_cutoff,
-                "ambient_variation": bounds.ambient_variation,
-                "global_bound": bounds.global_bound,
-            },
-            "cutoff": _cutoff_payload(cutoff),
+            "bounds": bounds_payload(result.bounds),
+            "cutoff": cutoff,
         },
     )
     return 0
 
 
-def _cmd_subaction_verify(cfg: RunConfig) -> int:
-    if not cfg.values_path:
-        raise ValueError("--values is required")
-    _, _, graph = _optimized_graph(cfg)
-    values = _load_values_csv(cfg.values_path)
-    report = verify_subaction(graph, values, cfg.tol)
+def _cmd_subaction_verify(args: argparse.Namespace) -> int:
+    _, _, graph = _optimized_graph(args)
+    values = _load_values_csv(args.values)
+    report = verify_subaction(graph, values, args.tol)
     _emit_json(
-        cfg,
+        args,
         {
             "schema": SCHEMA,
             "is_subaction": report.is_subaction,
@@ -250,33 +200,22 @@ def _cmd_subaction_verify(cfg: RunConfig) -> int:
             "supp_in_contact": report.supp_in_contact,
         },
     )
-    if cfg.assert_verdict and not (
+    if args.assert_verdict and not (
         report.is_subaction and report.is_calibrated and report.supp_in_contact
     ):
         return 1
     return 0
 
 
-def _cmd_subaction_compare(cfg: RunConfig) -> int:
-    if not cfg.values_path or not cfg.values_b_path:
-        raise ValueError("--values and --values-b are required")
-    _, _, graph = _optimized_graph(cfg)
-    first = _load_values_csv(cfg.values_path)
-    second = _load_values_csv(cfg.values_b_path)
-    report = uniqueness_comparison(graph, first, second, cfg.tol)
-    _emit_json(
-        cfg,
-        {
-            "schema": SCHEMA,
-            "is_constant_diff": report.comparison.is_constant_diff,
-            "constant": report.comparison.constant,
-            "max_deviation": report.comparison.max_deviation,
-            "critical_class_unique": report.critical_class_unique,
-            "consistent": report.consistent,
-            "note": report.note,
-        },
-    )
-    if cfg.assert_verdict and not report.comparison.is_constant_diff:
+def _cmd_subaction_compare(args: argparse.Namespace) -> int:
+    _, _, graph = _optimized_graph(args)
+    first = _load_values_csv(args.values)
+    second = _load_values_csv(args.values_b)
+    report = uniqueness_comparison(graph, first, second, args.tol)
+    payload = {"schema": SCHEMA, **asdict(report)}
+    payload.update(payload.pop("comparison"))
+    _emit_json(args, payload)
+    if args.assert_verdict and not report.comparison.is_constant_diff:
         return 1
     return 0
 
@@ -292,69 +231,44 @@ def _stage_summary(stage: Stage) -> dict:
     }
 
 
-def _stabilization_payload(report: StabilizationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "entries": [
-            {
-                "letter": e.letter,
-                "observed_index": e.observed_index,
-                "observed_requested": e.observed_requested,
-                "observed_used": e.observed_used,
-                "predicted": None if e.predicted is None else _cutoff_payload(e.predicted),
-                "ok": e.ok,
-                "note": e.note,
-            }
-            for e in report.entries
-        ],
-    }
-
-
 def _probe_payload(probe: BoundednessProbe) -> dict:
-    return {
-        "floors": sorted([j, x] for j, x in probe.floors.items()),
-        "bp": _verdict_payload(probe.bp),
-        "verdict": probe.verdict,
-        "floor": probe.floor,
-        "slope": probe.slope,
-        "fit_letters": list(probe.fit_letters),
-        "consistent": probe.consistent,
-        "note": probe.note,
-    }
+    payload = asdict(probe)
+    payload["floors"] = sorted([j, x] for j, x in probe.floors.items())
+    return payload
 
 
-def _cmd_converge(cfg: RunConfig) -> int:
-    spec, pot = _load_inputs(cfg)
-    if not cfg.stages:
+def _cmd_converge(args: argparse.Namespace) -> int:
+    spec, pot = _load_inputs(args)
+    if not args.stages:
         raise ValueError("--stages is required")
-    family = build_family(spec, pot, cfg.stages, tol=cfg.tol, use_cache=cfg.use_cache)
+    family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
 
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = []
         for stage in family.stages:
             for v, value in sorted(stage.barrier.values.items()):
                 rows.append(f"{stage.requested},{_word_key(v)},{value!r}")
-        _emit(cfg, "\n".join(rows) + "\n")
+        _emit(args, "\n".join(rows) + "\n")
         return 0
 
     stabilization = None
-    if cfg.letters:
-        stabilization = stabilization_experiment(family, cfg.letters, cfg.tol)
+    if args.letters:
+        stabilization = stabilization_experiment(family, args.letters, args.tol)
     probe = None
-    if cfg.scan_to is not None:
-        probe = bp_boundedness_probe(family, spec, cfg.scan_to, cfg.tol)
+    if args.scan_to is not None:
+        probe = bp_boundedness_probe(family, spec, args.scan_to, args.tol)
     _emit_json(
-        cfg,
+        args,
         {
             "schema": SCHEMA,
             "stages": [_stage_summary(s) for s in family.stages],
             "base_stable": family.base_stable,
             "cycle_stable": family.cycle_stable,
-            "stabilization": None if stabilization is None else _stabilization_payload(stabilization),
+            "stabilization": None if stabilization is None else asdict(stabilization),
             "probe": None if probe is None else _probe_payload(probe),
         },
     )
-    if cfg.assert_verdict:
+    if args.assert_verdict:
         if stabilization is not None and not stabilization.ok:
             return 1
         if probe is not None and not probe.consistent:
@@ -362,14 +276,12 @@ def _cmd_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_demo_renewal(cfg: RunConfig) -> int:
-    spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(cfg.renewal_a, cfg.renewal_b))
+def _cmd_demo_renewal(args: argparse.Namespace) -> int:
+    spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
     pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
-    stages = cfg.stages or (6, 12, 24)
-    scan_to = 23 if cfg.scan_to is None else cfg.scan_to
-    family = build_family(spec, pot, stages, tol=cfg.tol, use_cache=cfg.use_cache)
-    probe = bp_boundedness_probe(family, spec, scan_to, cfg.tol)
-    bi = check_bi(spec)
+    stages = args.stages or (6, 12, 24)
+    family = build_family(spec, pot, stages, tol=args.tol, use_cache=args.use_cache)
+    probe = bp_boundedness_probe(family, spec, args.scan_to, args.tol)
     if probe.verdict == DIVERGENT:
         conclusion = "no bounded calibrated subaction exists."
     elif probe.verdict == BOUNDED:
@@ -377,17 +289,17 @@ def _cmd_demo_renewal(cfg: RunConfig) -> int:
     else:
         conclusion = "the probe is inconclusive."
     _emit_json(
-        cfg,
+        args,
         {
             "schema": SCHEMA,
-            "renewal": {"a": cfg.renewal_a, "b": cfg.renewal_b},
+            "renewal": {"a": args.a, "b": args.b},
             "stages": [_stage_summary(s) for s in family.stages],
             "m": family.stages[-1].graph.max_mean,
             "base_stable": family.base_stable,
             "cycle_stable": family.cycle_stable,
             "probe": _probe_payload(probe),
             "verdicts": {"bp": probe.bp.status, "boundedness": probe.verdict},
-            "bi": _verdict_payload(bi),
+            "bi": asdict(check_bi(spec)),
             "conclusion": conclusion,
             "notes": [
                 "every renewal rule fails the exit-set check: each letter j >= 1 has "
@@ -430,13 +342,16 @@ def _build_parser() -> argparse.ArgumentParser:
     check = shift_sub.add_parser("check", help="entry/exit boundedness and transitivity")
     add_io(check, potential=False)
     check.add_argument("--horizon", type=int, default=100)
+    check.set_defaults(handler=_cmd_shift_check)
 
     optimize_p = sub.add_parser("optimize", help="maximum cycle mean and critical cycle")
     add_io(optimize_p)
+    optimize_p.set_defaults(handler=_cmd_optimize)
 
     barrier_p = sub.add_parser("barrier", help="barrier values from the base vertex")
     add_io(barrier_p)
     barrier_p.add_argument("--format", choices=("json", "csv"), default="json")
+    barrier_p.set_defaults(handler=_cmd_barrier)
 
     subaction_p = sub.add_parser("subaction", help="verify or compare subaction tables")
     subaction_sub = subaction_p.add_subparsers(dest="action", required=True)
@@ -444,11 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(verify)
     verify.add_argument("--values", required=True, help="CSV of vertex_word,value")
     verify.add_argument("--assert", dest="assert_verdict", action="store_true")
+    verify.set_defaults(handler=_cmd_subaction_verify)
     compare = subaction_sub.add_parser("compare", help="compare two values CSVs")
     add_io(compare)
     compare.add_argument("--values", required=True)
     compare.add_argument("--values-b", required=True)
     compare.add_argument("--assert", dest="assert_verdict", action="store_true")
+    compare.set_defaults(handler=_cmd_subaction_compare)
 
     converge_p = sub.add_parser("converge", help="truncation family experiments")
     add_io(converge_p)
@@ -458,63 +375,27 @@ def _build_parser() -> argparse.ArgumentParser:
     converge_p.add_argument("--no-cache", dest="use_cache", action="store_false")
     converge_p.add_argument("--format", choices=("json", "csv"), default="json")
     converge_p.add_argument("--assert", dest="assert_verdict", action="store_true")
+    converge_p.set_defaults(handler=_cmd_converge)
 
     demo = sub.add_parser("demo", help="worked examples end to end")
     demo_sub = demo.add_subparsers(dest="action", required=True)
     renewal = demo_sub.add_parser("renewal", help="renewal shift divergence study")
     renewal.add_argument("--a", type=int, default=2)
     renewal.add_argument("--b", type=int, default=0)
-    renewal.add_argument("--stages", type=_int_list, default=(6, 12, 24))
+    renewal.add_argument("--stages", type=_int_list, default=())
     renewal.add_argument("--scan-to", type=int, default=23)
     renewal.add_argument("--tol", type=float, default=DEFAULT_TOL)
     renewal.add_argument("--no-cache", dest="use_cache", action="store_false")
     renewal.add_argument("--out", default=None)
+    renewal.set_defaults(handler=_cmd_demo_renewal)
 
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if getattr(args, "action", None):
-        command = f"{command}-{args.action}"
-    return RunConfig(
-        subcommand=command,
-        shift_path=getattr(args, "shift", None),
-        potential_path=getattr(args, "potential", None),
-        values_path=getattr(args, "values", None),
-        values_b_path=getattr(args, "values_b", None),
-        out_path=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-        tol=getattr(args, "tol", DEFAULT_TOL),
-        use_cache=getattr(args, "use_cache", True),
-        max_letter=getattr(args, "max_letter", None),
-        stages=tuple(getattr(args, "stages", ()) or ()),
-        letters=tuple(getattr(args, "letters", ()) or ()),
-        scan_to=getattr(args, "scan_to", None),
-        assert_verdict=getattr(args, "assert_verdict", False),
-        horizon=getattr(args, "horizon", 100),
-        renewal_a=getattr(args, "a", 2),
-        renewal_b=getattr(args, "b", 0),
-    )
-
-
-_DISPATCH = {
-    "shift-check": _cmd_shift_check,
-    "optimize": _cmd_optimize,
-    "barrier": _cmd_barrier,
-    "subaction-verify": _cmd_subaction_verify,
-    "subaction-compare": _cmd_subaction_compare,
-    "converge": _cmd_converge,
-    "demo-renewal": _cmd_demo_renewal,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from(args)
-    handler = _DISPATCH[cfg.subcommand]
     try:
-        return handler(cfg)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
@@ -63,36 +63,21 @@ def strongly_connected_components(
     return comps
 
 
-def is_strongly_connected(nodes: Sequence[N], succ: Callable[[N], Iterable[N]]) -> bool:
-    if not nodes:
-        return False
-    return len(strongly_connected_components(nodes, succ)) == 1
+def bfs_distances(start: N, adjacency: Mapping[N, Iterable[N]]) -> dict[N, int]:
+    """Least edge counts from ``start`` to every node it reaches.
 
-
-def layered_bfs_parents(
-    starts: Sequence[N], succ: Callable[[N], Iterable[N]]
-) -> tuple[dict[N, int], dict[N, N | None]]:
-    """Breadth-first distances and parents, expanding each layer in sorted order.
-
-    Ties between equally short paths resolve toward the smallest parent seen
-    first, which keeps reconstructed paths deterministic.
+    Pass the predecessor map as ``adjacency`` to get counts to ``start``.
     """
-    dist: dict[N, int] = {}
-    parent: dict[N, N | None] = {}
-    layer = sorted(starts)
-    for s in layer:
-        if s not in dist:
-            dist[s] = 0
-            parent[s] = None
+    dist = {start: 0}
+    frontier = [start]
     d = 0
-    while layer:
-        nxt: list[N] = []
-        for node in layer:
-            for child in succ(node):
-                if child not in dist:
-                    dist[child] = d + 1
-                    parent[child] = node
-                    nxt.append(child)
-        layer = sorted(set(nxt))
+    while frontier:
         d += 1
-    return dist, parent
+        nxt = []
+        for node in frontier:
+            for child in adjacency[node]:
+                if child not in dist:
+                    dist[child] = d
+                    nxt.append(child)
+        frontier = nxt
+    return dist

@@ -6,8 +6,8 @@ table falls back to the tail u(first letter), which decays linearly or
 logarithmically and makes the potential coercive.
 
 Two families of oscillation/extremum helpers coexist on purpose.  The
-``*_on_letter`` and ``var_j`` forms enumerate admissible words inside a
-given finite truncation and are exact there.  The ``*_bound_on_letter``
+``var_j`` and ``total_variation`` forms enumerate admissible words inside
+a given finite truncation and are exact there.  The ``*_bound_on_letter``
 and ``ambient_*`` forms ignore adjacency and bound the potential over the
 full countable alphabet; they are safe (one-sided) for any truncation and
 are what the cutoff and barrier-bound formulas consume.
@@ -141,7 +141,7 @@ def admissible_words(finite: FiniteShift, length: int) -> Iterator[Word]:
 
 
 # ---------------------------------------------------------------------------
-# truncation-exact oscillation and extrema
+# truncation-exact oscillation
 
 
 def var_j(pot: PotentialSpec, finite: FiniteShift, j: int) -> float:
@@ -170,30 +170,6 @@ def var_j(pot: PotentialSpec, finite: FiniteShift, j: int) -> float:
 
 def total_variation(pot: PotentialSpec, finite: FiniteShift) -> float:
     return float(sum(var_j(pot, finite, j) for j in range(1, pot.depth)))
-
-
-def sup_on_letter(pot: PotentialSpec, finite: FiniteShift, j: int) -> float:
-    if j not in finite.pred:
-        raise PotentialError(f"letter {j} is not in the truncation")
-    best = -math.inf
-    for word in admissible_words(finite, pot.depth):
-        if word[0] == j:
-            best = max(best, evaluate(pot, word))
-        elif word[0] > j:
-            break
-    return best
-
-
-def inf_on_letter(pot: PotentialSpec, finite: FiniteShift, j: int) -> float:
-    if j not in finite.pred:
-        raise PotentialError(f"letter {j} is not in the truncation")
-    worst = math.inf
-    for word in admissible_words(finite, pot.depth):
-        if word[0] == j:
-            worst = min(worst, evaluate(pot, word))
-        elif word[0] > j:
-            break
-    return worst
 
 
 # ---------------------------------------------------------------------------

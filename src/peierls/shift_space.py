@@ -19,10 +19,10 @@ length, which orders cylinders the same way for every lambda in (0, 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .digraph import layered_bfs_parents, strongly_connected_components
+from .digraph import bfs_distances, strongly_connected_components
 
 Letter = int
 Word = tuple[int, ...]
@@ -210,14 +210,6 @@ class FiniteShift:
     spec: ShiftSpec | None = None
     truncation_bound: int | None = None
     transitive: bool = False
-    _succ_sets: Mapping[int, frozenset[int]] = field(repr=False, default_factory=dict)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        s = self._succ_sets.get(i)
-        return s is not None and j in s
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.succ.values())
 
 
 def _make_finite(
@@ -235,7 +227,6 @@ def _make_finite(
         for j in succ_t[i]:
             pred_map[j].append(i)
     pred_t = {j: tuple(sorted(v)) for j, v in pred_map.items()}
-    sets = {i: frozenset(succ_t[i]) for i in letters_t}
     return FiniteShift(
         letters=letters_t,
         succ=succ_t,
@@ -243,13 +234,11 @@ def _make_finite(
         spec=spec,
         truncation_bound=bound,
         transitive=transitive,
-        _succ_sets=sets,
     )
 
 
 def _raw_truncation_edges(spec: ShiftSpec, letters: list[int]) -> dict[int, list[int]]:
     if spec.kind == KIND_RENEWAL:
-        top = letters[-1] if letters else -1
         succ: dict[int, list[int]] = {}
         for j in letters:
             succ[j] = [j - 1] if j >= 1 else []
@@ -364,6 +353,34 @@ def _renewal_non_entries(spec: ShiftSpec, horizon: int) -> list[int]:
     return [j for j in range(1, horizon + 1) if not renewal_is_entry(spec, j)]
 
 
+def _oracle_scan(
+    condition: str, horizon: int, linked: Callable[[int, int], bool], edge: str, end: str
+) -> ConditionVerdict:
+    """Horizon-bounded scan shared by the oracle branches of the BP and BI checks.
+
+    Refutes when some letter j <= horizon has no letter i <= horizon with
+    ``linked(j, i)``; otherwise the alphabet continues past the horizon and
+    the verdict stays undecided.
+    """
+    letters = range(horizon + 1)
+    bad = tuple(j for j in letters if not any(linked(j, i) for i in letters))
+    if bad:
+        return ConditionVerdict(
+            condition,
+            REFUTED,
+            None,
+            bad[:MAX_WITNESSES],
+            f"letters with no {edge} {end} <= {horizon}",
+        )
+    return ConditionVerdict(
+        condition,
+        UNDECIDED,
+        None,
+        (),
+        f"every letter <= {horizon} has a bounded {end}, but the alphabet continues",
+    )
+
+
 def check_bp(spec: ShiftSpec, horizon: int = 100) -> ConditionVerdict:
     """Does some finite prefix of the alphabet reach every letter in one step?
 
@@ -403,30 +420,8 @@ def check_bp(spec: ShiftSpec, horizon: int = 100) -> ConditionVerdict:
             wit,
             "infinitely many letters miss the entry rule and are entered only from one step above",
         )
-    # oracle: horizon-bounded scan
-    min_in: dict[int, int | None] = {}
-    for j in range(horizon + 1):
-        found = None
-        for i in range(horizon + 1):
-            if admissible(spec, i, j):
-                found = i
-                break
-        min_in[j] = found
-    bad = tuple(j for j in range(horizon + 1) if min_in[j] is None)[:MAX_WITNESSES]
-    if bad:
-        return ConditionVerdict(
-            "BP",
-            REFUTED,
-            None,
-            bad,
-            f"letters with no incoming edge from any source <= {horizon}",
-        )
-    return ConditionVerdict(
-        "BP",
-        UNDECIDED,
-        None,
-        (),
-        f"every letter <= {horizon} has a bounded source, but the alphabet continues",
+    return _oracle_scan(
+        "BP", horizon, lambda j, i: admissible(spec, i, j), "incoming edge from any", "source"
     )
 
 
@@ -451,29 +446,8 @@ def check_bi(spec: ShiftSpec, horizon: int = 100) -> ConditionVerdict:
             "the only edge out of a letter j >= 1 is the step down to j-1, "
             "so no finite target set serves all letters",
         )
-    min_out: dict[int, int | None] = {}
-    for j in range(horizon + 1):
-        found = None
-        for i in range(horizon + 1):
-            if admissible(spec, j, i):
-                found = i
-                break
-        min_out[j] = found
-    bad = tuple(j for j in range(horizon + 1) if min_out[j] is None)[:MAX_WITNESSES]
-    if bad:
-        return ConditionVerdict(
-            "BI",
-            REFUTED,
-            None,
-            bad,
-            f"letters with no outgoing edge to any target <= {horizon}",
-        )
-    return ConditionVerdict(
-        "BI",
-        UNDECIDED,
-        None,
-        (),
-        f"every letter <= {horizon} has a bounded target, but the alphabet continues",
+    return _oracle_scan(
+        "BI", horizon, lambda j, i: admissible(spec, j, i), "outgoing edge to any", "target"
     )
 
 
@@ -521,7 +495,7 @@ def connecting_word(finite: FiniteShift, a: int, b: int) -> Word:
     if not finite.succ[a]:
         raise ValueError(f"letter {a} has no outgoing edge")
     # edge counts to b, via a reverse breadth-first sweep
-    dist_to_b, _ = layered_bfs_parents([b], lambda l: finite.pred[l])
+    dist_to_b = bfs_distances(b, finite.pred)
     reachable = [s for s in finite.succ[a] if s in dist_to_b]
     if not reachable:
         raise ValueError(f"letter {b} is not reachable from letter {a}")

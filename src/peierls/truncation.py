@@ -24,7 +24,14 @@ import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .barrier import BarrierResult, CutoffReport, UpperBoundReport, compute_barrier, letter_cutoff
+from .barrier import (
+    BarrierResult,
+    CutoffReport,
+    UpperBoundReport,
+    bounds_payload,
+    compute_barrier,
+    letter_cutoff,
+)
 from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
 from .potential import PotentialSpec
 from .shift_space import (
@@ -138,7 +145,6 @@ def _word(obj) -> Word:
 
 def _stage_payload(stage: Stage) -> dict:
     graph = stage.graph
-    bounds = stage.barrier.bounds
     return {
         "schema": CACHE_SCHEMA,
         "requested": stage.requested,
@@ -149,16 +155,7 @@ def _stage_payload(stage: Stage) -> dict:
         "critical_edges": sorted([list(u), list(v)] for u, v in graph.critical_edges),
         "unique": graph.critical_class_unique,
         "barrier": [[list(v), x] for v, x in sorted(stage.barrier.values.items())],
-        "bounds": None
-        if bounds is None
-        else {
-            "per_letter": sorted([a, x] for a, x in bounds.per_letter.items()),
-            "low_letter_peak": bounds.low_letter_peak,
-            "base_cycle_peak": bounds.base_cycle_peak,
-            "low_letter_cutoff": bounds.low_letter_cutoff,
-            "ambient_variation": bounds.ambient_variation,
-            "global_bound": bounds.global_bound,
-        },
+        "bounds": bounds_payload(stage.barrier.bounds),
     }
 
 

@@ -70,6 +70,23 @@ def test_barrier_json_includes_bounds_and_cutoff(renewal_files, capsys):
     assert payload["cutoff"]["confinement_bound"] == 1483
 
 
+def test_barrier_json_survives_a_failing_cutoff(renewal_files, capsys):
+    # at max-letter 64 the stage-one cutoff outgrows the stage-two budget
+    shift, pot = renewal_files
+    code = run(
+        ["barrier", "--shift", shift, "--potential", pot, "--max-letter", "64"]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["values"]["63"] == -64.0
+    assert [63, 3969.0] in payload["bounds"]["per_letter"]
+    assert payload["cutoff"] == {
+        "letter": 0,
+        "error": "stage-two alphabet for letter 0 needs letters up to 4097, "
+        "beyond the budget 4096",
+    }
+
+
 def test_barrier_countable_shift_requires_max_letter(renewal_files, capsys):
     shift, pot = renewal_files
     assert run(["barrier", "--shift", shift, "--potential", pot]) == 2

@@ -20,9 +20,7 @@ from peierls.potential import (
     admissible_words,
     ambient_var_j,
     inf_bound_on_letter,
-    inf_on_letter,
     sup_bound_on_letter,
-    sup_on_letter,
 )
 
 
@@ -109,11 +107,8 @@ def test_var_and_total_variation(gm_finite, depth2_pot):
         var_j(depth2_pot, gm_finite, 0)
 
 
-def test_letter_extrema_exact_vs_ambient(gm_finite, depth2_pot):
-    assert sup_on_letter(depth2_pot, gm_finite, 0) == 3.0
-    assert inf_on_letter(depth2_pot, gm_finite, 0) == 0.0
-    assert sup_on_letter(depth2_pot, gm_finite, 1) == -1.0
-    # ambient bounds fold in the tail, which the truncation-exact ones may escape
+def test_letter_extrema_ambient(depth2_pot):
+    # ambient bounds fold in the tail value of each letter
     assert sup_bound_on_letter(depth2_pot, 0) == 3.0
     assert inf_bound_on_letter(depth2_pot, 0) == 0.0
     assert inf_bound_on_letter(depth2_pot, 1) == -1.0

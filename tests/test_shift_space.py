@@ -84,8 +84,8 @@ def test_truncate_prunes_stranded_top():
     spec = ShiftSpec(kind="renewal", renewal_rule=(2, 0))
     fin = truncate(spec, 7)
     assert fin.letters == (0, 1, 2, 3, 4, 5, 6)
-    assert fin.has_edge(0, 6)
-    assert not fin.has_edge(0, 5)
+    assert 6 in fin.succ[0]
+    assert 5 not in fin.succ[0]
     assert fin.truncation_bound == 7
 
 
@@ -187,9 +187,26 @@ def test_oracle_kind_horizon_scan():
     verdict = check_bp(spec, horizon=10)
     assert verdict.status == "REFUTED"
     assert verdict.witnesses == (3,)
+    assert verdict.detail == "letters with no incoming edge from any source <= 10"
+    # letters 1, 5, 9 only step above the horizon
+    upward = ShiftSpec(kind="oracle", membership=lambda i, j: j > 10 or i % 4 != 1)
+    verdict = check_bi(upward, horizon=10)
+    assert verdict.status == "REFUTED"
+    assert verdict.witnesses == (1, 5, 9)
+    assert verdict.detail == "letters with no outgoing edge to any target <= 10"
     everything = ShiftSpec(kind="oracle", membership=lambda i, j: True)
-    assert check_bp(everything, horizon=10).status == "UNDECIDED"
-    assert check_bi(everything, horizon=10).status == "UNDECIDED"
+    verdict = check_bp(everything, horizon=10)
+    assert verdict.status == "UNDECIDED"
+    assert verdict.detail == (
+        "every letter <= 10 has a bounded source, but the alphabet continues"
+    )
+    verdict = check_bi(everything, horizon=10)
+    assert verdict.status == "UNDECIDED"
+    assert verdict.detail == (
+        "every letter <= 10 has a bounded target, but the alphabet continues"
+    )
+    nothing = ShiftSpec(kind="oracle", membership=lambda i, j: False)
+    assert check_bi(nothing, horizon=40).witnesses == tuple(range(24))
 
 
 def test_oracle_kind_truncates_like_its_predicate(renewal_spec):
