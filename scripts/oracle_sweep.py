@@ -2,9 +2,10 @@
 """Soak test: optimizer and barrier against brute-force enumeration.
 
 Draws seeded random strongly connected graphs, compares the package's
-mean and barrier against an independent exhaustive enumeration written
-here (deliberately not shared with the library), and reports the worst
-absolute deviations seen.  Exits nonzero past --tol.
+mean, canonical cycle and barrier against an independent exhaustive
+enumeration written here (deliberately not shared with the library), and
+reports the worst absolute deviations and the cycle mismatches seen.
+Exits nonzero past --tol or on any cycle mismatch.
 """
 
 import argparse
@@ -24,28 +25,34 @@ def successors(weights):
     return succ
 
 
-def brute_max_mean(weights):
-    succ = successors(weights)
-    best = None
-    vertices = sorted(succ)
+def brute_cycles(edges):
+    """Every simple cycle once, as a vertex list starting at its least vertex."""
+    succ = successors(edges)
+    cycles = []
 
     def extend(start, path, seen):
-        nonlocal best
         for nxt in succ[path[-1]]:
             if nxt == start:
-                cycle = path + [start]
-                total = Fraction(0)
-                for a, b in zip(cycle, cycle[1:]):
-                    total += Fraction(weights[(a, b)])
-                mean = total / (len(cycle) - 1)
-                if best is None or mean > best:
-                    best = mean
+                cycles.append(path)
             elif nxt > start and nxt not in seen:
                 extend(start, path + [nxt], seen | {nxt})
 
-    for start in vertices:
+    for start in sorted(succ):
         extend(start, [start], {start})
-    return float(best)
+    return cycles
+
+
+def brute_max_mean(weights):
+    def mean(cycle):
+        closed = cycle + [cycle[0]]
+        return sum(Fraction(weights[(a, b)]) for a, b in zip(closed, closed[1:])) / len(cycle)
+
+    return float(max(mean(cycle) for cycle in brute_cycles(weights)))
+
+
+def brute_canonical_cycle(edges):
+    """Shortest cycle, lexicographically least vertex sequence on ties."""
+    return tuple(min(brute_cycles(edges), key=lambda cycle: (len(cycle), cycle)))
 
 
 def brute_barrier(weights, base, mean):
@@ -88,11 +95,13 @@ def main(argv=None):
     rng = random.Random(args.seed)
     worst_mean = 0.0
     worst_barrier = 0.0
+    cycle_mismatches = 0
     started = time.perf_counter()
     for _ in range(args.count):
         weights = random_graph(rng, rng.randint(1, args.max_vertices))
         g = optimize(graph_from_weights(weights))
         worst_mean = max(worst_mean, abs(g.max_mean - brute_max_mean(weights)))
+        cycle_mismatches += g.critical_cycle != brute_canonical_cycle(g.critical_edges)
         result = compute_barrier(g)
         oracle = brute_barrier(weights, result.base_vertex, g.max_mean)
         for v, value in result.values.items():
@@ -102,9 +111,13 @@ def main(argv=None):
     print(f"graphs checked        {args.count}")
     print(f"worst mean deviation  {worst_mean:.3e}")
     print(f"worst barrier deviation {worst_barrier:.3e}")
+    print(f"canonical cycle mismatches {cycle_mismatches}")
     print(f"elapsed               {elapsed:.2f}s")
     if worst_mean > args.tol or worst_barrier > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
+        return 1
+    if cycle_mismatches:
+        print("canonical cycle differs from the brute-force cycle", file=sys.stderr)
         return 1
     return 0
 

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .digraph import bfs_distances
-from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk
+from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk, _walk_table
 from .potential import (
     PotentialSpec,
     ambient_total_variation,
@@ -168,21 +168,8 @@ def barrier_length_profile(
         raise GraphError(f"unknown vertex {vertex!r}")
     if n_max < 0:
         raise GraphError("n_max must be nonnegative")
-    base = graph.critical_cycle[0]
-    m = graph.max_mean
-    neg_inf = float("-inf")
-    current: dict[Vertex, float] = {base: 0.0}
-    profile = [0.0 if vertex == base else neg_inf]
-    for _ in range(n_max):
-        nxt: dict[Vertex, float] = {}
-        for u, val in current.items():
-            for x in graph.succ[u]:
-                cand = val + graph.weights[(u, x)] - m
-                if cand > nxt.get(x, neg_inf):
-                    nxt[x] = cand
-        profile.append(nxt.get(vertex, neg_inf))
-        current = nxt
-    return tuple(profile)
+    table = _walk_table(graph, graph.critical_cycle[0], n_max, graph.max_mean)
+    return tuple(row.get(vertex, float("-inf")) for row in table)
 
 
 def barrier_upper_bound(

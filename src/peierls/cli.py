@@ -117,9 +117,7 @@ def _optimized_graph(
 ) -> tuple[ShiftSpec, PotentialSpec, WeightedMemoryGraph]:
     spec, pot = _load_inputs(args)
     finite = _finite_for(args, spec)
-    graph = build_memory_graph(finite, pot)
-    optimize(graph, args.tol)
-    return spec, pot, graph
+    return spec, pot, optimize(build_memory_graph(finite, pot), args.tol)
 
 
 def _cmd_shift_check(args: argparse.Namespace) -> int:
@@ -239,8 +237,6 @@ def _probe_payload(probe: BoundednessProbe) -> dict:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     spec, pot = _load_inputs(args)
-    if not args.stages:
-        raise ValueError("--stages is required")
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
 
     if args.format == "csv":
@@ -279,8 +275,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 def _cmd_demo_renewal(args: argparse.Namespace) -> int:
     spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
     pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
-    stages = args.stages or (6, 12, 24)
-    family = build_family(spec, pot, stages, tol=args.tol, use_cache=args.use_cache)
+    family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
     probe = bp_boundedness_probe(family, spec, args.scan_to, args.tol)
     if probe.verdict == DIVERGENT:
         conclusion = "no bounded calibrated subaction exists."
@@ -382,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     renewal = demo_sub.add_parser("renewal", help="renewal shift divergence study")
     renewal.add_argument("--a", type=int, default=2)
     renewal.add_argument("--b", type=int, default=0)
-    renewal.add_argument("--stages", type=_int_list, default=())
+    renewal.add_argument("--stages", type=_int_list, default=(6, 12, 24))
     renewal.add_argument("--scan-to", type=int, default=23)
     renewal.add_argument("--tol", type=float, default=DEFAULT_TOL)
     renewal.add_argument("--no-cache", dest="use_cache", action="store_false")

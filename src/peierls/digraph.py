@@ -81,3 +81,24 @@ def bfs_distances(start: N, adjacency: Mapping[N, Iterable[N]]) -> dict[N, int]:
                     nxt.append(child)
         frontier = nxt
     return dist
+
+
+def least_word(
+    a: N, b: N, succ: Mapping[N, Sequence[N]], pred: Mapping[N, Iterable[N]]
+) -> tuple[N, ...] | None:
+    """Interior of the shortest walk a -> b of at least one edge, least on ties.
+
+    Ties between walks of the same length go to the lexicographically least
+    interior; ``a == b`` asks for a shortest cycle through ``a``.  Returns
+    None when ``b`` is unreachable from ``a``.
+    """
+    dist = bfs_distances(b, pred)
+    steps = [dist[s] for s in succ[a] if s in dist]
+    if not steps:
+        return None
+    word = []
+    node = a
+    for remaining in range(min(steps), 0, -1):
+        node = min(t for t in succ[node] if dist.get(t) == remaining)
+        word.append(node)
+    return tuple(word)

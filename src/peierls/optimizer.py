@@ -5,7 +5,8 @@ walk weights: vertices are admissible words of length max(depth-1, 1) and
 an edge carries the potential's value on the depth-k word its endpoints
 generate.  The ergodic maximum m is then the maximum cycle-mean weight,
 found with Karp's dynamic program, and the critical class collects every
-vertex on a cycle whose mean attains m.
+vertex on a cycle whose mean attains m.  ``optimize`` returns a new graph
+carrying these results and leaves its argument unchanged.
 
 Vertices only need to be hashable and mutually sortable; library callers
 use letter words, tests are free to use bare integers.
@@ -14,10 +15,10 @@ use letter words, tests are free to use bare integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
-from .digraph import strongly_connected_components
+from .digraph import least_word, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
 from .shift_space import FiniteShift
 
@@ -35,13 +36,12 @@ class PositiveCycleError(RuntimeError):
     """A reduced cycle with positive weight survived; the mean value is inconsistent."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightedMemoryGraph:
     """Finite weighted digraph plus the optimization results, once computed.
 
-    The structural fields are fixed at construction; ``optimize`` fills the
-    ``max_mean`` / ``critical_*`` fields in place and downstream modules
-    treat the whole object as read-only afterwards.
+    ``optimize`` returns a copy with the ``max_mean`` / ``critical_*``
+    fields set; the graph it was given stays unoptimized.
     """
 
     vertices: tuple[Vertex, ...]
@@ -63,6 +63,25 @@ class WeightedMemoryGraph:
 
     def is_optimized(self) -> bool:
         return self.max_mean is not None
+
+    def with_optimum(
+        self,
+        mean: float,
+        cycle: tuple[Vertex, ...],
+        components: tuple[tuple[Vertex, ...], ...],
+        edges: frozenset,
+        unique: bool,
+    ) -> WeightedMemoryGraph:
+        """A copy carrying these results; the critical class is the union of ``components``."""
+        return replace(
+            self,
+            max_mean=mean,
+            critical_cycle=cycle,
+            critical_class=frozenset(v for comp in components for v in comp),
+            critical_edges=edges,
+            critical_components=components,
+            critical_class_unique=unique,
+        )
 
 
 def graph_from_weights(weights: Mapping[Edge, float]) -> WeightedMemoryGraph:
@@ -118,24 +137,33 @@ def _require_strongly_connected(graph: WeightedMemoryGraph) -> None:
         )
 
 
-def _karp_max_mean(graph: WeightedMemoryGraph) -> float:
-    """Karp's formula: max over v of min over k of (D_n - D_k)/(n - k)."""
-    n = len(graph.vertices)
-    source = graph.vertices[0]
+def _walk_table(
+    graph: WeightedMemoryGraph, source: Vertex, steps: int, reduce_by: float = 0.0
+) -> list[dict[Vertex, float]]:
+    """Row k: best weight of a k-edge walk from ``source`` to each vertex it reaches.
+
+    Every edge weighs ``w - reduce_by``; a row omits the vertices no walk
+    of that length reaches.
+    """
     table: list[dict[Vertex, float]] = [{source: 0.0}]
-    for _ in range(n):
-        prev = table[-1]
+    for _ in range(steps):
         cur: dict[Vertex, float] = {}
-        for u, base in prev.items():
+        for u, base in table[-1].items():
             for v in graph.succ[u]:
-                cand = base + graph.weights[(u, v)]
+                cand = base + graph.weights[(u, v)] - reduce_by
                 old = cur.get(v)
                 if old is None or cand > old:
                     cur[v] = cand
         table.append(cur)
+    return table
+
+
+def _karp_max_mean(graph: WeightedMemoryGraph) -> float:
+    """Karp's formula: max over v of min over k of (D_n - D_k)/(n - k)."""
+    n = len(graph.vertices)
+    table = _walk_table(graph, graph.vertices[0], n)
     best = -math.inf
-    final = table[n]
-    for v, top in final.items():
+    for v, top in table[n].items():
         worst = math.inf
         for k in range(n):
             base = table[k].get(v)
@@ -202,44 +230,22 @@ def _tight_adjacency(
 
 
 def _canonical_cycle(
-    class_vertices: list[Vertex], tight_succ: Mapping[Vertex, tuple[Vertex, ...]]
+    intra_succ: Mapping[Vertex, tuple[Vertex, ...]],
+    intra_pred: Mapping[Vertex, list[Vertex]],
 ) -> tuple[Vertex, ...]:
     """Minimal-length critical cycle, lexicographically least sequence on ties."""
-    members = set(class_vertices)
-
-    def steps_back_to(v: Vertex) -> list[set[Vertex]]:
-        # reach[t] = vertices from which v is hit in exactly t tight edges
-        reach = [{v}]
-        for _ in range(len(class_vertices)):
-            prev = reach[-1]
-            reach.append({u for u in members if any(x in prev for x in tight_succ[u])})
-        return reach
-
-    girth = None
-    start = None
-    start_reach: list[set[Vertex]] | None = None
-    for v in sorted(members):
-        reach = steps_back_to(v)
-        length = next(
-            (t for t in range(1, len(reach)) if v in reach[t]),
-            None,
-        )
-        if length is None:
-            continue
-        if girth is None or length < girth:
-            girth, start, start_reach = length, v, reach
-    if girth is None or start is None or start_reach is None:
+    best: tuple[Vertex, ...] | None = None
+    for v in sorted(intra_succ):
+        word = least_word(v, v, intra_succ, intra_pred)
+        if word is not None and (best is None or len(word) + 1 < len(best)):
+            best = (v,) + word
+    if best is None:
         raise GraphError("critical class contains no cycle")
-    cycle = [start]
-    cur = start
-    for step in range(1, girth):
-        cur = min(x for x in tight_succ[cur] if x in start_reach[girth - step])
-        cycle.append(cur)
-    return tuple(cycle)
+    return best
 
 
 def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMemoryGraph:
-    """Compute m, the critical class and a canonical critical cycle, in place."""
+    """A copy of ``graph`` carrying m, the critical class and a canonical critical cycle."""
     if not graph.vertices:
         raise GraphError("graph has no vertices")
     _require_strongly_connected(graph)
@@ -254,36 +260,31 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
     if not critical:
         raise GraphError("no critical cycle found at the computed mean")
     critical.sort(key=lambda comp: comp[0])
-    class_set = frozenset(v for comp in critical for v in comp)
     comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
     intra: dict[Vertex, tuple[Vertex, ...]] = {}
-    edges: set[Edge] = set()
-    for comp in critical:
-        for u in comp:
-            keep = tuple(v for v in tight_succ[u] if comp_of.get(v) == comp_of[u])
-            intra[u] = keep
-            edges.update((u, v) for v in keep)
-    cycle = _canonical_cycle(sorted(class_set), intra)
+    intra_pred: dict[Vertex, list[Vertex]] = {v: [] for v in comp_of}
+    for u, idx in comp_of.items():
+        intra[u] = tuple(v for v in tight_succ[u] if comp_of.get(v) == idx)
+        for v in intra[u]:
+            intra_pred[v].append(u)
+    cycle = _canonical_cycle(intra, intra_pred)
     total = sum(
         graph.weights[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))
     )
-    graph.max_mean = total / len(cycle)
-    graph.critical_cycle = cycle
-    graph.critical_class = class_set
-    graph.critical_edges = frozenset(edges)
-    graph.critical_components = tuple(tuple(comp) for comp in critical)
-    graph.critical_class_unique = len(critical) == 1 and all(
-        len(intra[v]) == 1 for v in critical[0]
+    return graph.with_optimum(
+        total / len(cycle),
+        cycle,
+        tuple(tuple(comp) for comp in critical),
+        frozenset((u, v) for u, keep in intra.items() for v in keep),
+        len(critical) == 1 and all(len(intra[v]) == 1 for v in critical[0]),
     )
-    return graph
 
 
 def max_mean_cycle(
     graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL
 ) -> tuple[float, tuple[Vertex, ...]]:
-    optimize(graph, tol)
-    assert graph.max_mean is not None and graph.critical_cycle is not None
-    return graph.max_mean, graph.critical_cycle
+    optimized = optimize(graph, tol)
+    return optimized.max_mean, optimized.critical_cycle
 
 
 def birkhoff_sum(graph: WeightedMemoryGraph, walk: Sequence[Vertex]) -> float:

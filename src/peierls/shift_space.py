@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .digraph import bfs_distances, strongly_connected_components
+from .digraph import least_word, strongly_connected_components
 
 Letter = int
 Word = tuple[int, ...]
@@ -458,8 +458,9 @@ def covering_core(
 
     Raises the bound one letter at a time until the truncation's strongly
     connected component through the requested letters covers them all; a
-    renewal truncation ending between entry letters strands its top and
-    needs such an advance.
+    truncation can strand its top letters and need such an advance.  A
+    renewal truncation keeps exactly the letters up to its largest entry
+    letter, so its search starts at the least entry letter covering them.
     """
     cap = spec.max_letter()
     wanted = sorted(set(letters))
@@ -468,6 +469,9 @@ def covering_core(
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     bound = wanted[-1]
+    if spec.kind == KIND_RENEWAL and bound >= 1:
+        a, b = spec.renewal_rule  # type: ignore[misc]
+        bound = a * max(1, -(-(bound - b) // a)) + b
     for _ in range(attempt_budget):
         try:
             fin = truncate(spec, bound)
@@ -494,20 +498,7 @@ def connecting_word(finite: FiniteShift, a: int, b: int) -> Word:
         raise ValueError(f"letters {a}, {b} must both lie in the truncation")
     if not finite.succ[a]:
         raise ValueError(f"letter {a} has no outgoing edge")
-    # edge counts to b, via a reverse breadth-first sweep
-    dist_to_b = bfs_distances(b, finite.pred)
-    reachable = [s for s in finite.succ[a] if s in dist_to_b]
-    if not reachable:
+    word = least_word(a, b, finite.succ, finite.pred)
+    if word is None:
         raise ValueError(f"letter {b} is not reachable from letter {a}")
-    length = min(dist_to_b[s] for s in reachable)
-    word: list[int] = []
-    frontier = a
-    remaining = length
-    while remaining > 0:
-        nxt = min(
-            t for t in finite.succ[frontier] if dist_to_b.get(t, -1) == remaining
-        )
-        word.append(nxt)
-        frontier = nxt
-        remaining -= 1
-    return tuple(word)
+    return word

@@ -175,12 +175,9 @@ def _restore_stage(
     edges = frozenset((_word(u), _word(v)) for u, v in payload["critical_edges"])
     if any(v not in graph.succ for v in cycle):
         return None
-    graph.max_mean = float(payload["max_mean"])
-    graph.critical_cycle = cycle
-    graph.critical_components = components
-    graph.critical_class = frozenset(v for comp in components for v in comp)
-    graph.critical_edges = edges
-    graph.critical_class_unique = bool(payload["unique"])
+    graph = graph.with_optimum(
+        float(payload["max_mean"]), cycle, components, edges, bool(payload["unique"])
+    )
     raw = payload["bounds"]
     bounds = None
     if raw is not None:
@@ -245,7 +242,7 @@ def build_stage(
         if stage is not None:
             return stage
 
-    optimize(graph, tol)
+    graph = optimize(graph, tol)
     stage = Stage(
         requested=requested,
         used=max(core.letters),

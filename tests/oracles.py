@@ -34,6 +34,11 @@ def simple_cycles(weights):
                     stack.append((nxt, path + [nxt]))
 
 
+def oracle_canonical_cycle(edges):
+    """(length, cycle) of the shortest cycle, lexicographically least on ties."""
+    return min((len(c), tuple(c)) for c in simple_cycles(edges))
+
+
 def cycle_mean(weights, cycle):
     total = Fraction(0)
     for i, u in enumerate(cycle):

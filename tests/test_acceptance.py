@@ -134,7 +134,7 @@ def test_criterion_03_barrier_is_a_calibrated_subaction_everywhere():
     graphs += [g for _, g in _worked_examples()]
     for g in graphs:
         if not g.is_optimized():
-            optimize(g)
+            g = optimize(g)
         report = verify_subaction(g, compute_barrier(g).values)
         checked += 1
         if not (report.is_subaction and report.is_calibrated and report.supp_in_contact):

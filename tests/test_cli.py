@@ -274,6 +274,18 @@ def test_converge_requires_stages(renewal_files, capsys):
     assert "--stages" in capsys.readouterr().err
 
 
+def test_empty_stage_list_is_a_usage_error(renewal_files, capsys):
+    shift, pot = renewal_files
+    for argv in (
+        ["converge", "--shift", shift, "--potential", pot, "--stages", ""],
+        ["demo", "renewal", "--stages", ""],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one stage bound is required" in captured.err
+
+
 def test_demo_renewal_verdicts(capsys):
     assert run(["demo", "renewal", "--a", "2", "--b", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)

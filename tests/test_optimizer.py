@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from peierls import (
 )
 from peierls.optimizer import _longest_walk
 
-from oracles import oracle_max_mean, random_graph
+from oracles import oracle_canonical_cycle, oracle_max_mean, random_graph
 
 
 def test_graph_from_weights_structure():
@@ -89,6 +90,29 @@ def test_canonical_cycle_prefers_girth_then_smallest_vertex():
     assert cycle == (1,)
 
 
+def test_canonical_cycle_matches_cycle_enumeration_on_tie_heavy_graphs():
+    # weights from {-1, 0, 0} leave many tied critical cycles
+    rng = random.Random(20261017)
+    wide = 0
+    for _ in range(300):
+        weights = {e: rng.choice((-1, 0, 0)) for e in random_graph(rng, rng.randint(1, 7))}
+        g = optimize(graph_from_weights(weights))
+        cycle = g.critical_cycle
+        assert (len(cycle), cycle) == oracle_canonical_cycle(g.critical_edges)
+        wide += len(g.critical_class) > 2
+    assert wide >= 100
+
+
+def test_optimize_returns_a_new_frozen_graph():
+    g = graph_from_weights({(0, 1): 3.0, (1, 0): -1.0})
+    optimized = optimize(g)
+    assert optimized is not g
+    assert optimized.is_optimized()
+    assert not g.is_optimized()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.max_mean = 1.0
+
+
 def test_two_critical_components_are_both_reported(two_class_graph):
     assert two_class_graph.critical_components == ((0,), (1,))
     assert two_class_graph.critical_class_unique is False
@@ -98,7 +122,7 @@ def test_two_critical_components_are_both_reported(two_class_graph):
 def test_unique_class_needs_single_tight_successor():
     # both edges of the two-cycle stay tight and a tight chord enters vertex 0
     g = graph_from_weights({(0, 1): 1.0, (1, 0): -1.0, (0, 0): 0.0})
-    optimize(g)
+    g = optimize(g)
     assert g.critical_class == frozenset({0, 1})
     assert g.critical_class_unique is False
 
@@ -133,7 +157,7 @@ def test_birkhoff_sum_and_missing_edge(gm_graph):
 
 def test_periodic_measure_averages_cycle():
     g = graph_from_weights({(0, 1): 3.0, (1, 0): -1.0})
-    optimize(g)
+    g = optimize(g)
     mu = periodic_measure(g, g.critical_cycle)
     assert mu.f_integral == pytest.approx(1.0)
     assert mu.weights == (0.5, 0.5)
@@ -148,7 +172,7 @@ def test_optimize_invariants_on_random_graphs(seed):
     rng = random.Random(seed)
     weights = random_graph(rng, rng.randint(1, 7))
     g = graph_from_weights(weights)
-    optimize(g)
+    g = optimize(g)
     m = g.max_mean
     # the extracted cycle realizes the mean and lies inside the class
     cycle = g.critical_cycle

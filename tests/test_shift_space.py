@@ -121,8 +121,19 @@ def test_covering_core_advances_past_stranded_bound(renewal_spec):
     assert core.transitive
 
 
+def test_covering_core_starts_renewal_search_at_an_entry_letter():
+    # the next entry letter lies past the one-letter-at-a-time budget
+    for rule, wanted, top in (((100, 0), range(11), 100), ((70, 0), range(2), 70)):
+        core = covering_core(ShiftSpec(kind="renewal", renewal_rule=rule), wanted)
+        assert core.letters == tuple(range(top + 1))
+
+
 def test_covering_core_budget_exhausted():
-    spec = ShiftSpec(kind="renewal", renewal_rule=(70, 0))
+    # letter 1 is entered only down the chain 1000 -> 999 -> ... -> 1
+    spec = ShiftSpec(
+        kind="oracle",
+        membership=lambda i, j: (i == j == 0) or j == i - 1 or (i == 0 and j == 1000),
+    )
     with pytest.raises(TruncationError):
         covering_core(spec, range(2))
 

@@ -43,6 +43,10 @@ def test_stage_round_trips_through_the_cache(renewal_spec, renewal_pot):
     assert second.barrier.values == first.barrier.values
     assert second.graph.max_mean == first.graph.max_mean
     assert second.graph.critical_cycle == first.graph.critical_cycle
+    assert second.graph.critical_components == first.graph.critical_components
+    assert second.graph.critical_edges == first.graph.critical_edges
+    assert second.graph.critical_class == first.graph.critical_class
+    assert second.graph.critical_class_unique == first.graph.critical_class_unique
     assert second.graph.is_optimized()
 
 
