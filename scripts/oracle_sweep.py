@@ -4,8 +4,10 @@
 Draws seeded random strongly connected graphs, compares the package's
 mean, canonical cycle and barrier against an independent exhaustive
 enumeration written here (deliberately not shared with the library), and
-reports the worst absolute deviations and the cycle mismatches seen.
-Exits nonzero past --tol or on any cycle mismatch.
+reports the worst absolute deviations and the cycle mismatches seen.  It
+also checks the stage-two connect length of the letter cutoff on renewal
+cores (a = 1..6, b = 0..5, top letters 0..5) against an all-pairs BFS.
+Exits nonzero past --tol or on any cycle or connect-length mismatch.
 """
 
 import argparse
@@ -14,7 +16,15 @@ import sys
 import time
 from fractions import Fraction
 
-from peierls import compute_barrier, graph_from_weights, optimize
+from peierls import (
+    PotentialSpec,
+    ShiftSpec,
+    compute_barrier,
+    covering_core,
+    graph_from_weights,
+    letter_cutoff,
+    optimize,
+)
 
 
 def successors(weights):
@@ -73,6 +83,39 @@ def brute_barrier(weights, base, mean):
     return best
 
 
+def brute_connect_len(succ):
+    """Largest least edge count of a walk i -> j with at least one edge, over all pairs."""
+    worst = 0
+    for start in succ:
+        dist = {}
+        frontier = list(succ[start])
+        steps = 1
+        while frontier:
+            fresh = [x for x in dict.fromkeys(frontier) if x not in dist]
+            for x in fresh:
+                dist[x] = steps
+            frontier = [y for x in fresh for y in succ[x]]
+            steps += 1
+        worst = max(worst, max(dist.values()))
+    return worst
+
+
+def renewal_connect_mismatches():
+    """Renewal cores whose cutoff reports a stage-two connect length off the brute force."""
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): 0.0})
+    mismatches = 0
+    for a in range(1, 7):
+        for b in range(6):
+            spec = ShiftSpec(kind="renewal", renewal_rule=(a, b))
+            for top in range(6):
+                core = covering_core(spec, range(top + 1))
+                report = letter_cutoff(spec, pot, core, 0)
+                needed = set(range(report.excursion_cutoff + 2)) | set(core.letters)
+                wide = covering_core(spec, needed)
+                mismatches += report.wide_connect_len != brute_connect_len(wide.succ)
+    return mismatches
+
+
 def random_graph(rng, n):
     weights = {}
     for i in range(n):
@@ -106,18 +149,23 @@ def main(argv=None):
         oracle = brute_barrier(weights, result.base_vertex, g.max_mean)
         for v, value in result.values.items():
             worst_barrier = max(worst_barrier, abs(value - oracle[v]))
+    connect_mismatches = renewal_connect_mismatches()
     elapsed = time.perf_counter() - started
 
     print(f"graphs checked        {args.count}")
     print(f"worst mean deviation  {worst_mean:.3e}")
     print(f"worst barrier deviation {worst_barrier:.3e}")
     print(f"canonical cycle mismatches {cycle_mismatches}")
+    print(f"renewal connect-length mismatches {connect_mismatches}")
     print(f"elapsed               {elapsed:.2f}s")
     if worst_mean > args.tol or worst_barrier > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
         return 1
     if cycle_mismatches:
         print("canonical cycle differs from the brute-force cycle", file=sys.stderr)
+        return 1
+    if connect_mismatches:
+        print("renewal connect length differs from the all-pairs BFS", file=sys.stderr)
         return 1
     return 0
 

@@ -26,7 +26,7 @@ stop moving.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .digraph import bfs_distances
 from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk, _walk_table
@@ -37,6 +37,7 @@ from .potential import (
     inf_bound_on_letter,
 )
 from .shift_space import (
+    KIND_RENEWAL,
     FiniteShift,
     ShiftSpec,
     TransitivityError,
@@ -117,13 +118,9 @@ def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> Bar
 
 
 def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> UpperBoundReport:
-    finite = graph.shift
-    pot = graph.pot
-    m = graph.max_mean
+    finite, pot, m = graph.shift, graph.pot, graph.max_mean
     ambient = ambient_total_variation(pot)
-    per_letter = {
-        a: barrier_upper_bound(graph, finite, pot, a) for a in finite.letters
-    }
+    per_letter = _letter_ceilings(graph, finite, pot, finite.letters)
 
     cycle = graph.critical_cycle
     lap = 0.0
@@ -134,15 +131,11 @@ def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) ->
         cycle_peak = max(cycle_peak, lap)
 
     cutoff = coercive_letter_bound(pot, m - ambient)
-    low_peak = float("-inf")
-    for j in finite.letters:
-        if j > cutoff:
-            continue
-        targets = sorted(
-            {x for u in graph.vertices if u[0] == j for x in graph.succ[u]}
-        )
-        if targets:
-            low_peak = max(low_peak, values[targets[0]])
+    firsts: dict[int, set[Vertex]] = {}  # successors of the vertices starting with each low letter
+    for u in graph.vertices:
+        if u[0] <= cutoff:
+            firsts.setdefault(u[0], set()).update(graph.succ[u])
+    low_peak = max((values[min(t)] for t in firsts.values()), default=float("-inf"))
 
     return UpperBoundReport(
         per_letter=per_letter,
@@ -187,26 +180,56 @@ def barrier_upper_bound(
         raise GraphError("graph must be optimized before bounding the barrier")
     if letter not in finite.pred:
         raise GraphError(f"letter {letter} is not in the truncation")
-    base_letter = graph.critical_cycle[0][0]
-    word = connecting_word(finite, letter, base_letter)
-    involved = {letter, base_letter, *word}
-    floor = min(inf_bound_on_letter(pot, l) for l in involved)
-    return (len(word) + 1) * (graph.max_mean - floor) + ambient_total_variation(pot)
+    return _letter_ceilings(graph, finite, pot, (letter,))[letter]
+
+
+def _letter_ceilings(
+    graph: WeightedMemoryGraph, finite: FiniteShift, pot: PotentialSpec, letters: Iterable[int]
+) -> dict[int, float]:
+    """``barrier_upper_bound`` for each of ``letters``, from one reverse BFS to the base letter.
+
+    A least connecting word leaves ``a`` through ``first(a)`` and goes on as that
+    letter's word, so its cheapest letter value is a running minimum in order of distance.
+    """
+    base = graph.critical_cycle[0][0]
+    dist = bfs_distances(base, finite.pred) if base in finite.pred else {}
+    def first(a: int) -> tuple[int, int]:  # connector length to the base, least successor closest
+        step = min((dist[t] for t in finite.succ[a] if t in dist), default=None)
+        if step is None:
+            connecting_word(finite, a, base)  # raises the connector's own error
+        return step + 1, min(t for t in finite.succ[a] if dist.get(t) == step)
+
+    low = {a: inf_bound_on_letter(pot, a) for a in dist}
+    floor: dict[int, float] = {}
+    for a in dist:  # in order of distance, the base letter first
+        floor[a] = low[a] if a == base else min(low[a], floor[first(a)[1]])
+    ambient = ambient_total_variation(pot)
+    ceilings = {}
+    for a in letters:
+        length, nxt = first(a)
+        ceilings[a] = length * (graph.max_mean - min(low[a], floor[nxt])) + ambient
+    return ceilings
+
+
+def _connect_len_to(core: FiniteShift, b: int) -> int:
+    """Longest least walk i -> b of at least one edge, over letters i that all reach ``b``."""
+    dist = bfs_distances(b, core.pred)
+    return max(max(dist.values()), 1 + min(dist[s] for s in core.succ[b]))
 
 
 def _max_pairwise_connect(core: FiniteShift) -> int:
-    """Largest over ordered letter pairs (i, b) of the least edge count i -> b."""
-    worst = 1
-    for b in core.letters:
-        dist = bfs_distances(b, core.pred)
-        for i in core.letters:
-            if i == b:
-                d = min(dist[s] for s in core.succ[b]) + 1
-            else:
-                d = dist[i]
-            if d > worst:
-                worst = d
-    return worst
+    """Largest over ordered letter pairs (i, b) of the least edge count i -> b.
+
+    A renewal core is exactly the letters 0..K with K an entry letter or
+    K = 0, and there the answer is K + 1 without search.  The only cycle
+    through K steps down K times and jumps back from 0, so it has K + 1
+    edges.  For i > b the walk i -> b steps down i - b <= K times.  For
+    i <= b it steps down to 0, jumps to the least entry e(b) >= b and steps
+    down to b, i + 1 + e(b) - b <= K + 1 edges in all.
+    """
+    if core.spec is not None and core.spec.kind == KIND_RENEWAL:
+        return max(core.letters) + 1
+    return max(_connect_len_to(core, b) for b in core.letters)
 
 
 def letter_cutoff(
@@ -232,9 +255,7 @@ def letter_cutoff(
     if not is_transitive(finite):
         raise TransitivityError("the truncation handed to letter_cutoff must be transitive")
 
-    local_len = max(
-        len(connecting_word(finite, i, letter)) + 1 for i in finite.letters
-    )
+    local_len = _connect_len_to(finite, letter)
     floor = min(inf_bound_on_letter(pot, i) for i in finite.letters)
     ambient = ambient_total_variation(pot)
     threshold = min(local_len * floor - ambient, 0.0)

@@ -15,6 +15,7 @@ use letter words, tests are free to use bare integers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
@@ -177,6 +178,12 @@ def _karp_max_mean(graph: WeightedMemoryGraph) -> float:
     return best
 
 
+def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
+    """``tol``, raised to the float rounding of a |V|-edge walk sum when weights are large."""
+    scale = max((abs(w) for w in graph.weights.values()), default=0.0)
+    return max(tol, 4 * len(graph.vertices) * sys.float_info.epsilon * scale)
+
+
 def _longest_walk(
     graph: WeightedMemoryGraph,
     seeds: Mapping[Vertex, float],
@@ -196,6 +203,7 @@ def _longest_walk(
             raise GraphError(f"seed vertex {v!r} is not in the graph")
         values[v] = float(s)
     edges = graph.edge_list()
+    tol = _rounding_tol(graph, tol)
     for _ in range(len(graph.vertices) - 1):
         changed = False
         for (u, v), w in edges:
@@ -223,6 +231,7 @@ def _tight_adjacency(
     graph: WeightedMemoryGraph, h: Mapping[Vertex, float], mean: float, tol: float
 ) -> dict[Vertex, tuple[Vertex, ...]]:
     tight: dict[Vertex, list[Vertex]] = {v: [] for v in graph.vertices}
+    tol = _rounding_tol(graph, tol)
     for (u, v), w in graph.edge_list():
         if h[u] + (w - mean) >= h[v] - tol:
             tight[u].append(v)

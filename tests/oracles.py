@@ -97,6 +97,52 @@ def oracle_walk_profile(weights, base, target, mean, n_max):
     return tuple(out)
 
 
+def oracle_connect_len(succ, target=None):
+    """Largest least edge count of a walk i -> b with at least one edge, over all pairs.
+
+    Forward BFS from every letter; a letter's first revisit of itself is
+    its girth.  ``target`` restricts the pairs to b == target.
+    """
+    worst = 0
+    for start in succ:
+        dist = {}
+        frontier = list(succ[start])
+        d = 1
+        while frontier:
+            fresh = [x for x in dict.fromkeys(frontier) if x not in dist]
+            for x in fresh:
+                dist[x] = d
+            frontier = [y for x in fresh for y in succ[x]]
+            d += 1
+        if set(dist) != set(succ):
+            raise ValueError(f"letter {start} does not reach every letter")
+        worst = max(worst, dist[target] if target is not None else max(dist.values()))
+    return worst
+
+
+def oracle_connecting_word(succ, a, b):
+    """Shortest w with a.w.b admissible, least on ties, by forward BFS over words.
+
+    Layers are kept in lexicographic order and each letter keeps only the
+    first (least) word that reaches it; every letter of a shortest word
+    sits at its least distance from ``a``, so nothing is lost.
+    """
+    layer = [((), a)]
+    seen = {a}
+    while layer:
+        for word, end in layer:
+            if b in succ[end]:
+                return word
+        nxt = []
+        for word, end in layer:
+            for x in sorted(succ[end]):
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append((word + (x,), x))
+        layer = nxt
+    raise ValueError(f"letter {b} is not reachable from letter {a}")
+
+
 def is_strongly_connected(weights):
     succ = successors(weights)
     pred = {}

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -12,14 +13,23 @@ from peierls import (
     TruncationError,
     barrier_length_profile,
     barrier_upper_bound,
+    build_memory_graph,
     compute_barrier,
+    covering_core,
     graph_from_weights,
     letter_cutoff,
     optimize,
     truncate,
 )
+from peierls.potential import admissible_words, ambient_total_variation, inf_bound_on_letter
 
-from oracles import oracle_barrier, oracle_walk_profile, random_graph
+from oracles import (
+    oracle_barrier,
+    oracle_connect_len,
+    oracle_connecting_word,
+    oracle_walk_profile,
+    random_graph,
+)
 
 
 def test_barrier_golden_mean(gm_graph):
@@ -140,3 +150,114 @@ def test_letter_cutoff_guards(gm_spec, gm_pot, gm_finite):
     )
     with pytest.raises(TransitivityError):
         letter_cutoff(one_way, gm_pot, truncate(one_way, 1), 0)
+
+
+def random_shift(rng):
+    """A seeded explicit, full or renewal core with a random depth 1-3 potential."""
+    kind = rng.choice(["explicit-finite", "full", "renewal"])
+    depth = rng.randint(1, 3)
+    if kind == "full":
+        n = rng.randint(1, 5 if depth < 3 else 4)
+        spec, wanted = ShiftSpec(kind=kind, alphabet_size=n), range(n)
+    elif kind == "renewal":
+        spec = ShiftSpec(kind=kind, renewal_rule=(rng.randint(1, 4), rng.randint(0, 3)))
+        wanted = range(rng.randint(1, 8 if depth < 3 else 5))
+    else:
+        n = rng.randint(1, 6)
+        edges = {(i, (i + 1) % n) for i in range(n)}
+        edges |= {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.25}
+        spec, wanted = ShiftSpec(kind=kind, alphabet_size=n, edges=frozenset(edges)), range(n)
+    core = covering_core(spec, wanted)
+    words = list(admissible_words(core, depth))
+    table = {w: rng.uniform(-3.0, 1.0) for w in rng.sample(words, min(len(words), 4))}
+    tail = rng.choice(["linear", "log"])
+    pot = PotentialSpec(depth=depth, tail_kind=tail, tail_scale=rng.uniform(0.3, 4.0), table=table)
+    return spec, core, pot
+
+
+def check_connect_lens(spec, pot, core, letter):
+    """Compare a cutoff report with all-pairs BFS; False when the budget stops the report."""
+    try:
+        report = letter_cutoff(spec, pot, core, letter)
+    except TruncationError:
+        return False
+    assert report.local_connect_len == oracle_connect_len(core.succ, letter)
+    wide = covering_core(spec, set(range(report.excursion_cutoff + 2)) | set(core.letters))
+    assert report.wide_bound == max(wide.letters)
+    assert report.wide_connect_len == oracle_connect_len(wide.succ)
+    return True
+
+
+def test_cutoff_connect_lens_match_all_pairs_bfs_on_renewal_cores():
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): 0.0})
+    for a in range(1, 7):
+        for b in range(6):
+            spec = ShiftSpec(kind="renewal", renewal_rule=(a, b))
+            for top in (0, 2, 5):
+                core = covering_core(spec, range(top + 1))
+                for letter in {core.letters[0], core.letters[-1]}:
+                    assert check_connect_lens(spec, pot, core, letter)
+
+
+def test_cutoff_connect_lens_match_all_pairs_bfs_on_finite_shifts():
+    rng = random.Random(4)
+    reports = 0
+    for _ in range(300):
+        spec, core, pot = random_shift(rng)
+        if spec.kind != "renewal":
+            reports += sum(check_connect_lens(spec, pot, core, l) for l in core.letters)
+    assert reports >= 100
+
+
+def test_per_letter_bounds_match_a_connecting_word_per_letter():
+    rng = random.Random(8)
+    for _ in range(300):
+        _, core, pot = random_shift(rng)
+        g = optimize(build_memory_graph(core, pot))
+        base = g.critical_cycle[0][0]
+        ambient = ambient_total_variation(pot)
+        expected = {}
+        for a in core.letters:
+            word = oracle_connecting_word(core.succ, a, base)
+            floor = min(inf_bound_on_letter(pot, x) for x in {a, base, *word})
+            expected[a] = (len(word) + 1) * (g.max_mean - floor) + ambient
+        assert compute_barrier(g).bounds.per_letter == expected
+        a = core.letters[-1]
+        assert barrier_upper_bound(g, core, pot, a) == expected[a]
+
+
+def uniform_cases(seed):
+    """300 seeded graphs with weights uniform in [-1, 1], optimized, with barriers."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(300):
+        weights = {e: rng.uniform(-1.0, 1.0) for e in random_graph(rng, rng.randint(2, 7))}
+        g = optimize(graph_from_weights(weights))
+        cases.append((weights, g, compute_barrier(g)))
+    return cases
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e7, 1e8, 1e9])
+def test_uniform_shift_moves_only_the_mean(shift):
+    # a fixed 1e-9 tolerance is below one ulp of weights this large
+    tol = 1e-9 + 64 * sys.float_info.epsilon * shift
+    for weights, g, result in uniform_cases(17):
+        moved = optimize(graph_from_weights({e: w + shift for e, w in weights.items()}))
+        assert moved.critical_cycle == g.critical_cycle
+        assert moved.critical_components == g.critical_components
+        assert moved.max_mean == pytest.approx(g.max_mean + shift, abs=tol)
+        values = compute_barrier(moved).values
+        for v, x in result.values.items():
+            assert values[v] == pytest.approx(x, abs=tol)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.5, 3.0, 1e3, 1e9])
+def test_positive_scale_scales_mean_and_barrier(scale):
+    for weights, g, result in uniform_cases(18):
+        scaled = optimize(graph_from_weights({e: w * scale for e, w in weights.items()}))
+        assert scaled.critical_cycle == g.critical_cycle
+        assert scaled.critical_components == g.critical_components
+        assert scaled.max_mean == pytest.approx(g.max_mean * scale, rel=1e-12, abs=1e-12 * scale)
+        values = compute_barrier(scaled).values
+        for v, x in result.values.items():
+            assert values[v] == pytest.approx(x * scale, rel=1e-12, abs=1e-12 * scale)
