@@ -6,19 +6,25 @@ mean, canonical cycle and barrier against an independent exhaustive
 enumeration written here (deliberately not shared with the library), and
 reports the worst absolute deviations and the cycle mismatches seen.  It
 also checks the stage-two connect length of the letter cutoff on renewal
-cores (a = 1..6, b = 0..5, top letters 0..5) against an all-pairs BFS.
-Exits nonzero past --tol or on any cycle or connect-length mismatch.
+cores (a = 1..6, b = 0..5, top letters 0..5) against an all-pairs BFS,
+and builds each of those stages twice in a temporary stage cache, cold
+then warm, requiring the two to agree bit for bit.  Exits nonzero past
+--tol or on any cycle, connect-length or cache mismatch.
 """
 
 import argparse
+import os
 import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
+from unittest import mock
 
 from peierls import (
     PotentialSpec,
     ShiftSpec,
+    build_stage,
     compute_barrier,
     covering_core,
     graph_from_weights,
@@ -116,6 +122,40 @@ def renewal_connect_mismatches():
     return mismatches
 
 
+def stage_facts(stage):
+    """Everything a cache hit must reproduce, with floats in their exact repr."""
+    graph, result = stage.graph, stage.barrier
+    return repr((
+        graph.max_mean,
+        graph.critical_cycle,
+        graph.critical_components,
+        sorted(graph.critical_edges),
+        graph.critical_class_unique,
+        result.base_vertex,
+        sorted(result.values.items()),
+        result.bounds,
+    ))
+
+
+def renewal_cache_mismatches():
+    """Renewal stages whose warm (cached) build differs from the cold one or misses."""
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): 0.0})
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, PEIERLS_CACHE_DIR=root):
+        for a in range(1, 7):
+            for b in range(6):
+                spec = ShiftSpec(kind="renewal", renewal_rule=(a, b))
+                for top in range(6):
+                    cold = build_stage(spec, pot, top)
+                    warm = build_stage(spec, pot, top)
+                    mismatches += (
+                        cold.from_cache
+                        or not warm.from_cache
+                        or stage_facts(cold) != stage_facts(warm)
+                    )
+    return mismatches
+
+
 def random_graph(rng, n):
     weights = {}
     for i in range(n):
@@ -150,6 +190,7 @@ def main(argv=None):
         for v, value in result.values.items():
             worst_barrier = max(worst_barrier, abs(value - oracle[v]))
     connect_mismatches = renewal_connect_mismatches()
+    cache_mismatches = renewal_cache_mismatches()
     elapsed = time.perf_counter() - started
 
     print(f"graphs checked        {args.count}")
@@ -157,6 +198,7 @@ def main(argv=None):
     print(f"worst barrier deviation {worst_barrier:.3e}")
     print(f"canonical cycle mismatches {cycle_mismatches}")
     print(f"renewal connect-length mismatches {connect_mismatches}")
+    print(f"renewal cache round-trip mismatches {cache_mismatches}")
     print(f"elapsed               {elapsed:.2f}s")
     if worst_mean > args.tol or worst_barrier > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
@@ -166,6 +208,9 @@ def main(argv=None):
         return 1
     if connect_mismatches:
         print("renewal connect length differs from the all-pairs BFS", file=sys.stderr)
+        return 1
+    if cache_mismatches:
+        print("a cached renewal stage differs from the freshly built one", file=sys.stderr)
         return 1
     return 0
 

@@ -25,7 +25,7 @@ stop moving.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .digraph import bfs_distances
@@ -89,15 +89,6 @@ class CutoffReport:
     local_connect_len: int
     wide_connect_len: int
     wide_bound: int
-
-
-def bounds_payload(bounds: UpperBoundReport | None) -> dict | None:
-    """JSON form of a bound report, with ``per_letter`` as sorted [letter, bound] pairs."""
-    if bounds is None:
-        return None
-    payload = asdict(bounds)
-    payload["per_letter"] = sorted([a, x] for a, x in bounds.per_letter.items())
-    return payload
 
 
 def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> BarrierResult:
@@ -188,25 +179,25 @@ def _letter_ceilings(
 ) -> dict[int, float]:
     """``barrier_upper_bound`` for each of ``letters``, from one reverse BFS to the base letter.
 
-    A least connecting word leaves ``a`` through ``first(a)`` and goes on as that
+    A least connecting word leaves ``a`` through its exit letter and goes on as that
     letter's word, so its cheapest letter value is a running minimum in order of distance.
     """
     base = graph.critical_cycle[0][0]
     dist = bfs_distances(base, finite.pred) if base in finite.pred else {}
-    def first(a: int) -> tuple[int, int]:  # connector length to the base, least successor closest
-        step = min((dist[t] for t in finite.succ[a] if t in dist), default=None)
-        if step is None:
-            connecting_word(finite, a, base)  # raises the connector's own error
-        return step + 1, min(t for t in finite.succ[a] if dist.get(t) == step)
-
     low = {a: inf_bound_on_letter(pot, a) for a in dist}
+    exits: dict[int, tuple[int, int]] = {}  # connector length to the base, least successor closest
     floor: dict[int, float] = {}
     for a in dist:  # in order of distance, the base letter first
-        floor[a] = low[a] if a == base else min(low[a], floor[first(a)[1]])
+        step = min((dist[t] for t in finite.succ[a] if t in dist), default=None)
+        if step is not None:
+            exits[a] = step + 1, min(t for t in finite.succ[a] if dist.get(t) == step)
+        floor[a] = low[a] if a == base else min(low[a], floor[exits[a][1]])
     ambient = ambient_total_variation(pot)
     ceilings = {}
     for a in letters:
-        length, nxt = first(a)
+        if a not in exits:
+            connecting_word(finite, a, base)  # raises the connector's own error
+        length, nxt = exits[a]
         ceilings[a] = length * (graph.max_mean - min(low[a], floor[nxt])) + ambient
     return ceilings
 

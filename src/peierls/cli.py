@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .barrier import bounds_payload, compute_barrier, letter_cutoff
+from .barrier import UpperBoundReport, compute_barrier, letter_cutoff
 from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
 from .potential import PotentialSpec, TAIL_LINEAR, parse_potential, validate_table
 from .shift_space import (
@@ -173,7 +173,7 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
             "m": result.max_mean,
             "base": list(result.base_vertex),
             "values": {_word_key(v): x for v, x in result.values.items()},
-            "bounds": bounds_payload(result.bounds),
+            "bounds": _bounds_payload(result.bounds),
             "cutoff": cutoff,
         },
     )
@@ -227,6 +227,15 @@ def _stage_summary(stage: Stage) -> dict:
         "cycle": [list(v) for v in stage.graph.critical_cycle],
         "vertices": len(stage.graph.vertices),
     }
+
+
+def _bounds_payload(bounds: UpperBoundReport | None) -> dict | None:
+    """JSON form of a bound report, with ``per_letter`` as sorted [letter, bound] pairs."""
+    if bounds is None:
+        return None
+    payload = asdict(bounds)
+    payload["per_letter"] = sorted([a, x] for a, x in bounds.per_letter.items())
+    return payload
 
 
 def _probe_payload(probe: BoundednessProbe) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
@@ -67,16 +68,24 @@ class WeightedMemoryGraph:
 
     def with_optimum(
         self,
-        mean: float,
         cycle: tuple[Vertex, ...],
         components: tuple[tuple[Vertex, ...], ...],
         edges: frozenset,
-        unique: bool,
     ) -> WeightedMemoryGraph:
-        """A copy carrying these results; the critical class is the union of ``components``."""
+        """A copy carrying this optimum, with every field that follows from it derived here.
+
+        m is the mean weight of ``cycle``, the critical class is the union of
+        ``components``, and the class is unique when it is one component whose
+        vertices each have exactly one critical out-edge.
+        """
+        total = sum(
+            self.weights[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))
+        )
+        out_degree = Counter(u for u, _ in edges)
+        unique = len(components) == 1 and all(out_degree[v] == 1 for v in components[0])
         return replace(
             self,
-            max_mean=mean,
+            max_mean=total / len(cycle),
             critical_cycle=cycle,
             critical_class=frozenset(v for comp in components for v in comp),
             critical_edges=edges,
@@ -276,16 +285,10 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
         intra[u] = tuple(v for v in tight_succ[u] if comp_of.get(v) == idx)
         for v in intra[u]:
             intra_pred[v].append(u)
-    cycle = _canonical_cycle(intra, intra_pred)
-    total = sum(
-        graph.weights[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))
-    )
     return graph.with_optimum(
-        total / len(cycle),
-        cycle,
+        _canonical_cycle(intra, intra_pred),
         tuple(tuple(comp) for comp in critical),
         frozenset((u, v) for u, keep in intra.items() for v in keep),
-        len(critical) == 1 and all(len(intra[v]) == 1 for v in critical[0]),
     )
 
 

@@ -9,9 +9,12 @@ cycle mean never decreases along the family and per-vertex barrier
 values never decrease where comparable.
 
 Stage results are cached on disk keyed by the shift, the weights and the
-requested bound, so sweeps over stage lists can reuse earlier runs.  A
-cache entry stores exact floats; restoring one reproduces the freshly
-computed stage bit for bit.
+requested bound, so sweeps over stage lists can reuse earlier runs.  An
+entry holds only what needs Karp's search: the used bound, the canonical
+critical cycle, the critical components and the critical edges.  A hit
+recomputes m from the cycle's weights, the uniqueness of the class, the
+barrier and its bounds, so it reproduces the freshly computed stage bit
+for bit.
 """
 
 from __future__ import annotations
@@ -24,14 +27,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .barrier import (
-    BarrierResult,
-    CutoffReport,
-    UpperBoundReport,
-    bounds_payload,
-    compute_barrier,
-    letter_cutoff,
-)
+from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
 from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
 from .potential import PotentialSpec
 from .shift_space import (
@@ -50,7 +46,7 @@ BOUNDED = "BOUNDED"
 DIVERGENT = "DIVERGENT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 MIN_TREND_LETTERS = 5
 
 
@@ -149,57 +145,30 @@ def _stage_payload(stage: Stage) -> dict:
         "schema": CACHE_SCHEMA,
         "requested": stage.requested,
         "used": stage.used,
-        "max_mean": graph.max_mean,
         "cycle": [list(v) for v in graph.critical_cycle],
         "components": [[list(v) for v in comp] for comp in graph.critical_components],
         "critical_edges": sorted([list(u), list(v)] for u, v in graph.critical_edges),
-        "unique": graph.critical_class_unique,
-        "barrier": [[list(v), x] for v, x in sorted(stage.barrier.values.items())],
-        "bounds": bounds_payload(stage.barrier.bounds),
     }
 
 
-def _restore_stage(
-    payload: dict, requested: int, core: FiniteShift, graph: WeightedMemoryGraph
-) -> Stage | None:
+def _restore_optimum(
+    payload: object, requested: int, core: FiniteShift, graph: WeightedMemoryGraph
+) -> WeightedMemoryGraph | None:
+    """The optimized graph an entry describes, or None when it does not fit this stage."""
+    if not isinstance(payload, dict):
+        return None
     if payload.get("schema") != CACHE_SCHEMA or payload.get("requested") != requested:
         return None
-    used = int(payload["used"])
-    if used != max(core.letters):
-        return None
-    values = {_word(v): float(x) for v, x in payload["barrier"]}
-    if set(values) != set(graph.succ):
+    if int(payload["used"]) != max(core.letters):
         return None
     cycle = tuple(_word(v) for v in payload["cycle"])
+    if not cycle or any(
+        (u, v) not in graph.weights for u, v in zip(cycle, cycle[1:] + cycle[:1])
+    ):
+        return None
     components = tuple(tuple(_word(v) for v in comp) for comp in payload["components"])
     edges = frozenset((_word(u), _word(v)) for u, v in payload["critical_edges"])
-    if any(v not in graph.succ for v in cycle):
-        return None
-    graph = graph.with_optimum(
-        float(payload["max_mean"]), cycle, components, edges, bool(payload["unique"])
-    )
-    raw = payload["bounds"]
-    bounds = None
-    if raw is not None:
-        bounds = UpperBoundReport(
-            per_letter={int(a): float(x) for a, x in raw["per_letter"]},
-            low_letter_peak=float(raw["low_letter_peak"]),
-            base_cycle_peak=float(raw["base_cycle_peak"]),
-            low_letter_cutoff=int(raw["low_letter_cutoff"]),
-            ambient_variation=float(raw["ambient_variation"]),
-            global_bound=float(raw["global_bound"]),
-        )
-    barrier = BarrierResult(
-        base_vertex=cycle[0], values=values, max_mean=graph.max_mean, bounds=bounds
-    )
-    return Stage(
-        requested=requested,
-        used=used,
-        shift=core,
-        graph=graph,
-        barrier=barrier,
-        from_cache=True,
-    )
+    return graph.with_optimum(cycle, components, edges)
 
 
 def _write_cache(path: str, payload: dict) -> None:
@@ -232,26 +201,24 @@ def build_stage(
     cacheable = use_cache and spec.kind != KIND_ORACLE
     path = _cache_path(spec, pot, requested) if cacheable else None
 
+    optimum = None
     if path is not None and os.path.exists(path):
         try:
             with open(path, "r", encoding="ascii") as handle:
-                payload = json.load(handle)
-            stage = _restore_stage(payload, requested, core, graph)
+                optimum = _restore_optimum(json.load(handle), requested, core, graph)
         except (OSError, ValueError, KeyError, TypeError, IndexError):
-            stage = None
-        if stage is not None:
-            return stage
+            pass  # a corrupt entry is a miss
 
-    graph = optimize(graph, tol)
+    graph = optimize(graph, tol) if optimum is None else optimum
     stage = Stage(
         requested=requested,
         used=max(core.letters),
         shift=core,
         graph=graph,
         barrier=compute_barrier(graph, tol),
-        from_cache=False,
+        from_cache=optimum is not None,
     )
-    if path is not None:
+    if path is not None and optimum is None:
         _write_cache(path, _stage_payload(stage))
     return stage
 

@@ -23,6 +23,21 @@ def _cache_files():
     return sorted(os.listdir(root))
 
 
+def _cache_entry_path():
+    (name,) = _cache_files()
+    return os.path.join(os.environ["PEIERLS_CACHE_DIR"], name)
+
+
+def _read_entry(path):
+    with open(path, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+def _write_entry(path, payload):
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh)
+
+
 def test_stage_widens_to_a_transitive_core(renewal_spec, renewal_pot):
     stage = build_stage(renewal_spec, renewal_pot, 7)
     assert stage.requested == 7
@@ -41,6 +56,8 @@ def test_stage_round_trips_through_the_cache(renewal_spec, renewal_pot):
     assert second.from_cache
     assert second.used == first.used
     assert second.barrier.values == first.barrier.values
+    assert second.barrier.bounds == first.barrier.bounds
+    assert second.barrier.base_vertex == first.barrier.base_vertex
     assert second.graph.max_mean == first.graph.max_mean
     assert second.graph.critical_cycle == first.graph.critical_cycle
     assert second.graph.critical_components == first.graph.critical_components
@@ -48,6 +65,52 @@ def test_stage_round_trips_through_the_cache(renewal_spec, renewal_pot):
     assert second.graph.critical_class == first.graph.critical_class
     assert second.graph.critical_class_unique == first.graph.critical_class_unique
     assert second.graph.is_optimized()
+
+
+def test_cache_entry_holds_only_the_critical_structure(renewal_spec, renewal_pot):
+    build_stage(renewal_spec, renewal_pot, 6)
+    entry = _read_entry(_cache_entry_path())
+    assert sorted(entry) == [
+        "components", "critical_edges", "cycle", "requested", "schema", "used"
+    ]
+    assert entry["schema"] == 2
+
+
+def _stage_facts(stage):
+    graph = stage.graph
+    return (
+        stage.requested,
+        stage.used,
+        stage.shift.letters,
+        graph.max_mean,
+        graph.critical_cycle,
+        graph.critical_components,
+        graph.critical_edges,
+        graph.critical_class,
+        graph.critical_class_unique,
+        stage.barrier,
+    )
+
+
+@pytest.mark.parametrize(
+    "written",
+    [[], None, 3, {"cycle": []}, {"cycle": [[1]]}, {"used": 7}],
+    # renewal letter 1 only steps down to 0, so [[1]] is a loop through a non-edge
+    ids=["list", "null", "number", "empty-cycle", "cycle-through-non-edge", "wrong-used"],
+)
+def test_unusable_cache_entry_is_a_miss_and_is_rewritten(renewal_spec, renewal_pot, written):
+    fresh = build_stage(renewal_spec, renewal_pot, 6, use_cache=False)
+    build_stage(renewal_spec, renewal_pot, 6)
+    path = _cache_entry_path()
+    if isinstance(written, dict):  # fields over a valid current-schema entry
+        written = {**_read_entry(path), **written}
+    _write_entry(path, written)
+    stage = build_stage(renewal_spec, renewal_pot, 6)
+    assert not stage.from_cache
+    assert _stage_facts(stage) == _stage_facts(fresh)
+    again = build_stage(renewal_spec, renewal_pot, 6)
+    assert again.from_cache
+    assert again.barrier == fresh.barrier
 
 
 def test_stage_ignores_corrupt_cache_entries(renewal_spec, renewal_pot):
