@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .digraph import bfs_distances
-from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk, _walk_table
+from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk
 from .potential import (
     PotentialSpec,
     ambient_total_variation,
@@ -152,8 +152,17 @@ def barrier_length_profile(
         raise GraphError(f"unknown vertex {vertex!r}")
     if n_max < 0:
         raise GraphError("n_max must be nonnegative")
-    table = _walk_table(graph, graph.critical_cycle[0], n_max, graph.max_mean)
-    return tuple(row.get(vertex, float("-inf")) for row in table)
+    row = {graph.critical_cycle[0]: 0.0}  # best reduced weight of an n-edge walk, by end vertex
+    profile = [row.get(vertex, float("-inf"))]
+    for _ in range(n_max):
+        reached: dict[Vertex, float] = {}
+        for u, base in row.items():
+            for v in graph.succ[u]:
+                cand = base + graph.weights[(u, v)] - graph.max_mean
+                reached[v] = max(reached.get(v, cand), cand)
+        row = reached
+        profile.append(row.get(vertex, float("-inf")))
+    return tuple(profile)
 
 
 def barrier_upper_bound(

@@ -4,9 +4,10 @@ The memory graph turns Birkhoff sums of a finite-memory potential into
 walk weights: vertices are admissible words of length max(depth-1, 1) and
 an edge carries the potential's value on the depth-k word its endpoints
 generate.  The ergodic maximum m is then the maximum cycle-mean weight,
-found with Karp's dynamic program, and the critical class collects every
-vertex on a cycle whose mean attains m.  ``optimize`` returns a new graph
-carrying these results and leaves its argument unchanged.
+found by Howard's max-plus policy iteration (Cochet-Terrasson, Cohen,
+Gaubert, McGettrick and Quadrat 1998), and the critical class collects
+every vertex on a cycle whose mean attains m.  ``optimize`` returns a new
+graph carrying these results and leaves its argument unchanged.
 
 Vertices only need to be hashable and mutually sortable; library callers
 use letter words, tests are free to use bare integers.
@@ -139,58 +140,62 @@ def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemor
     )
 
 
-def _require_strongly_connected(graph: WeightedMemoryGraph) -> None:
-    comps = strongly_connected_components(graph.vertices, lambda v: graph.succ[v])
-    if len(comps) != 1:
-        raise GraphError(
-            f"graph must be strongly connected; found {len(comps)} components"
-        )
-
-
-def _walk_table(
-    graph: WeightedMemoryGraph, source: Vertex, steps: int, reduce_by: float = 0.0
-) -> list[dict[Vertex, float]]:
-    """Row k: best weight of a k-edge walk from ``source`` to each vertex it reaches.
-
-    Every edge weighs ``w - reduce_by``; a row omits the vertices no walk
-    of that length reaches.
-    """
-    table: list[dict[Vertex, float]] = [{source: 0.0}]
-    for _ in range(steps):
-        cur: dict[Vertex, float] = {}
-        for u, base in table[-1].items():
-            for v in graph.succ[u]:
-                cand = base + graph.weights[(u, v)] - reduce_by
-                old = cur.get(v)
-                if old is None or cand > old:
-                    cur[v] = cand
-        table.append(cur)
-    return table
-
-
-def _karp_max_mean(graph: WeightedMemoryGraph) -> float:
-    """Karp's formula: max over v of min over k of (D_n - D_k)/(n - k)."""
-    n = len(graph.vertices)
-    table = _walk_table(graph, graph.vertices[0], n)
-    best = -math.inf
-    for v, top in table[n].items():
-        worst = math.inf
-        for k in range(n):
-            base = table[k].get(v)
-            if base is None:
-                continue
-            worst = min(worst, (top - base) / (n - k))
-        if worst < math.inf and worst > best:
-            best = worst
-    if best == -math.inf:
-        raise GraphError("no cycle is reachable from the least vertex")
-    return best
-
-
 def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
     """``tol``, raised to the float rounding of a |V|-edge walk sum when weights are large."""
     scale = max((abs(w) for w in graph.weights.values()), default=0.0)
     return max(tol, 4 * len(graph.vertices) * sys.float_info.epsilon * scale)
+
+
+def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex, float]]:
+    """Max-plus policy iteration: the maximum mean m and a subaction h = -x at m.
+
+    A policy picks one out-edge per vertex, the heaviest first.  Each vertex gets the
+    mean eta of the policy cycle it runs into and a bias x on the way, 0 at that cycle's
+    least vertex.  A vertex switches to a successor of larger eta or, once none has one,
+    of larger bias, if the gain passes the tolerance; at the end x[u] >= w - m + x[v].
+    """
+    verts, n = graph.vertices, len(graph.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    targets = [sorted(index[t] for t in graph.succ[v]) for v in verts]
+    if not all(targets):
+        raise GraphError("a vertex without out-edges lies on no cycle")
+    weights = [[graph.weights[(v, verts[t])] for t in ts] for v, ts in zip(verts, targets)]
+    policy = [ws.index(max(ws)) for ws in weights]  # the least target on ties
+    tol = _rounding_tol(graph, tol)
+    while True:
+        nxt = [ts[k] for ts, k in zip(targets, policy)]
+        step = [ws[k] for ws, k in zip(weights, policy)]
+        eta, x, walked = [math.nan] * n, [0.0] * n, [-1] * n
+        for start in range(n):
+            path, v = [], start
+            while math.isnan(eta[v]) and walked[v] != start:
+                walked[v] = start
+                path.append(v)
+                v = nxt[v]
+            if math.isnan(eta[v]):  # the walk closed a new policy cycle at v
+                cycle = path[path.index(v) :]
+                first = cycle.index(min(cycle))
+                eta[cycle[first]] = sum(step[u] for u in cycle) / len(cycle)
+                # the rest of the cycle, so the reverse pass starts just behind its least vertex
+                path[path.index(v) :] = cycle[first + 1 :] + cycle[:first]
+            for u in reversed(path):
+                eta[u] = eta[nxt[u]]
+                x[u] = step[u] - eta[u] + x[nxt[u]]
+        switched = False
+        for i, ts in enumerate(targets):  # first on the cycle mean
+            gains = [eta[t] for t in ts]
+            if max(gains) > eta[i] + tol:
+                policy[i], switched = gains.index(max(gains)), True
+        if switched:
+            continue
+        for i, (ts, ws) in enumerate(zip(targets, weights)):  # then on the bias
+            gains = [
+                w - eta[i] + x[t] if eta[t] >= eta[i] - tol else -math.inf for t, w in zip(ts, ws)
+            ]
+            if max(gains) > x[i] + tol:
+                policy[i], switched = gains.index(max(gains)), True
+        if not switched:
+            return max(eta), {v: -b for v, b in zip(verts, x)}
 
 
 def _longest_walk(
@@ -239,12 +244,11 @@ def _longest_walk(
 def _tight_adjacency(
     graph: WeightedMemoryGraph, h: Mapping[Vertex, float], mean: float, tol: float
 ) -> dict[Vertex, tuple[Vertex, ...]]:
-    tight: dict[Vertex, list[Vertex]] = {v: [] for v in graph.vertices}
-    tol = _rounding_tol(graph, tol)
-    for (u, v), w in graph.edge_list():
-        if h[u] + (w - mean) >= h[v] - tol:
-            tight[u].append(v)
-    return {v: tuple(s) for v, s in tight.items()}
+    tol, w = _rounding_tol(graph, tol), graph.weights
+    return {
+        u: tuple(v for v in sorted(graph.succ[u]) if h[u] + (w[(u, v)] - mean) >= h[v] - tol)
+        for u in graph.vertices
+    }
 
 
 def _canonical_cycle(
@@ -266,18 +270,15 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
     """A copy of ``graph`` carrying m, the critical class and a canonical critical cycle."""
     if not graph.vertices:
         raise GraphError("graph has no vertices")
-    _require_strongly_connected(graph)
-    mean = _karp_max_mean(graph)
-    h = _longest_walk(graph, {v: 0.0 for v in graph.vertices}, mean, tol)
+    comps = strongly_connected_components(graph.vertices, lambda v: graph.succ[v])
+    if len(comps) != 1:
+        raise GraphError(f"graph must be strongly connected; found {len(comps)} components")
+    mean, h = _howard(graph, tol)
     tight_succ = _tight_adjacency(graph, h, mean, tol)
     comps = strongly_connected_components(graph.vertices, lambda v: tight_succ[v])
-    critical: list[list[Vertex]] = []
-    for comp in comps:
-        if len(comp) > 1 or comp[0] in tight_succ[comp[0]]:
-            critical.append(comp)
+    critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in tight_succ[comp[0]])
     if not critical:
         raise GraphError("no critical cycle found at the computed mean")
-    critical.sort(key=lambda comp: comp[0])
     comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
     intra: dict[Vertex, tuple[Vertex, ...]] = {}
     intra_pred: dict[Vertex, list[Vertex]] = {v: [] for v in comp_of}

@@ -10,11 +10,12 @@ values never decrease where comparable.
 
 Stage results are cached on disk keyed by the shift, the weights and the
 requested bound, so sweeps over stage lists can reuse earlier runs.  An
-entry holds only what needs Karp's search: the used bound, the canonical
-critical cycle, the critical components and the critical edges.  A hit
-recomputes m from the cycle's weights, the uniqueness of the class, the
-barrier and its bounds, so it reproduces the freshly computed stage bit
-for bit.
+entry holds only what needs Howard's policy iteration: the used bound, the
+canonical critical cycle, the critical components and the critical edges.
+A hit recomputes m from the cycle's weights, the uniqueness of the class,
+the barrier and its bounds, so it reproduces the freshly computed stage
+bit for bit.  An entry whose barrier walk fails, as it does when its cycle
+is not maximal, is a miss.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
-from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
+from .optimizer import (
+    DEFAULT_TOL, PositiveCycleError, WeightedMemoryGraph, build_memory_graph, optimize
+)
 from .potential import PotentialSpec
 from .shift_space import (
     KIND_ORACLE,
@@ -121,18 +124,14 @@ def _pot_payload(pot: PotentialSpec) -> dict:
     }
 
 
-def _cache_key(spec: ShiftSpec, pot: PotentialSpec, requested: int) -> str:
+def _cache_path(spec: ShiftSpec, pot: PotentialSpec, requested: int) -> str:
     blob = json.dumps(
         {"pot": _pot_payload(pot), "requested": requested, "shift": _shift_payload(spec)},
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()[:32]
-
-
-def _cache_path(spec: ShiftSpec, pot: PotentialSpec, requested: int) -> str:
-    root = os.environ.get("PEIERLS_CACHE_DIR", ".peierls-cache")
-    return os.path.join(root, f"stage-{_cache_key(spec, pot, requested)}.json")
+    key = hashlib.sha256(blob.encode("ascii")).hexdigest()[:32]
+    return os.path.join(os.environ.get("PEIERLS_CACHE_DIR", ".peierls-cache"), f"stage-{key}.json")
 
 
 def _word(obj) -> Word:
@@ -201,24 +200,29 @@ def build_stage(
     cacheable = use_cache and spec.kind != KIND_ORACLE
     path = _cache_path(spec, pot, requested) if cacheable else None
 
-    optimum = None
+    result = None  # the optimized graph and its barrier
     if path is not None and os.path.exists(path):
         try:
             with open(path, "r", encoding="ascii") as handle:
                 optimum = _restore_optimum(json.load(handle), requested, core, graph)
-        except (OSError, ValueError, KeyError, TypeError, IndexError):
-            pass  # a corrupt entry is a miss
+            if optimum is not None:
+                result = optimum, compute_barrier(optimum, tol)
+        except (OSError, ValueError, KeyError, TypeError, IndexError, PositiveCycleError):
+            pass  # a corrupt entry is a miss, and so is one whose barrier walk fails
 
-    graph = optimize(graph, tol) if optimum is None else optimum
+    from_cache = result is not None
+    if not from_cache:
+        graph = optimize(graph, tol)
+        result = graph, compute_barrier(graph, tol)
     stage = Stage(
         requested=requested,
         used=max(core.letters),
         shift=core,
-        graph=graph,
-        barrier=compute_barrier(graph, tol),
-        from_cache=optimum is not None,
+        graph=result[0],
+        barrier=result[1],
+        from_cache=from_cache,
     )
-    if path is not None and optimum is None:
+    if path is not None and not from_cache:
         _write_cache(path, _stage_payload(stage))
     return stage
 
@@ -259,12 +263,6 @@ def build_family(
     )
 
 
-def _letter_values(stage: Stage, letter: int) -> dict[Word, float]:
-    return {
-        v: stage.barrier.values[v] for v in stage.graph.vertices if v[0] == letter
-    }
-
-
 def stabilization_experiment(
     family: TruncationFamily,
     letters_of_interest: Iterable[int],
@@ -301,7 +299,7 @@ def stabilization_experiment(
         for idx, stage in enumerate(family.stages):
             if letter not in stage.shift.pred:
                 continue
-            mine = _letter_values(stage, letter)
+            mine = {v: stage.barrier.values[v] for v in stage.graph.vertices if v[0] == letter}
             stable = all(
                 abs(value - later.barrier.values[v]) <= tol
                 for later in family.stages[idx + 1 :]

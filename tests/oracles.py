@@ -3,7 +3,9 @@
 Everything here is deliberately naive: exhaustive enumeration of simple
 cycles and simple paths, breadth-first reachability, and a seeded random
 graph generator.  Exponential blowup is acceptable at the sizes used in
-the suite (graphs of at most 8 vertices).
+the suite (graphs of at most 8 vertices).  Larger graphs are checked
+against two polynomial references instead: Karp's maximum cycle mean and
+Floyd-Warshall's all-pairs longest reduced paths.
 """
 
 from __future__ import annotations
@@ -56,6 +58,53 @@ def oracle_max_mean(weights):
     if best is None:
         raise ValueError("graph has no cycle")
     return float(best)
+
+
+def oracle_karp_max_mean(weights):
+    """Karp's formula from the least vertex: max over v of min over k of (D_n(v) - D_k(v))/(n - k).
+
+    D_k(v) is the best weight of a k-edge walk from the least vertex to v;
+    the graph must be strongly connected.
+    """
+    verts = sorted(successors(weights))
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [(index[u], index[v], w) for (u, v), w in weights.items()]
+    n = len(verts)
+    table = [[float("-inf")] * n for _ in range(n + 1)]
+    table[0][0] = 0.0
+    for prev, row in zip(table, table[1:]):
+        for u, v, w in edges:
+            if prev[u] + w > row[v]:
+                row[v] = prev[u] + w
+    return max(
+        min((table[n][v] - table[k][v]) / (n - k) for k in range(n) if table[k][v] > float("-inf"))
+        for v in range(n)
+        if table[n][v] > float("-inf")
+    )
+
+
+def oracle_critical_edges(weights, mean):
+    """Edges on a cycle of mean ``mean``, by Floyd-Warshall on the reduced weights.
+
+    D[v][u] is the best reduced weight of a walk v -> u, 0 for the empty
+    walk; u -> v lies on a critical cycle iff w - mean + D[v][u] >= -1e-9.
+    """
+    verts = sorted(successors(weights))
+    dist = {u: {v: 0.0 if u == v else float("-inf") for v in verts} for u in verts}
+    for (u, v), w in weights.items():
+        dist[u][v] = max(dist[u][v], w - mean)
+    for k in verts:
+        through = dist[k]
+        for u in verts:
+            lead = dist[u][k]
+            if lead > float("-inf"):
+                row = dist[u]
+                for v in verts:
+                    if lead + through[v] > row[v]:
+                        row[v] = lead + through[v]
+    return frozenset(
+        (u, v) for (u, v), w in weights.items() if w - mean + dist[v][u] >= -1e-9
+    )
 
 
 def oracle_barrier(weights, base, mean):

@@ -18,7 +18,13 @@ from peierls import (
 )
 from peierls.optimizer import _longest_walk
 
-from oracles import oracle_canonical_cycle, oracle_max_mean, random_graph
+from oracles import (
+    oracle_canonical_cycle,
+    oracle_critical_edges,
+    oracle_karp_max_mean,
+    oracle_max_mean,
+    random_graph,
+)
 
 
 def test_graph_from_weights_structure():
@@ -80,6 +86,14 @@ def test_optimize_requires_strong_connectivity():
         optimize(g)
 
 
+def test_optimize_rejects_a_lone_vertex_without_a_loop():
+    g = dataclasses.replace(
+        graph_from_weights({(0, 0): 0.0}), weights={}, succ={0: ()}, pred={0: ()}
+    )
+    with pytest.raises(GraphError):
+        optimize(g)
+
+
 def test_canonical_cycle_prefers_girth_then_smallest_vertex():
     g = graph_from_weights(
         {(0, 1): 1.0, (1, 0): -1.0, (1, 1): 0.0, (2, 2): 0.0, (1, 2): -5.0, (2, 0): -5.0}
@@ -127,7 +141,7 @@ def test_unique_class_needs_single_tight_successor():
     assert g.critical_class_unique is False
 
 
-def test_karp_matches_cycle_enumeration_on_seeded_graphs():
+def test_max_mean_matches_cycle_enumeration_on_seeded_graphs():
     rng = random.Random(20260501)
     for _ in range(60):
         n = rng.randint(1, 8)
@@ -140,6 +154,29 @@ def test_karp_matches_cycle_enumeration_on_seeded_graphs():
         for u, v in zip(closed, closed[1:]):
             exact += Fraction(weights[(u, v)])
         assert mean == float(exact / len(cycle))
+
+
+def test_critical_structure_matches_karp_and_floyd_warshall_on_larger_graphs():
+    # beyond the reach of cycle enumeration; half the graphs are tie-heavy
+    rng = random.Random(20261018)
+    for k in range(200):
+        weights = random_graph(rng, rng.randint(9, 40))
+        if k % 2:
+            weights = {e: rng.choice((-1, 0, 0)) for e in weights}
+        g = optimize(graph_from_weights(weights))
+        assert g.max_mean == pytest.approx(oracle_karp_max_mean(weights), abs=1e-9)
+        assert g.critical_edges == oracle_critical_edges(weights, g.max_mean)
+
+
+def test_policy_iteration_leaves_a_greedy_start():
+    # the heaviest out-edges 0 -> 1 and 1 -> 1 close the loop of mean -1 at 1;
+    # the bias moves 0 onto its own loop, then 1 follows it to the mean 0
+    g = optimize(graph_from_weights({(0, 1): 5.0, (1, 0): -10.0, (0, 0): 0.0, (1, 1): -1.0}))
+    assert g.max_mean == 0.0
+    assert g.critical_cycle == (0,)
+    assert g.critical_components == ((0,),)
+    assert g.critical_edges == frozenset({(0, 0)})
+    assert g.critical_class_unique is True
 
 
 def test_positive_cycle_guard_trips():

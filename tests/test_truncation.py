@@ -94,9 +94,18 @@ def _stage_facts(stage):
 
 @pytest.mark.parametrize(
     "written",
-    [[], None, 3, {"cycle": []}, {"cycle": [[1]]}, {"used": 7}],
-    # renewal letter 1 only steps down to 0, so [[1]] is a loop through a non-edge
-    ids=["list", "null", "number", "empty-cycle", "cycle-through-non-edge", "wrong-used"],
+    [[], None, 3, {"cycle": []}, {"cycle": [[1]]}, {"cycle": [[2], [1], [0]]}, {"used": 7}],
+    # renewal letter 1 only steps down to 0, so [[1]] is a loop through a non-edge;
+    # 2 -> 1 -> 0 -> 2 is a real cycle whose mean is below the loop at 0
+    ids=[
+        "list",
+        "null",
+        "number",
+        "empty-cycle",
+        "cycle-through-non-edge",
+        "non-maximal-cycle",
+        "wrong-used",
+    ],
 )
 def test_unusable_cache_entry_is_a_miss_and_is_rewritten(renewal_spec, renewal_pot, written):
     fresh = build_stage(renewal_spec, renewal_pot, 6, use_cache=False)
