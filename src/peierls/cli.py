@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from .barrier import UpperBoundReport, compute_barrier, letter_cutoff
 from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
 from .potential import PotentialSpec, TAIL_LINEAR, parse_potential, validate_table
 from .shift_space import (
@@ -32,16 +33,38 @@ from .shift_space import (
     parse_shift_spec,
     truncate,
 )
-from .subaction import verify_subaction, uniqueness_comparison
-from .truncation import (
-    BOUNDED,
-    DIVERGENT,
-    BoundednessProbe,
-    Stage,
-    bp_boundedness_probe,
-    build_family,
-    stabilization_experiment,
-)
+
+if TYPE_CHECKING:
+    from .barrier import UpperBoundReport
+    from .truncation import BoundednessProbe, Stage
+
+# Names of the layers only some commands run, and the module of each.  A
+# handler binds the ones it calls with ``_load`` before calling them through
+# this module's globals; a value already bound here (a wrapper installed
+# with setattr, say) is kept.
+_DEFERRED = {
+    "compute_barrier": "barrier",
+    "letter_cutoff": "barrier",
+    "verify_subaction": "subaction",
+    "uniqueness_comparison": "subaction",
+    "BOUNDED": "truncation",
+    "DIVERGENT": "truncation",
+    "bp_boundedness_probe": "truncation",
+    "build_family": "truncation",
+    "stabilization_experiment": "truncation",
+}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_DEFERRED[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def _load(*names: str) -> None:
+    for name in names:
+        __getattr__(name)
 
 SCHEMA = 1
 
@@ -86,8 +109,11 @@ def _load_values_csv(path: str) -> dict[Word, float]:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -153,6 +179,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_barrier(args: argparse.Namespace) -> int:
+    _load("compute_barrier", "letter_cutoff")
     spec, pot, graph = _optimized_graph(args)
     result = compute_barrier(graph, args.tol)
     if args.format == "csv":
@@ -181,6 +208,7 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
 
 
 def _cmd_subaction_verify(args: argparse.Namespace) -> int:
+    _load("verify_subaction")
     _, _, graph = _optimized_graph(args)
     values = _load_values_csv(args.values)
     report = verify_subaction(graph, values, args.tol)
@@ -206,6 +234,7 @@ def _cmd_subaction_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_subaction_compare(args: argparse.Namespace) -> int:
+    _load("uniqueness_comparison")
     _, _, graph = _optimized_graph(args)
     first = _load_values_csv(args.values)
     second = _load_values_csv(args.values_b)
@@ -245,6 +274,7 @@ def _probe_payload(probe: BoundednessProbe) -> dict:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    _load("build_family", "stabilization_experiment", "bp_boundedness_probe")
     spec, pot = _load_inputs(args)
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
 
@@ -282,6 +312,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_renewal(args: argparse.Namespace) -> int:
+    _load("build_family", "bp_boundedness_probe", "BOUNDED", "DIVERGENT")
     spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
     pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from typing import Iterator, Mapping
 
 from .shift_space import FiniteShift, ShiftSpec, Word, is_admissible_word
@@ -253,6 +252,8 @@ def coercive_letter_bound(pot: PotentialSpec, threshold: float) -> int:
         if exponent < 0:
             tail_best = -1
         else:
+            from decimal import Decimal, localcontext  # only this branch needs it
+
             digits = int(exponent / math.log(10.0)) + 25
             with localcontext() as ctx:
                 ctx.prec = max(digits, 28)

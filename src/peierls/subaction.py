@@ -16,7 +16,6 @@ the one-step transfer operator.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -98,7 +97,7 @@ def verify_subaction(
     worst = 0.0
     contact: set[Edge] = set()
     slacks: dict[Edge, float] = {}
-    for (u, v), _ in graph.edge_list():
+    for (u, v), _ in graph.edge_list:
         slack = _edge_slack(graph, values, u, v)
         if -slack > worst:
             worst = -slack
@@ -307,8 +306,10 @@ def compare_up_to_constant(
 ) -> ComparisonReport:
     if set(first) != set(second):
         raise ValueError("value tables must cover the same vertices")
+    from statistics import median  # only this function needs it
+
     diffs = [first[v] - second[v] for v in sorted(first)]
-    constant = statistics.median(diffs)
+    constant = median(diffs)
     max_dev = max(abs(d - constant) for d in diffs)
     return ComparisonReport(
         is_constant_diff=max_dev <= tol, constant=constant, max_deviation=max_dev

@@ -171,9 +171,13 @@ def _restore_optimum(
 
 
 def _write_cache(path: str, payload: dict) -> None:
+    """Best effort: a cache that cannot be written leaves the stage's result alone."""
     root = os.path.dirname(path)
-    os.makedirs(root, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        os.makedirs(root, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "w", encoding="ascii") as handle:
             json.dump(payload, handle, sort_keys=True)

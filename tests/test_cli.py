@@ -318,3 +318,33 @@ def test_repeated_runs_are_byte_identical(renewal_files, capsys):
     assert run(args + ["--no-cache"]) == 0
     third = capsys.readouterr().out
     assert first == second == third
+
+
+def test_unwritable_out_path_is_an_input_error(renewal_files, tmp_path, capsys):
+    shift, pot = renewal_files
+    out = tmp_path / "missing-dir" / "x.json"
+    argv = ["barrier", "--shift", shift, "--potential", pot, "--max-letter", "6"]
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below_a_file", [False, True])
+def test_unwritable_cache_dir_leaves_converge_alone(
+    renewal_files, tmp_path, monkeypatch, capsys, below_a_file
+):
+    shift, pot = renewal_files
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("", encoding="utf-8")
+    root = blocker / "cache" if below_a_file else blocker
+    monkeypatch.setenv("PEIERLS_CACHE_DIR", str(root))
+    argv = ["converge", "--shift", shift, "--potential", pot, "--stages", "6,12"]
+    assert run(argv + ["--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+    assert blocker.read_text(encoding="utf-8") == ""
