@@ -39,7 +39,7 @@ if TYPE_CHECKING:
     from .truncation import BoundednessProbe, Stage
 
 # Names of the layers only some commands run, and the module of each.  A
-# handler binds the ones it calls with ``_load`` before calling them through
+# handler binds its layer's names with ``_load`` before calling them through
 # this module's globals; a value already bound here (a wrapper installed
 # with setattr, say) is kept.
 _DEFERRED = {
@@ -62,9 +62,10 @@ def __getattr__(name: str):
     return globals().setdefault(name, getattr(module, name))
 
 
-def _load(*names: str) -> None:
-    for name in names:
-        __getattr__(name)
+def _load(layer: str) -> None:
+    for name, owner in _DEFERRED.items():
+        if owner == layer:
+            __getattr__(name)
 
 SCHEMA = 1
 
@@ -179,7 +180,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_barrier(args: argparse.Namespace) -> int:
-    _load("compute_barrier", "letter_cutoff")
+    _load("barrier")
     spec, pot, graph = _optimized_graph(args)
     result = compute_barrier(graph, args.tol)
     if args.format == "csv":
@@ -208,7 +209,7 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
 
 
 def _cmd_subaction_verify(args: argparse.Namespace) -> int:
-    _load("verify_subaction")
+    _load("subaction")
     _, _, graph = _optimized_graph(args)
     values = _load_values_csv(args.values)
     report = verify_subaction(graph, values, args.tol)
@@ -234,7 +235,7 @@ def _cmd_subaction_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_subaction_compare(args: argparse.Namespace) -> int:
-    _load("uniqueness_comparison")
+    _load("subaction")
     _, _, graph = _optimized_graph(args)
     first = _load_values_csv(args.values)
     second = _load_values_csv(args.values_b)
@@ -274,7 +275,7 @@ def _probe_payload(probe: BoundednessProbe) -> dict:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    _load("build_family", "stabilization_experiment", "bp_boundedness_probe")
+    _load("truncation")
     spec, pot = _load_inputs(args)
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
 
@@ -312,7 +313,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_renewal(args: argparse.Namespace) -> int:
-    _load("build_family", "bp_boundedness_probe", "BOUNDED", "DIVERGENT")
+    _load("truncation")
     spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
     pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)

@@ -19,7 +19,6 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from .digraph import least_word, strongly_connected_components
@@ -62,10 +61,8 @@ class WeightedMemoryGraph:
     critical_components: tuple[tuple[Vertex, ...], ...] = ()
     critical_class_unique: bool | None = None
 
-    @cached_property
-    def edge_list(self) -> tuple[tuple[Edge, float], ...]:
-        """Every (edge, weight) pair in edge order, sorted once per graph."""
-        return tuple(sorted(self.weights.items()))
+    def edge_list(self) -> list[tuple[Edge, float]]:
+        return sorted(self.weights.items())
 
     def is_optimized(self) -> bool:
         return self.max_mean is not None
@@ -219,7 +216,7 @@ def _longest_walk(
         if v not in values:
             raise GraphError(f"seed vertex {v!r} is not in the graph")
         values[v] = float(s)
-    edges = graph.edge_list
+    edges = graph.edge_list()
     tol = _rounding_tol(graph, tol)
     for _ in range(len(graph.vertices) - 1):
         changed = False

@@ -97,7 +97,7 @@ def verify_subaction(
     worst = 0.0
     contact: set[Edge] = set()
     slacks: dict[Edge, float] = {}
-    for (u, v), _ in graph.edge_list:
+    for (u, v), _ in graph.edge_list():
         slack = _edge_slack(graph, values, u, v)
         if -slack > worst:
             worst = -slack

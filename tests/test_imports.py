@@ -19,7 +19,10 @@ PRINT_LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'peie
 
 BARRIER = ["barrier", "--max-letter", "6"]
 VERIFY = ["subaction", "verify", "--max-letter", "6", "--values", "values.csv"]
+COMPARE = ["subaction", "compare", "--max-letter", "6"]
+COMPARE += ["--values", "values.csv", "--values-b", "values.csv"]
 CONVERGE = ["converge", "--stages", "6,12"]
+DEMO = ["demo", "renewal", "--stages", "6,12", "--scan-to", "12", "--no-cache"]
 
 
 def _loaded_after(code: str, cwd: Path) -> set[str]:
@@ -58,11 +61,14 @@ def test_import_peierls_loads_no_layer(tmp_path):
         (["optimize", "--max-letter", "6"], set()),
         (BARRIER, {"peierls.barrier"}),
         (VERIFY, {"peierls.subaction"}),
+        (COMPARE, {"peierls.subaction"}),
         (CONVERGE, {"peierls.barrier", "peierls.truncation"}),
+        (DEMO, {"peierls.barrier", "peierls.truncation"}),
     ],
 )
 def test_each_command_loads_only_its_layers(inputs, tmp_path, command, layers):
-    argv = command + inputs + ["--out", "report.out"]
+    # demo builds its own renewal inputs and takes no --shift/--potential
+    argv = command + (inputs if command is not DEMO else []) + ["--out", "report.out"]
     code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
     assert _loaded_after(code, tmp_path) == PIPELINE | layers
 

@@ -32,7 +32,7 @@ def test_graph_from_weights_structure():
     assert g.vertices == (0, 1)
     assert g.succ[0] == (0, 1)
     assert g.pred[0] == (0, 1)
-    assert g.edge_list[0] == ((0, 0), 0.5)
+    assert g.edge_list()[0] == ((0, 0), 0.5)
     assert not g.is_optimized()
 
 
