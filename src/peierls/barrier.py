@@ -46,6 +46,7 @@ from .shift_space import (
     connecting_word,
     covering_core,
     is_transitive,
+    least_entry_letter,
 )
 
 Vertex = Word
@@ -217,21 +218,6 @@ def _connect_len_to(core: FiniteShift, b: int) -> int:
     return max(max(dist.values()), 1 + min(dist[s] for s in core.succ[b]))
 
 
-def _max_pairwise_connect(core: FiniteShift) -> int:
-    """Largest over ordered letter pairs (i, b) of the least edge count i -> b.
-
-    A renewal core is exactly the letters 0..K with K an entry letter or
-    K = 0, and there the answer is K + 1 without search.  The only cycle
-    through K steps down K times and jumps back from 0, so it has K + 1
-    edges.  For i > b the walk i -> b steps down i - b <= K times.  For
-    i <= b it steps down to 0, jumps to the least entry e(b) >= b and steps
-    down to b, i + 1 + e(b) - b <= K + 1 edges in all.
-    """
-    if core.spec is not None and core.spec.kind == KIND_RENEWAL:
-        return max(core.letters) + 1
-    return max(_connect_len_to(core, b) for b in core.letters)
-
-
 def letter_cutoff(
     spec: ShiftSpec,
     pot: PotentialSpec,
@@ -245,8 +231,9 @@ def letter_cutoff(
     returning near ``letter``, using connecting words inside the given
     core.  Stage two replays the argument on a transitive core wide
     enough to contain all of stage one's letters, which confines every
-    maximizing walk below the reported bound.  ``wide_budget`` caps the
-    stage-two alphabet; slowly decaying tails can push the first-stage
+    maximizing walk below the reported bound; on a renewal shift that
+    core is known in closed form and none is built.  ``wide_budget`` caps
+    the stage-two alphabet; slowly decaying tails can push the first-stage
     cutoff beyond any practical truncation, and that failure is reported
     rather than silently computed.
     """
@@ -267,10 +254,20 @@ def letter_cutoff(
             f"stage-two alphabet for letter {letter} needs letters up to {target}, "
             f"beyond the budget {wide_budget}"
         )
-    needed = set(range(target + 1)) | set(finite.letters)
-    core = covering_core(spec, needed)
-    wide_len = _max_pairwise_connect(core)
-    wide_floor = min(inf_bound_on_letter(pot, i) for i in core.letters)
+    if spec.kind == KIND_RENEWAL:
+        # The renewal core is exactly 0..K (see covering_core), and its
+        # longest least walk i -> b has K + 1 edges without search.  The only
+        # cycle through K steps down K times and jumps back from 0, so K -> K
+        # takes K + 1 edges.  For i > b the walk steps down i - b <= K times.
+        # For i <= b it steps down to 0, jumps to the least entry e(b) >= b
+        # and steps down to b, i + 1 + e(b) - b <= K + 1 edges in all.
+        wide_bound = least_entry_letter(spec, max(target, max(finite.letters)))
+        wide_len, wide_letters = wide_bound + 1, range(wide_bound + 1)
+    else:
+        core = covering_core(spec, set(range(target + 1)) | set(finite.letters))
+        wide_bound, wide_letters = max(core.letters), core.letters
+        wide_len = max(_connect_len_to(core, b) for b in core.letters)
+    wide_floor = min(inf_bound_on_letter(pot, i) for i in wide_letters)
     confinement = coercive_letter_bound(pot, wide_len * wide_floor - ambient) + 1
     return CutoffReport(
         letter=letter,
@@ -278,5 +275,5 @@ def letter_cutoff(
         confinement_bound=confinement,
         local_connect_len=local_len,
         wide_connect_len=wide_len,
-        wide_bound=max(core.letters),
+        wide_bound=wide_bound,
     )

@@ -261,6 +261,8 @@ def _canonical_cycle(
         word = least_word(v, v, intra_succ, intra_pred)
         if word is not None and (best is None or len(word) + 1 < len(best)):
             best = (v,) + word
+            if not word:  # a loop: no cycle is shorter, and the rest sort after v
+                break
     if best is None:
         raise GraphError("critical class contains no cycle")
     return best

@@ -164,6 +164,12 @@ def renewal_is_entry(spec: ShiftSpec, j: int) -> bool:
     return j >= a + b and (j - b) % a == 0
 
 
+def least_entry_letter(spec: ShiftSpec, n: int) -> int:
+    """Least entry letter at or above ``n``, or 0 when ``n`` is 0: the top of a renewal core."""
+    a, b = spec.renewal_rule  # type: ignore[misc]
+    return a * max(1, -(-(n - b) // a)) + b if n >= 1 else 0
+
+
 def admissible(spec: ShiftSpec, i: int, j: int) -> bool:
     """Total two-letter admissibility predicate; letters off the alphabet give False."""
     if i < 0 or j < 0:
@@ -200,8 +206,8 @@ def is_admissible_word(spec: ShiftSpec, word: Word) -> bool:
 class FiniteShift:
     """A finite letter set with the induced transition structure.
 
-    ``transitive`` is only set by ``transitive_core``; plain truncations
-    leave it False even when they happen to be strongly connected.
+    ``transitive`` marks cores (``transitive_core``, renewal ``covering_core``);
+    plain truncations leave it False even when they are strongly connected.
     """
 
     letters: tuple[int, ...]
@@ -459,19 +465,23 @@ def covering_core(
     Raises the bound one letter at a time until the truncation's strongly
     connected component through the requested letters covers them all; a
     truncation can strand its top letters and need such an advance.  A
-    renewal truncation keeps exactly the letters up to its largest entry
-    letter, so its search starts at the least entry letter covering them.
+    renewal core needs no search.  For K an entry letter or 0, every
+    letter of 0..K steps down to 0 and is reached from 0 through the jump
+    to K, while a truncation between entry letters strands its top.  So
+    the core is the truncation at the least such K at or above the
+    requested letters.
     """
     cap = spec.max_letter()
     wanted = sorted(set(letters))
     if not wanted or wanted[0] < 0:
         raise ValueError("letters to cover must be a nonempty set of nonnegative ints")
+    if spec.kind == KIND_RENEWAL:
+        top = least_entry_letter(spec, wanted[-1])
+        alive = list(range(top + 1))
+        return _make_finite(spec, top, alive, _raw_truncation_edges(spec, alive), transitive=True)
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     bound = wanted[-1]
-    if spec.kind == KIND_RENEWAL and bound >= 1:
-        a, b = spec.renewal_rule  # type: ignore[misc]
-        bound = a * max(1, -(-(bound - b) // a)) + b
     for _ in range(attempt_budget):
         try:
             fin = truncate(spec, bound)

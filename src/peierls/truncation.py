@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import statistics
 import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -383,6 +382,7 @@ def bp_boundedness_probe(
     )
     slope: float | None = None
     if len(fit) >= 2:
+        import statistics  # it loads fractions and decimal, and only this fit uses it
         slope = statistics.linear_regression(fit, [floors[j] for j in fit]).slope
     monotone = all(
         floors[b] <= floors[a] + tol for a, b in zip(fit, fit[1:])

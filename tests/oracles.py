@@ -1,17 +1,20 @@
 """Brute-force reference implementations the tests compare against.
 
 Everything here is deliberately naive: exhaustive enumeration of simple
-cycles and simple paths, breadth-first reachability, and a seeded random
-graph generator.  Exponential blowup is acceptable at the sizes used in
-the suite (graphs of at most 8 vertices).  Larger graphs are checked
-against two polynomial references instead: Karp's maximum cycle mean and
-Floyd-Warshall's all-pairs longest reduced paths.
+cycles and simple paths, breadth-first reachability, a covering-core
+search that raises the truncation bound one letter at a time, and a
+seeded random graph generator.  Exponential blowup is acceptable at the
+sizes used in the suite (graphs of at most 8 vertices).  Larger graphs
+are checked against two polynomial references instead: Karp's maximum
+cycle mean and Floyd-Warshall's all-pairs longest reduced paths.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+from peierls import TransitivityError, TruncationError, transitive_core, truncate
 
 
 def successors(weights):
@@ -167,6 +170,24 @@ def oracle_connect_len(succ, target=None):
             raise ValueError(f"letter {start} does not reach every letter")
         worst = max(worst, dist[target] if target is not None else max(dist.values()))
     return worst
+
+
+def oracle_covering_core(spec, letters):
+    """Transitive core covering ``letters``, by search with no closed form for any kind.
+
+    Raises the truncation bound one letter at a time from the top requested
+    letter until the strongly connected piece through the requested letters
+    holds them all.  Letters past a finite alphabet are dropped.
+    """
+    cap = spec.max_letter()
+    wanted = sorted(l for l in set(letters) if cap is None or l <= cap) or [0]
+    for bound in range(wanted[-1], wanted[-1] + 10_000):
+        try:
+            return transitive_core(truncate(spec, bound), wanted)
+        except (TruncationError, TransitivityError):
+            if cap is not None and bound >= cap:
+                break
+    raise ValueError(f"no transitive truncation covers letters {wanted}")
 
 
 def oracle_connecting_word(succ, a, b):

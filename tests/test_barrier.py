@@ -21,12 +21,18 @@ from peierls import (
     optimize,
     truncate,
 )
-from peierls.potential import admissible_words, ambient_total_variation, inf_bound_on_letter
+from peierls.potential import (
+    admissible_words,
+    ambient_total_variation,
+    coercive_letter_bound,
+    inf_bound_on_letter,
+)
 
 from oracles import (
     oracle_barrier,
     oracle_connect_len,
     oracle_connecting_word,
+    oracle_covering_core,
     oracle_walk_profile,
     random_graph,
 )
@@ -176,27 +182,44 @@ def random_shift(rng):
 
 
 def check_connect_lens(spec, pot, core, letter):
-    """Compare a cutoff report with all-pairs BFS; False when the budget stops the report."""
+    """Compare a cutoff report with all-pairs BFS over a searched stage-two core.
+
+    Returns False when the budget stops the report.
+    """
     try:
         report = letter_cutoff(spec, pot, core, letter)
     except TruncationError:
         return False
     assert report.local_connect_len == oracle_connect_len(core.succ, letter)
-    wide = covering_core(spec, set(range(report.excursion_cutoff + 2)) | set(core.letters))
+    wide = oracle_covering_core(spec, set(range(report.excursion_cutoff + 2)) | set(core.letters))
+    wide_len = oracle_connect_len(wide.succ)
     assert report.wide_bound == max(wide.letters)
-    assert report.wide_connect_len == oracle_connect_len(wide.succ)
+    assert report.wide_connect_len == wide_len
+    floor = min(inf_bound_on_letter(pot, i) for i in wide.letters)
+    ambient = ambient_total_variation(pot)
+    assert report.confinement_bound == coercive_letter_bound(pot, wide_len * floor - ambient) + 1
     return True
 
 
 def test_cutoff_connect_lens_match_all_pairs_bfs_on_renewal_cores():
-    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): 0.0})
-    for a in range(1, 7):
-        for b in range(6):
-            spec = ShiftSpec(kind="renewal", renewal_rule=(a, b))
-            for top in (0, 2, 5):
-                core = covering_core(spec, range(top + 1))
-                for letter in {core.letters[0], core.letters[-1]}:
-                    assert check_connect_lens(spec, pot, core, letter)
+    # (tail, scale, table, top letters of the stage-one cores); a negative value
+    # on a letter outside the stage-one core but inside the wide one sets the wide
+    # floor; a log tail's wide core can grow like (1 + K) ** (K + 1) in the top K
+    cases = [
+        ("linear", 1.0, {(0,): 0.0}, (0, 2, 5)),
+        ("linear", 0.5, {(0,): -2.0, (1,): -5.0}, (0, 2, 5)),
+        ("log", 2.0, {(0,): 0.0}, (0,)),
+        ("log", 0.5, {(2,): -3.0}, (0,)),
+    ]
+    for tail, scale, table, tops in cases:
+        pot = PotentialSpec(depth=1, tail_kind=tail, tail_scale=scale, table=table)
+        for a in range(1, 7):
+            for b in range(6):
+                spec = ShiftSpec(kind="renewal", renewal_rule=(a, b))
+                for top in tops:
+                    core = covering_core(spec, range(top + 1))
+                    for letter in {core.letters[0], core.letters[-1]}:
+                        assert check_connect_lens(spec, pot, core, letter)
 
 
 def test_cutoff_connect_lens_match_all_pairs_bfs_on_finite_shifts():

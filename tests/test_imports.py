@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # what every pipeline command loads: the package, cli and the layers below optimize
 PIPELINE = {"peierls", "peierls.cli", "peierls.digraph", "peierls.optimizer"}
 PIPELINE |= {"peierls.potential", "peierls.shift_space"}
-PRINT_LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'peierls'))"
+PRINT_LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == {root!r}))"
 
 BARRIER = ["barrier", "--max-letter", "6"]
 VERIFY = ["subaction", "verify", "--max-letter", "6", "--values", "values.csv"]
@@ -25,11 +25,11 @@ CONVERGE = ["converge", "--stages", "6,12"]
 DEMO = ["demo", "renewal", "--stages", "6,12", "--scan-to", "12", "--no-cache"]
 
 
-def _loaded_after(code: str, cwd: Path) -> set[str]:
-    """The peierls modules a fresh interpreter holds after running ``code``."""
+def _loaded_after(code: str, cwd: Path, root: str = "peierls") -> set[str]:
+    """The modules under ``root`` a fresh interpreter holds after running ``code``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{PRINT_LOADED}"],
+        [sys.executable, "-c", f"import sys\n{code}\n{PRINT_LOADED.format(root=root)}"],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -71,6 +71,17 @@ def test_each_command_loads_only_its_layers(inputs, tmp_path, command, layers):
     argv = command + (inputs if command is not DEMO else []) + ["--out", "report.out"]
     code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
     assert _loaded_after(code, tmp_path) == PIPELINE | layers
+
+
+@pytest.mark.parametrize("rule, fits_a_slope", [((1, 1), False), ((2, 0), True)])
+def test_converge_loads_statistics_only_for_a_slope_fit(inputs, tmp_path, rule, fits_a_slope):
+    # on (1, 1) only letter 1 is entered from above alone, so the probe fits no slope
+    shift = {"kind": "renewal", "renewal": {"a": rule[0], "b": rule[1]}}
+    (tmp_path / "shift.json").write_text(json.dumps(shift))
+    argv = CONVERGE + ["--scan-to", "12"] + inputs + ["--out", "report.out"]
+    code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
+    loaded = _loaded_after(code, tmp_path, root="statistics")
+    assert loaded == ({"statistics"} if fits_a_slope else set())
 
 
 def test_deferred_cli_names_resolve_on_a_fresh_import(tmp_path):

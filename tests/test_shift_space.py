@@ -20,6 +20,8 @@ from peierls import (
     truncate,
 )
 
+from oracles import oracle_covering_core
+
 GM_JSON = json.dumps(
     {"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 0], [0, 1], [1, 0]]}
 )
@@ -126,6 +128,18 @@ def test_covering_core_starts_renewal_search_at_an_entry_letter():
     for rule, wanted, top in (((100, 0), range(11), 100), ((70, 0), range(2), 70)):
         core = covering_core(ShiftSpec(kind="renewal", renewal_rule=rule), wanted)
         assert core.letters == tuple(range(top + 1))
+
+
+def test_renewal_covering_cores_match_the_search_oracle():
+    def facts(core):
+        return core.letters, core.succ, core.pred, core.truncation_bound, core.transitive
+
+    for a in range(1, 7):
+        for b in range(6):
+            spec = ShiftSpec(kind="renewal", renewal_rule=(a, b))
+            for top in range(61):
+                core = covering_core(spec, range(top + 1))
+                assert facts(core) == facts(oracle_covering_core(spec, range(top + 1)))
 
 
 def test_covering_core_budget_exhausted():
