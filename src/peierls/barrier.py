@@ -25,6 +25,7 @@ stop moving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -66,6 +67,8 @@ class UpperBoundReport:
 
 @dataclass(frozen=True)
 class BarrierResult:
+    """Barrier values of an optimized graph, pinned to zero at the base vertex."""
+
     base_vertex: Vertex
     values: Mapping[Vertex, float]
     max_mean: float
@@ -112,7 +115,7 @@ def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> Bar
 def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> UpperBoundReport:
     finite, pot, m = graph.shift, graph.pot, graph.max_mean
     ambient = ambient_total_variation(pot)
-    per_letter = _letter_ceilings(graph, finite, pot, finite.letters)
+    per_letter = _letter_ceilings(graph, finite, pot, finite.letters, ambient)
 
     cycle = graph.critical_cycle
     lap = 0.0
@@ -181,11 +184,15 @@ def barrier_upper_bound(
         raise GraphError("graph must be optimized before bounding the barrier")
     if letter not in finite.pred:
         raise GraphError(f"letter {letter} is not in the truncation")
-    return _letter_ceilings(graph, finite, pot, (letter,))[letter]
+    return _letter_ceilings(graph, finite, pot, (letter,), ambient_total_variation(pot))[letter]
 
 
 def _letter_ceilings(
-    graph: WeightedMemoryGraph, finite: FiniteShift, pot: PotentialSpec, letters: Iterable[int]
+    graph: WeightedMemoryGraph,
+    finite: FiniteShift,
+    pot: PotentialSpec,
+    letters: Iterable[int],
+    ambient: float,
 ) -> dict[int, float]:
     """``barrier_upper_bound`` for each of ``letters``, from one reverse BFS to the base letter.
 
@@ -202,7 +209,6 @@ def _letter_ceilings(
         if step is not None:
             exits[a] = step + 1, min(t for t in finite.succ[a] if dist.get(t) == step)
         floor[a] = low[a] if a == base else min(low[a], floor[exits[a][1]])
-    ambient = ambient_total_variation(pot)
     ceilings = {}
     for a in letters:
         if a not in exits:
@@ -234,8 +240,8 @@ def letter_cutoff(
     maximizing walk below the reported bound; on a renewal shift that
     core is known in closed form and none is built.  ``wide_budget`` caps
     the stage-two alphabet; slowly decaying tails can push the first-stage
-    cutoff beyond any practical truncation, and that failure is reported
-    rather than silently computed.
+    cutoff beyond any practical truncation, or the bound past the digits
+    Python writes as text, and either failure raises ``TruncationError``.
     """
     if letter not in finite.pred:
         raise GraphError(f"letter {letter} is not in the truncation")
@@ -269,6 +275,13 @@ def letter_cutoff(
         wide_len = max(_connect_len_to(core, b) for b in core.letters)
     wide_floor = min(inf_bound_on_letter(pot, i) for i in wide_letters)
     confinement = coercive_letter_bound(pot, wide_len * wide_floor - ambient) + 1
+    try:
+        str(confinement)  # a report that cannot be printed would sink the whole command
+    except ValueError:
+        raise TruncationError(
+            f"confinement bound for letter {letter} has "
+            f"{math.floor(math.log10(confinement)) + 1} digits, too many to write as decimal text"
+        ) from None
     return CutoffReport(
         letter=letter,
         excursion_cutoff=excursion_cutoff,

@@ -10,6 +10,7 @@ Exit codes: 0 on success, 1 when --assert is set and a verdict fails,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict
@@ -438,7 +439,9 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    gc.freeze()  # the exit-time collections skip frozen objects, and nothing needs them
+    sys.exit(code)
 
 
 if __name__ == "__main__":

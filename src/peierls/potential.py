@@ -32,6 +32,8 @@ class PotentialError(ValueError):
 
 @dataclass(frozen=True)
 class PotentialSpec:
+    """Depth-k override table over a coercive single-letter tail."""
+
     depth: int
     tail_kind: str
     tail_scale: float

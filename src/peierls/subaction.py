@@ -33,6 +33,8 @@ class SeedConsistencyError(ValueError):
 
 @dataclass(frozen=True)
 class SubactionReport:
+    """Edge-by-edge verdict on a candidate subaction, with its contact set."""
+
     values: Mapping[Vertex, float]
     is_subaction: bool
     worst_violation: float
@@ -45,6 +47,8 @@ class SubactionReport:
 
 @dataclass(frozen=True)
 class PreorbitReport:
+    """Calibrated preorbit walked back along contact edges."""
+
     sequence: tuple[Vertex, ...]
     tail_in_critical_class: bool
     entered_at: int | None
@@ -52,6 +56,8 @@ class PreorbitReport:
 
 @dataclass(frozen=True)
 class MinimalityReport:
+    """Whether a pinned subaction dominates the barrier, and where it comes closest."""
+
     ok: bool
     worst_margin: float
     worst_vertex: Vertex
@@ -59,6 +65,8 @@ class MinimalityReport:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """How far two vertex functions are from differing by a constant."""
+
     is_constant_diff: bool
     constant: float
     max_deviation: float
@@ -66,6 +74,8 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class UniquenessReport:
+    """Constant-difference test of two subactions against critical-class uniqueness."""
+
     comparison: ComparisonReport
     critical_class_unique: bool
     consistent: bool
@@ -74,6 +84,8 @@ class UniquenessReport:
 
 @dataclass(frozen=True)
 class VariationReport:
+    """Oscillation of a subaction on word prefixes against the tail bound."""
+
     entries: tuple[tuple[int, float, float], ...]
     within_bounds: bool
 

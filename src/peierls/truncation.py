@@ -58,6 +58,8 @@ class FamilyError(ValueError):
 
 @dataclass(frozen=True)
 class Stage:
+    """One optimized truncation with its barrier, built or read from the cache."""
+
     requested: int
     used: int
     shift: FiniteShift
@@ -68,6 +70,8 @@ class Stage:
 
 @dataclass(frozen=True)
 class TruncationFamily:
+    """Stages at increasing bounds, with whether the base and cycle stay put."""
+
     spec: ShiftSpec
     pot: PotentialSpec
     stages: tuple[Stage, ...]
@@ -77,6 +81,8 @@ class TruncationFamily:
 
 @dataclass(frozen=True)
 class LetterStabilization:
+    """Observed and predicted stage at which one letter's values freeze."""
+
     letter: int
     observed_index: int | None
     observed_requested: int | None
@@ -88,12 +94,16 @@ class LetterStabilization:
 
 @dataclass(frozen=True)
 class StabilizationReport:
+    """Per-letter stabilization entries and their joint verdict."""
+
     entries: tuple[LetterStabilization, ...]
     ok: bool
 
 
 @dataclass(frozen=True)
 class BoundednessProbe:
+    """Final-stage barrier floors per letter, fused with the BP verdict."""
+
     floors: Mapping[int, float]
     bp: ConditionVerdict
     verdict: str

@@ -87,6 +87,50 @@ def test_barrier_json_survives_a_failing_cutoff(renewal_files, capsys):
     }
 
 
+def _log_tail_pot(tmp_path, value):
+    path = tmp_path / "log_pot.json"
+    table = [{"word": [0], "value": value}]
+    path.write_text(json.dumps({"depth": 1, "tail": {"kind": "log", "c": 1}, "table": table}))
+    return str(path)
+
+
+def test_barrier_json_survives_a_cutoff_too_long_to_print(renewal_files, tmp_path, capsys):
+    # the log tail puts the confinement bound past the int-to-text digit limit
+    shift, _ = renewal_files
+    pot = _log_tail_pot(tmp_path, -7.5)
+    assert run(["barrier", "--shift", shift, "--potential", pot, "--max-letter", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["values"] == {"0": 0.0}
+    assert payload["bounds"]["low_letter_cutoff"] == 1807
+    assert payload["cutoff"] == {
+        "letter": 0,
+        "error": "confinement bound for letter 0 has 5893 digits, "
+        "too many to write as decimal text",
+    }
+
+
+def test_barrier_json_prints_a_long_cutoff_below_the_limit(renewal_files, tmp_path, capsys):
+    shift, _ = renewal_files
+    pot = _log_tail_pot(tmp_path, -7.0)
+    assert run(["barrier", "--shift", shift, "--potential", pot, "--max-letter", "0"]) == 0
+    out = capsys.readouterr().out
+    bound = out.split('"confinement_bound": ')[1].split(",")[0]
+    assert len(bound) == 3336 and bound.isdigit()
+
+
+def test_converge_reports_a_cutoff_too_long_to_print(renewal_files, tmp_path, capsys):
+    shift, _ = renewal_files
+    pot = _log_tail_pot(tmp_path, -3.8)
+    argv = ["converge", "--shift", shift, "--potential", pot, "--stages", "0,1", "--letters", "0"]
+    assert run([*argv, "--no-cache"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["stabilization"]["entries"]
+    assert entry["predicted"] is None and entry["ok"] is None
+    assert entry["note"] == (
+        "prediction unavailable: confinement bound for letter 0 has 6599 digits, "
+        "too many to write as decimal text"
+    )
+
+
 def test_barrier_countable_shift_requires_max_letter(renewal_files, capsys):
     shift, pot = renewal_files
     assert run(["barrier", "--shift", shift, "--potential", pot]) == 2
