@@ -26,12 +26,13 @@ stop moving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import sys
+from typing import Iterable, Mapping, NamedTuple
 
 from .digraph import bfs_distances
 from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk
 from .potential import (
+    TAIL_LOG,
     PotentialSpec,
     ambient_total_variation,
     coercive_letter_bound,
@@ -53,8 +54,7 @@ from .shift_space import (
 Vertex = Word
 
 
-@dataclass(frozen=True)
-class UpperBoundReport:
+class UpperBoundReport(NamedTuple):
     """A priori ceilings on barrier values, computed without the walk DP."""
 
     per_letter: Mapping[int, float]
@@ -65,8 +65,7 @@ class UpperBoundReport:
     global_bound: float
 
 
-@dataclass(frozen=True)
-class BarrierResult:
+class BarrierResult(NamedTuple):
     """Barrier values of an optimized graph, pinned to zero at the base vertex."""
 
     base_vertex: Vertex
@@ -75,8 +74,7 @@ class BarrierResult:
     bounds: UpperBoundReport | None
 
 
-@dataclass(frozen=True)
-class CutoffReport:
+class CutoffReport(NamedTuple):
     """Two-stage truncation estimate for one letter of interest.
 
     ``excursion_cutoff`` is the first stage's ceiling on letters a
@@ -274,14 +272,19 @@ def letter_cutoff(
         wide_bound, wide_letters = max(core.letters), core.letters
         wide_len = max(_connect_len_to(core, b) for b in core.letters)
     wide_floor = min(inf_bound_on_letter(pot, i) for i in wide_letters)
-    confinement = coercive_letter_bound(pot, wide_len * wide_floor - ambient) + 1
-    try:
-        str(confinement)  # a report that cannot be printed would sink the whole command
-    except ValueError:
-        raise TruncationError(
-            f"confinement bound for letter {letter} has "
-            f"{math.floor(math.log10(confinement)) + 1} digits, too many to write as decimal text"
-        ) from None
+    wide_threshold = wide_len * wide_floor - ambient
+    if pot.tail_kind == TAIL_LOG:
+        # The bound is floor(exp(-threshold / c)): its digit count comes from the
+        # exponent, sparing an exponential that takes seconds at 10,000 digits.
+        # A bound too long to print would sink the whole command; a linear tail's
+        # stays in float range.  A limit of 0 (or none, before 3.10.7) means any.
+        digits = math.floor(-wide_threshold / pot.tail_scale / math.log(10.0)) + 1
+        if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:
+            raise TruncationError(
+                f"confinement bound for letter {letter} has "
+                f"{digits} digits, too many to write as decimal text"
+            )
+    confinement = coercive_letter_bound(pot, wide_threshold) + 1
     return CutoffReport(
         letter=letter,
         excursion_cutoff=excursion_cutoff,

@@ -13,7 +13,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import asdict
 from importlib import import_module
 from typing import TYPE_CHECKING
 
@@ -69,6 +68,15 @@ def _load(layer: str) -> None:
             __getattr__(name)
 
 SCHEMA = 1
+
+
+def _plain(value):
+    """``value`` ready for JSON: records become dicts, lists and tuples lists, recursively."""
+    if hasattr(value, "_asdict"):
+        return {name: _plain(field) for name, field in value._asdict().items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 def _word_key(word: Word) -> str:
@@ -158,8 +166,8 @@ def _cmd_shift_check(args: argparse.Namespace) -> int:
         {
             "schema": SCHEMA,
             "kind": spec.kind,
-            "bp": asdict(check_bp(spec, args.horizon)),
-            "bi": asdict(check_bi(spec, args.horizon)),
+            "bp": _plain(check_bp(spec, args.horizon)),
+            "bi": _plain(check_bi(spec, args.horizon)),
             "transitive": transitive,
         },
     )
@@ -191,7 +199,7 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
 
     base_letter = result.base_vertex[0]
     try:
-        cutoff = asdict(letter_cutoff(spec, pot, graph.shift, base_letter))
+        cutoff = _plain(letter_cutoff(spec, pot, graph.shift, base_letter))
     except TruncationError as exc:
         # the cutoff is a diagnostic; its failure must not hide the barrier
         cutoff = {"letter": base_letter, "error": str(exc)}
@@ -241,7 +249,7 @@ def _cmd_subaction_compare(args: argparse.Namespace) -> int:
     first = _load_values_csv(args.values)
     second = _load_values_csv(args.values_b)
     report = uniqueness_comparison(graph, first, second, args.tol)
-    payload = {"schema": SCHEMA, **asdict(report)}
+    payload = {"schema": SCHEMA, **_plain(report)}
     payload.update(payload.pop("comparison"))
     _emit_json(args, payload)
     if args.assert_verdict and not report.comparison.is_constant_diff:
@@ -264,13 +272,13 @@ def _bounds_payload(bounds: UpperBoundReport | None) -> dict | None:
     """JSON form of a bound report, with ``per_letter`` as sorted [letter, bound] pairs."""
     if bounds is None:
         return None
-    payload = asdict(bounds)
+    payload = _plain(bounds)
     payload["per_letter"] = sorted([a, x] for a, x in bounds.per_letter.items())
     return payload
 
 
 def _probe_payload(probe: BoundednessProbe) -> dict:
-    payload = asdict(probe)
+    payload = _plain(probe)
     payload["floors"] = sorted([j, x] for j, x in probe.floors.items())
     return payload
 
@@ -301,7 +309,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
             "stages": [_stage_summary(s) for s in family.stages],
             "base_stable": family.base_stable,
             "cycle_stable": family.cycle_stable,
-            "stabilization": None if stabilization is None else asdict(stabilization),
+            "stabilization": None if stabilization is None else _plain(stabilization),
             "probe": None if probe is None else _probe_payload(probe),
         },
     )
@@ -336,7 +344,7 @@ def _cmd_demo_renewal(args: argparse.Namespace) -> int:
             "cycle_stable": family.cycle_stable,
             "probe": _probe_payload(probe),
             "verdicts": {"bp": probe.bp.status, "boundedness": probe.verdict},
-            "bi": asdict(check_bi(spec)),
+            "bi": _plain(check_bi(spec)),
             "conclusion": conclusion,
             "notes": [
                 "every renewal rule fails the exit-set check: each letter j >= 1 has "

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .digraph import least_word, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
@@ -39,8 +38,7 @@ class PositiveCycleError(RuntimeError):
     """A reduced cycle with positive weight survived; the mean value is inconsistent."""
 
 
-@dataclass(frozen=True)
-class WeightedMemoryGraph:
+class WeightedMemoryGraph(NamedTuple):
     """Finite weighted digraph plus the optimization results, once computed.
 
     ``optimize`` returns a copy with the ``max_mean`` / ``critical_*``
@@ -56,8 +54,8 @@ class WeightedMemoryGraph:
     pot: PotentialSpec | None = None
     max_mean: float | None = None
     critical_cycle: tuple[Vertex, ...] | None = None
-    critical_class: frozenset = field(default_factory=frozenset)
-    critical_edges: frozenset = field(default_factory=frozenset)
+    critical_class: frozenset = frozenset()
+    critical_edges: frozenset = frozenset()
     critical_components: tuple[tuple[Vertex, ...], ...] = ()
     critical_class_unique: bool | None = None
 
@@ -84,8 +82,7 @@ class WeightedMemoryGraph:
         )
         out_degree = Counter(u for u, _ in edges)
         unique = len(components) == 1 and all(out_degree[v] == 1 for v in components[0])
-        return replace(
-            self,
+        return self._replace(
             max_mean=total / len(cycle),
             critical_cycle=cycle,
             critical_class=frozenset(v for comp in components for v in comp),
@@ -313,8 +310,7 @@ def birkhoff_sum(graph: WeightedMemoryGraph, walk: Sequence[Vertex]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class PeriodicMeasure:
+class PeriodicMeasure(NamedTuple):
     """Uniform invariant measure carried by a cycle."""
 
     cycle: tuple[Vertex, ...]

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .shift_space import FiniteShift, ShiftSpec, Word, is_admissible_word
 
@@ -30,16 +30,20 @@ class PotentialError(ValueError):
     """A potential description violates the schema or its invariants."""
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Depth-k override table over a coercive single-letter tail."""
-
+class _PotentialSpecFields(NamedTuple):
     depth: int
     tail_kind: str
     tail_scale: float
-    table: Mapping[Word, float] = field(default_factory=dict)
+    table: Mapping[Word, float] = MappingProxyType({})
 
-    def __post_init__(self) -> None:
+
+class PotentialSpec(_PotentialSpecFields):
+    """Depth-k override table over a coercive single-letter tail, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PotentialSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.depth < 1:
             raise PotentialError("depth must be at least 1")
         if self.tail_kind not in (TAIL_LINEAR, TAIL_LOG):
@@ -55,6 +59,11 @@ class PotentialSpec:
                 raise PotentialError(f"table word {word} must use nonnegative letters")
             if not math.isfinite(value):
                 raise PotentialError(f"table value for {word} must be finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> PotentialSpec:
+        return cls(*iterable)
 
 
 def parse_potential(document: str) -> PotentialSpec:

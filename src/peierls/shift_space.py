@@ -19,8 +19,7 @@ length, which orders cylinders the same way for every lambda in (0, 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .digraph import least_word, strongly_connected_components
 
@@ -56,10 +55,7 @@ class TransitivityError(ValueError):
         self.components = components
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """Immutable description of a (possibly countable) Markov shift."""
-
+class _ShiftSpecFields(NamedTuple):
     kind: str
     alphabet_size: int | None = None
     edges: frozenset[tuple[int, int]] | None = None
@@ -67,7 +63,17 @@ class ShiftSpec:
     membership: Callable[[int, int], bool] | None = None
     metric_base: float = 0.5
 
-    def __post_init__(self) -> None:
+
+class ShiftSpec(_ShiftSpecFields):
+    """Immutable description of a (possibly countable) Markov shift.
+
+    Built directly or through ``_replace``, every instance is validated here.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ShiftSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (KIND_EXPLICIT, KIND_FULL, KIND_RENEWAL, KIND_ORACLE):
             raise ShiftSpecError(f"unknown shift kind {self.kind!r}")
         if not (0.0 < self.metric_base < 1.0):
@@ -97,6 +103,11 @@ class ShiftSpec:
                 )
         if self.kind == KIND_ORACLE and self.membership is None:
             raise ShiftSpecError("oracle shifts need a membership predicate")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ShiftSpec:
+        return cls(*iterable)
 
     def max_letter(self) -> int | None:
         """Largest letter for the finite kinds, None for countable alphabets."""
@@ -202,12 +213,12 @@ def is_admissible_word(spec: ShiftSpec, word: Word) -> bool:
 # finite truncations
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteShift:
+class FiniteShift(NamedTuple):
     """A finite letter set with the induced transition structure.
 
     ``transitive`` marks cores (``transitive_core``, renewal ``covering_core``);
     plain truncations leave it False even when they are strongly connected.
+    Two truncations are equal only when they are the same object.
     """
 
     letters: tuple[int, ...]
@@ -216,6 +227,8 @@ class FiniteShift:
     spec: ShiftSpec | None = None
     truncation_bound: int | None = None
     transitive: bool = False
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _make_finite(
@@ -344,8 +357,7 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
 # boundedness of incoming / outgoing transition sets
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     """Outcome of a bounded-incoming or bounded-outgoing check."""
 
     condition: str  # "BP" or "BI"

@@ -16,8 +16,7 @@ the one-step transfer operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk
 from .potential import PotentialSpec, var_j
@@ -31,8 +30,7 @@ class SeedConsistencyError(ValueError):
     """Seed values disagree with the tight-edge increments they must follow."""
 
 
-@dataclass(frozen=True)
-class SubactionReport:
+class SubactionReport(NamedTuple):
     """Edge-by-edge verdict on a candidate subaction, with its contact set."""
 
     values: Mapping[Vertex, float]
@@ -45,8 +43,7 @@ class SubactionReport:
     supp_in_contact: bool
 
 
-@dataclass(frozen=True)
-class PreorbitReport:
+class PreorbitReport(NamedTuple):
     """Calibrated preorbit walked back along contact edges."""
 
     sequence: tuple[Vertex, ...]
@@ -54,8 +51,7 @@ class PreorbitReport:
     entered_at: int | None
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     """Whether a pinned subaction dominates the barrier, and where it comes closest."""
 
     ok: bool
@@ -63,8 +59,7 @@ class MinimalityReport:
     worst_vertex: Vertex
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """How far two vertex functions are from differing by a constant."""
 
     is_constant_diff: bool
@@ -72,8 +67,7 @@ class ComparisonReport:
     max_deviation: float
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Constant-difference test of two subactions against critical-class uniqueness."""
 
     comparison: ComparisonReport
@@ -82,8 +76,7 @@ class UniquenessReport:
     note: str
 
 
-@dataclass(frozen=True)
-class VariationReport:
+class VariationReport(NamedTuple):
     """Oscillation of a subaction on word prefixes against the tail bound."""
 
     entries: tuple[tuple[int, float, float], ...]

@@ -24,8 +24,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
 from .optimizer import (
@@ -56,8 +55,7 @@ class FamilyError(ValueError):
     """The requested stage list cannot form a valid increasing family."""
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One optimized truncation with its barrier, built or read from the cache."""
 
     requested: int
@@ -68,8 +66,7 @@ class Stage:
     from_cache: bool
 
 
-@dataclass(frozen=True)
-class TruncationFamily:
+class TruncationFamily(NamedTuple):
     """Stages at increasing bounds, with whether the base and cycle stay put."""
 
     spec: ShiftSpec
@@ -79,8 +76,7 @@ class TruncationFamily:
     cycle_stable: bool
 
 
-@dataclass(frozen=True)
-class LetterStabilization:
+class LetterStabilization(NamedTuple):
     """Observed and predicted stage at which one letter's values freeze."""
 
     letter: int
@@ -92,16 +88,14 @@ class LetterStabilization:
     note: str
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Per-letter stabilization entries and their joint verdict."""
 
     entries: tuple[LetterStabilization, ...]
     ok: bool
 
 
-@dataclass(frozen=True)
-class BoundednessProbe:
+class BoundednessProbe(NamedTuple):
     """Final-stage barrier floors per letter, fused with the BP verdict."""
 
     floors: Mapping[int, float]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,28 @@ def test_converge_reports_a_cutoff_too_long_to_print(renewal_files, tmp_path, ca
         "prediction unavailable: confinement bound for letter 0 has 6599 digits, "
         "too many to write as decimal text"
     )
+
+
+def test_a_cutoff_far_past_the_digit_limit_is_reported_at_once(tmp_path):
+    # renewal (20000, 0) makes stage two's core 0..20000, so the bound has
+    # 86,026 digits; its exponential alone takes minutes, so the digit check comes first
+    shift = tmp_path / "wide.json"
+    shift.write_text(json.dumps({"kind": "renewal", "renewal": {"a": 20000, "b": 0}}))
+    argv = ["barrier", "--shift", str(shift), "--potential", _log_tail_pot(tmp_path, -4.0)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "peierls.cli", *argv, "--max-letter", "0"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["cutoff"] == {
+        "letter": 0,
+        "error": "confinement bound for letter 0 has 86026 digits, "
+        "too many to write as decimal text",
+    }
 
 
 def test_barrier_countable_shift_requires_max_letter(renewal_files, capsys):

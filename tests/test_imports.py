@@ -73,6 +73,17 @@ def test_each_command_loads_only_its_layers(inputs, tmp_path, command, layers):
     assert _loaded_after(code, tmp_path) == PIPELINE | layers
 
 
+@pytest.mark.parametrize(
+    "command", [["optimize", "--max-letter", "6"], BARRIER, VERIFY, COMPARE, CONVERGE, DEMO]
+)
+def test_no_command_loads_dataclasses_or_inspect(inputs, tmp_path, command):
+    # records are NamedTuples: dataclasses (and the inspect it pulls in) cost ~20 ms a run
+    argv = command + (inputs if command is not DEMO else []) + ["--out", "report.out"]
+    code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
+    for root in ("dataclasses", "inspect"):
+        assert _loaded_after(code, tmp_path, root=root) == set()
+
+
 @pytest.mark.parametrize("rule, fits_a_slope", [((1, 1), False), ((2, 0), True)])
 def test_converge_loads_statistics_only_for_a_slope_fit(inputs, tmp_path, rule, fits_a_slope):
     # on (1, 1) only letter 1 is entered from above alone, so the probe fits no slope

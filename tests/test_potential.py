@@ -181,3 +181,40 @@ def test_coercive_bound_contract_linear(scale, threshold, table_letter, table_va
         assert sup_bound_on_letter(pot, j) < threshold
     if bound > 0:
         assert sup_bound_on_letter(pot, bound) >= threshold
+
+
+def test_potential_spec_rejects_attribute_assignment(depth2_pot):
+    for name in depth2_pot._fields:
+        with pytest.raises(AttributeError):
+            setattr(depth2_pot, name, getattr(depth2_pot, name))
+    with pytest.raises(AttributeError):
+        depth2_pot.extra = None
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"depth": 0}, "depth must be at least 1"),
+        ({"tail_kind": "cubic"}, "unknown tail kind 'cubic'"),
+        ({"tail_scale": 0.0}, "tail scale c must be a positive finite number"),
+        ({"tail_scale": math.inf}, "tail scale c must be a positive finite number"),
+        ({"table": {(0, 1): 0.0}}, "table word (0, 1) has length 2, expected depth 1"),
+        ({"table": {(-1,): 0.0}}, "table word (-1,) must use nonnegative letters"),
+        ({"table": {(0,): math.nan}}, "table value for (0,) must be finite"),
+    ],
+)
+def test_invalid_potential_specs_raise_when_built_and_when_replaced(fields, message):
+    valid = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0)
+    with pytest.raises(PotentialError) as built:
+        PotentialSpec(**{**valid._asdict(), **fields})
+    with pytest.raises(PotentialError) as replaced:
+        valid._replace(**fields)
+    assert str(built.value) == str(replaced.value) == message
+
+
+def test_default_table_is_empty_and_immutable():
+    pot = PotentialSpec(depth=1, tail_kind="log", tail_scale=1.0)
+    assert pot.table == {}
+    with pytest.raises(TypeError):
+        pot.table[(0,)] = 1.0
+    assert PotentialSpec(depth=1, tail_kind="log", tail_scale=1.0).table == {}

@@ -279,3 +279,58 @@ def test_covering_core_is_transitive_superset(a, bound):
     core = covering_core(spec, range(bound + 1))
     assert is_transitive(core)
     assert set(range(bound + 1)) <= set(core.letters)
+
+
+RENEWAL = ShiftSpec(kind="renewal", renewal_rule=(2, 0))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [RENEWAL, truncate(parse_shift_spec(GM_JSON), 1), check_bp(RENEWAL, 10)],
+    ids=["ShiftSpec", "FiniteShift", "ConditionVerdict"],
+)
+def test_records_reject_attribute_assignment(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "bogus"}, "unknown shift kind 'bogus'"),
+        ({"metric_base": 1.0}, "metric parameter lambda must lie strictly in (0, 1)"),
+        ({"kind": "full", "alphabet_size": 0}, "finite kinds need a positive alphabet_size"),
+        (
+            {"kind": "explicit-finite", "alphabet_size": 2, "edges": frozenset({(0, 2)})},
+            "edge (0, 2) uses a letter outside 0..1",
+        ),
+        (
+            {"kind": "explicit-finite", "alphabet_size": 2, "edges": frozenset({(0, 0), (0, 1)})},
+            "stranded letters with no loop through them: [1]",
+        ),
+        (
+            {"renewal_rule": (0, 1)},
+            "entry rule must have a >= 1 and b >= 0 so entries strictly increase",
+        ),
+        ({"kind": "oracle"}, "oracle shifts need a membership predicate"),
+    ],
+)
+def test_invalid_shift_specs_raise_when_built_and_when_replaced(fields, message):
+    with pytest.raises(ShiftSpecError) as built:
+        ShiftSpec(**{"kind": "renewal", "renewal_rule": (2, 0), **fields})
+    with pytest.raises(ShiftSpecError) as replaced:
+        RENEWAL._replace(**fields)
+    assert str(built.value) == str(replaced.value) == message
+
+
+def test_finite_shifts_compare_and_hash_by_identity():
+    spec = parse_shift_spec(GM_JSON)
+    first, second = truncate(spec, 1), truncate(spec, 1)
+    assert tuple(first) == tuple(second)
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert hash(first) == object.__hash__(first)
+    assert len({first, second}) == 2
