@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # layer module -> the public names it defines
 _LAYERS = {
     "barrier": """BarrierResult CutoffReport UpperBoundReport barrier_length_profile
-        barrier_upper_bound compute_barrier letter_cutoff""",
+        compute_barrier letter_cutoff""",
     "optimizer": """DEFAULT_TOL GraphError PeriodicMeasure PositiveCycleError
         WeightedMemoryGraph birkhoff_sum build_memory_graph graph_from_weights
         max_mean_cycle optimize periodic_measure""",

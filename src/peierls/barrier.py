@@ -53,6 +53,9 @@ from .shift_space import (
 
 Vertex = Word
 
+# Largest stage-two alphabet letter_cutoff accepts.
+WIDE_BUDGET = 4096
+
 
 class UpperBoundReport(NamedTuple):
     """A priori ceilings on barrier values, computed without the walk DP."""
@@ -167,24 +170,6 @@ def barrier_length_profile(
     return tuple(profile)
 
 
-def barrier_upper_bound(
-    graph: WeightedMemoryGraph, finite: FiniteShift, pot: PotentialSpec, letter: int
-) -> float:
-    """Ceiling on barrier values at vertices starting with ``letter``.
-
-    Any walk from the base to such a vertex can be closed into a periodic
-    word through a shortest connecting word back to the base letter; the
-    closed lap has mean at most the maximum, which caps the open part by
-    the connector's length times (mean - cheapest letter value) plus the
-    variation correction.
-    """
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before bounding the barrier")
-    if letter not in finite.pred:
-        raise GraphError(f"letter {letter} is not in the truncation")
-    return _letter_ceilings(graph, finite, pot, (letter,), ambient_total_variation(pot))[letter]
-
-
 def _letter_ceilings(
     graph: WeightedMemoryGraph,
     finite: FiniteShift,
@@ -192,10 +177,16 @@ def _letter_ceilings(
     letters: Iterable[int],
     ambient: float,
 ) -> dict[int, float]:
-    """``barrier_upper_bound`` for each of ``letters``, from one reverse BFS to the base letter.
+    """Ceiling on barrier values at vertices starting with each of ``letters``.
 
-    A least connecting word leaves ``a`` through its exit letter and goes on as that
-    letter's word, so its cheapest letter value is a running minimum in order of distance.
+    Any walk from the base to such a vertex can be closed into a periodic
+    word through a shortest connecting word back to the base letter; the
+    closed lap has mean at most the maximum, which caps the open part by
+    the connector's length times (mean - cheapest letter value) plus the
+    variation correction.  One reverse BFS to the base letter serves every
+    letter: a least connecting word leaves ``a`` through its exit letter and
+    goes on as that letter's word, so its cheapest letter value is a running
+    minimum in order of distance.
     """
     base = graph.critical_cycle[0][0]
     dist = bfs_distances(base, finite.pred) if base in finite.pred else {}
@@ -227,7 +218,6 @@ def letter_cutoff(
     pot: PotentialSpec,
     finite: FiniteShift,
     letter: int,
-    wide_budget: int = 4096,
 ) -> CutoffReport:
     """Truncation bound past which barrier values near ``letter`` are final.
 
@@ -236,7 +226,7 @@ def letter_cutoff(
     core.  Stage two replays the argument on a transitive core wide
     enough to contain all of stage one's letters, which confines every
     maximizing walk below the reported bound; on a renewal shift that
-    core is known in closed form and none is built.  ``wide_budget`` caps
+    core is known in closed form and none is built.  ``WIDE_BUDGET`` caps
     the stage-two alphabet; slowly decaying tails can push the first-stage
     cutoff beyond any practical truncation, or the bound past the digits
     Python writes as text, and either failure raises ``TruncationError``.
@@ -253,10 +243,10 @@ def letter_cutoff(
     excursion_cutoff = coercive_letter_bound(pot, threshold)
 
     target = excursion_cutoff + 1
-    if target > wide_budget:
+    if target > WIDE_BUDGET:
         raise TruncationError(
             f"stage-two alphabet for letter {letter} needs letters up to {target}, "
-            f"beyond the budget {wide_budget}"
+            f"beyond the budget {WIDE_BUDGET}"
         )
     if spec.kind == KIND_RENEWAL:
         # The renewal core is exactly 0..K (see covering_core), and its

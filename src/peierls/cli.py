@@ -13,9 +13,11 @@ import argparse
 import gc
 import json
 import sys
+from collections.abc import Mapping
 from importlib import import_module
 from typing import TYPE_CHECKING
 
+from . import _LAYERS, _OWNER
 from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
 from .potential import PotentialSpec, TAIL_LINEAR, parse_potential, validate_table
 from .shift_space import (
@@ -35,45 +37,34 @@ from .shift_space import (
 )
 
 if TYPE_CHECKING:
-    from .barrier import UpperBoundReport
-    from .truncation import BoundednessProbe, Stage
-
-# Names of the layers only some commands run, and the module of each.  A
-# handler binds its layer's names with ``_load`` before calling them through
-# this module's globals; a value already bound here (a wrapper installed
-# with setattr, say) is kept.
-_DEFERRED = {
-    "compute_barrier": "barrier",
-    "letter_cutoff": "barrier",
-    "verify_subaction": "subaction",
-    "uniqueness_comparison": "subaction",
-    "BOUNDED": "truncation",
-    "DIVERGENT": "truncation",
-    "bp_boundedness_probe": "truncation",
-    "build_family": "truncation",
-    "stabilization_experiment": "truncation",
-}
+    from .truncation import Stage
 
 
+# A handler binds the names of a layer only some commands run with ``_load``
+# before calling them through this module's globals; a value already bound
+# here (a wrapper installed with setattr, say) is kept.
 def __getattr__(name: str):
-    if name not in _DEFERRED:
+    if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_DEFERRED[name]}", __package__)
+    module = import_module(f".{_OWNER[name]}", __package__)
     return globals().setdefault(name, getattr(module, name))
 
 
 def _load(layer: str) -> None:
-    for name, owner in _DEFERRED.items():
-        if owner == layer:
-            __getattr__(name)
+    for name in _LAYERS[layer].split():
+        __getattr__(name)
+
 
 SCHEMA = 1
 
 
 def _plain(value):
-    """``value`` ready for JSON: records become dicts, lists and tuples lists, recursively."""
+    """``value`` ready for JSON, recursively: records become dicts, other
+    mappings sorted [key, value] pairs, and lists and tuples lists."""
     if hasattr(value, "_asdict"):
         return {name: _plain(field) for name, field in value._asdict().items()}
+    if isinstance(value, Mapping):
+        return sorted([_plain(key), _plain(item)] for key, item in value.items())
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
     return value
@@ -210,7 +201,7 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
             "m": result.max_mean,
             "base": list(result.base_vertex),
             "values": {_word_key(v): x for v, x in result.values.items()},
-            "bounds": _bounds_payload(result.bounds),
+            "bounds": _plain(result.bounds),
             "cutoff": cutoff,
         },
     )
@@ -268,21 +259,6 @@ def _stage_summary(stage: Stage) -> dict:
     }
 
 
-def _bounds_payload(bounds: UpperBoundReport | None) -> dict | None:
-    """JSON form of a bound report, with ``per_letter`` as sorted [letter, bound] pairs."""
-    if bounds is None:
-        return None
-    payload = _plain(bounds)
-    payload["per_letter"] = sorted([a, x] for a, x in bounds.per_letter.items())
-    return payload
-
-
-def _probe_payload(probe: BoundednessProbe) -> dict:
-    payload = _plain(probe)
-    payload["floors"] = sorted([j, x] for j, x in probe.floors.items())
-    return payload
-
-
 def _cmd_converge(args: argparse.Namespace) -> int:
     _load("truncation")
     spec, pot = _load_inputs(args)
@@ -309,8 +285,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
             "stages": [_stage_summary(s) for s in family.stages],
             "base_stable": family.base_stable,
             "cycle_stable": family.cycle_stable,
-            "stabilization": None if stabilization is None else _plain(stabilization),
-            "probe": None if probe is None else _probe_payload(probe),
+            "stabilization": _plain(stabilization),
+            "probe": _plain(probe),
         },
     )
     if args.assert_verdict:
@@ -342,7 +318,7 @@ def _cmd_demo_renewal(args: argparse.Namespace) -> int:
             "m": family.stages[-1].graph.max_mean,
             "base_stable": family.base_stable,
             "cycle_stable": family.cycle_stable,
-            "probe": _probe_payload(probe),
+            "probe": _plain(probe),
             "verdicts": {"bp": probe.bp.status, "boundedness": probe.verdict},
             "bi": _plain(check_bi(spec)),
             "conclusion": conclusion,

@@ -252,11 +252,6 @@ def coercive_letter_bound(pot: PotentialSpec, threshold: float) -> int:
         # -c*j >= t  <=>  j <= -t/c
         limit = -threshold / c
         tail_best = math.floor(limit) if limit >= 0 else -1
-        # guard against the equality case landing just under an integer
-        while tail_value(pot, tail_best + 1) >= threshold:
-            tail_best += 1
-        while tail_best >= 0 and tail_value(pot, tail_best) < threshold:
-            tail_best -= 1
     else:
         # -c*ln(1+j) >= t  <=>  j <= exp(-t/c) - 1
         exponent = -threshold / c
@@ -270,12 +265,13 @@ def coercive_letter_bound(pot: PotentialSpec, threshold: float) -> int:
                 ctx.prec = max(digits, 28)
                 bound = Decimal(exponent).exp() - 1
                 tail_best = int(bound.to_integral_value(rounding="ROUND_FLOOR"))
-            # letters beyond float range cannot be fed back through math.log1p
-            if tail_best < 2**52:
-                while tail_value(pot, tail_best + 1) >= threshold:
-                    tail_best += 1
-                while tail_best >= 0 and tail_value(pot, tail_best) < threshold:
-                    tail_best -= 1
+    # guard against the inversion landing next to an integer; past 2**52 the
+    # float tail cannot tell neighbouring letters apart, so the steps would never end
+    if tail_best < 2**52:
+        while tail_value(pot, tail_best + 1) >= threshold:
+            tail_best += 1
+        while tail_best >= 0 and tail_value(pot, tail_best) < threshold:
+            tail_best -= 1
     best = tail_best
     for word, value in pot.table.items():
         if value >= threshold and word[0] > best:

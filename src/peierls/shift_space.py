@@ -37,6 +37,8 @@ UNDECIDED = "UNDECIDED"
 
 # Cap on the number of refutation witnesses carried in a verdict.
 MAX_WITNESSES = 24
+# Cap on the truncation bounds covering_core tries, one letter apart.
+CORE_ATTEMPTS = 64
 
 
 class ShiftSpecError(ValueError):
@@ -469,9 +471,7 @@ def check_bi(spec: ShiftSpec, horizon: int = 100) -> ConditionVerdict:
     )
 
 
-def covering_core(
-    spec: ShiftSpec, letters: Iterable[int], attempt_budget: int = 64
-) -> FiniteShift:
+def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     """Smallest-by-search transitive core containing the requested letters.
 
     Raises the bound one letter at a time until the truncation's strongly
@@ -494,7 +494,7 @@ def covering_core(
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     bound = wanted[-1]
-    for _ in range(attempt_budget):
+    for _ in range(CORE_ATTEMPTS):
         try:
             fin = truncate(spec, bound)
             core = transitive_core(fin, [l for l in wanted if l in fin.pred])

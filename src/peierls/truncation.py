@@ -108,32 +108,9 @@ class BoundednessProbe(NamedTuple):
     note: str
 
 
-def _shift_payload(spec: ShiftSpec) -> dict:
-    payload: dict = {"kind": spec.kind, "lambda": spec.metric_base}
-    if spec.alphabet_size is not None:
-        payload["alphabet_size"] = spec.alphabet_size
-    if spec.edges is not None:
-        payload["edges"] = sorted([i, j] for i, j in spec.edges)
-    if spec.renewal_rule is not None:
-        payload["renewal"] = list(spec.renewal_rule)
-    return payload
-
-
-def _pot_payload(pot: PotentialSpec) -> dict:
-    return {
-        "depth": pot.depth,
-        "tail": {"kind": pot.tail_kind, "c": pot.tail_scale},
-        "table": sorted([list(w), x] for w, x in pot.table.items()),
-    }
-
-
 def _cache_path(spec: ShiftSpec, pot: PotentialSpec, requested: int) -> str:
-    blob = json.dumps(
-        {"pot": _pot_payload(pot), "requested": requested, "shift": _shift_payload(spec)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    key = hashlib.sha256(blob.encode("ascii")).hexdigest()[:32]
+    # reprs of equal inputs listed in another order differ: a miss, never a wrong hit
+    key = hashlib.sha256(repr((spec, pot, requested)).encode()).hexdigest()[:32]
     return os.path.join(os.environ.get("PEIERLS_CACHE_DIR", ".peierls-cache"), f"stage-{key}.json")
 
 

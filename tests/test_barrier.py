@@ -12,7 +12,6 @@ from peierls import (
     TransitivityError,
     TruncationError,
     barrier_length_profile,
-    barrier_upper_bound,
     build_memory_graph,
     compute_barrier,
     covering_core,
@@ -109,11 +108,8 @@ def test_profile_frozen_values(renewal_graph):
         barrier_length_profile(renewal_graph, (1,), -1)
 
 
-def test_per_letter_bound_uses_connector_and_floor(gm_graph, gm_finite, gm_pot):
-    assert barrier_upper_bound(gm_graph, gm_finite, gm_pot, 1) == 1.0
-    assert barrier_upper_bound(gm_graph, gm_finite, gm_pot, 0) == 0.0
-    with pytest.raises(GraphError):
-        barrier_upper_bound(gm_graph, gm_finite, gm_pot, 7)
+def test_per_letter_bound_uses_connector_and_floor(gm_graph):
+    assert compute_barrier(gm_graph).bounds.per_letter == {0: 0.0, 1: 1.0}
 
 
 def test_letter_cutoff_golden_mean(gm_spec, gm_pot, gm_finite):
@@ -245,8 +241,6 @@ def test_per_letter_bounds_match_a_connecting_word_per_letter():
             floor = min(inf_bound_on_letter(pot, x) for x in {a, base, *word})
             expected[a] = (len(word) + 1) * (g.max_mean - floor) + ambient
         assert compute_barrier(g).bounds.per_letter == expected
-        a = core.letters[-1]
-        assert barrier_upper_bound(g, core, pot, a) == expected[a]
 
 
 def uniform_cases(seed):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,12 +158,90 @@ def test_a_cutoff_far_past_the_digit_limit_is_reported_at_once(tmp_path):
     }
 
 
+def test_a_linear_tail_past_float_resolution_is_reported_at_once(tmp_path):
+    # at -1e30 the tail cannot tell neighbouring letters apart, so the
+    # coercive bound must not step through them one at a time
+    shift = tmp_path / "shift.json"
+    shift.write_text(RENEWAL_SHIFT)
+    pot = tmp_path / "pot.json"
+    table = [{"word": [0], "value": -1e30}]
+    pot.write_text(json.dumps({"depth": 1, "tail": {"kind": "linear", "c": 1}, "table": table}))
+    argv = ["barrier", "--shift", str(shift), "--potential", str(pot), "--max-letter", "4"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "peierls.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert sorted(payload["values"]) == ["0", "1", "2", "3", "4"]
+    assert payload["bounds"]["low_letter_cutoff"] == math.floor(-payload["m"])
+    assert payload["cutoff"]["letter"] == 0
+    assert "beyond the budget 4096" in payload["cutoff"]["error"]
+
+
 def test_barrier_countable_shift_requires_max_letter(renewal_files, capsys):
     shift, pot = renewal_files
     assert run(["barrier", "--shift", shift, "--potential", pot]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "--max-letter" in err
+
+
+TAIL = {"kind": "linear", "c": 1}
+
+
+@pytest.mark.parametrize(
+    "shift, pot, values, message",
+    [
+        ({"kind": "full", "alphabet_size": 2, "lambda": "x"}, None, None,
+         "lambda must be a number in (0, 1)"),
+        ({"kind": "renewal", "renewal": {"a": 2}}, None, None,
+         'renewal shifts need {"renewal": {"a": int, "b": int}}'),
+        ({"kind": "renewal", "renewal": {"a": 2.5, "b": 0}}, None, None,
+         "renewal parameters a, b must be integers"),
+        ({"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 0], [0]]}, None, None,
+         "edge entries must be [i, j] integer pairs, got [0]"),
+        (None, [], None, "potential document must be a JSON object"),
+        (None, {"depth": 1}, None, 'potentials need {"tail": {"kind": ..., "c": ...}}'),
+        (None, {"depth": 1, "tail": TAIL, "table": {}}, None,
+         "table must be a list of {word, value} entries"),
+        (None, {"depth": 1, "tail": TAIL, "table": [{"word": [0]}]}, None,
+         "table entries must be {word, value} objects, got {'word': [0]}"),
+        (None, {"depth": 1, "tail": TAIL, "table": [{"word": [0.5], "value": 1}]}, None,
+         "table word must be a list of integers, got [0.5]"),
+        (None, {"depth": 1, "tail": TAIL, "table": [{"word": [0], "value": "x"}]}, None,
+         "table value must be a number, got 'x'"),
+        (None, None, "0\n", "{values}:1: expected 'vertex_word,value'"),
+        (None, None, "0,1.0\n1,x\n", "{values}:2: bad value 'x'"),
+        (None, None, "\n\n", "{values}: no value rows found"),
+        (None, None, "a,1.0\n", "malformed vertex word 'a'"),
+    ],
+    ids=[
+        "lambda-not-a-number", "renewal-without-b", "renewal-not-integers", "edge-not-a-pair",
+        "potential-not-an-object", "no-tail", "table-not-a-list", "entry-malformed",
+        "word-not-integers", "value-not-a-number", "csv-line-without-comma", "csv-bad-value",
+        "csv-no-rows", "csv-malformed-word",
+    ],
+)
+def test_malformed_input_is_a_usage_error(gm_files, tmp_path, capsys, shift, pot, values, message):
+    shift_path, pot_path = gm_files
+    if shift is not None:
+        shift_path = str(tmp_path / "bad_shift.json")
+        Path(shift_path).write_text(json.dumps(shift))
+    if pot is not None:
+        pot_path = str(tmp_path / "bad_pot.json")
+        Path(pot_path).write_text(json.dumps(pot))
+    values_path = tmp_path / "values.csv"
+    values_path.write_text("0,0.0\n1,0.0\n" if values is None else values)
+    argv = ["subaction", "verify", "--shift", shift_path, "--potential", pot_path]
+    assert run(argv + ["--values", str(values_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message.replace('{values}', str(values_path))}\n"
 
 
 def test_missing_file_is_a_usage_error(gm_files, capsys):

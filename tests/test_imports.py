@@ -1,5 +1,6 @@
 """Each command imports only the layers it runs, and lazy names still resolve."""
 
+import ast
 import json
 import os
 import subprocess
@@ -95,10 +96,21 @@ def test_converge_loads_statistics_only_for_a_slope_fit(inputs, tmp_path, rule, 
     assert loaded == ({"statistics"} if fits_a_slope else set())
 
 
-def test_deferred_cli_names_resolve_on_a_fresh_import(tmp_path):
-    code = f"import peierls.cli\nfor name in {sorted(cli._DEFERRED)!r}: getattr(peierls.cli, name)"
+def _wrap_sites() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs perfbench/spans.py replaces, read from its source."""
+    tree = ast.parse((SRC.parent / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAP_SITES"]:
+            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/spans.py defines no WRAP_SITES")
+
+
+def test_every_traced_site_resolves_on_a_fresh_import(tmp_path):
+    # the benchmark's traced replay wraps these attributes; each must exist
+    sites = _wrap_sites()
+    code = f"import importlib\nfor m, a in {sites!r}: getattr(importlib.import_module(m), a)"
     loaded = _loaded_after(code, tmp_path)
-    assert {"peierls.barrier", "peierls.subaction", "peierls.truncation"} <= loaded
+    assert {module for module, _ in sites} <= loaded
 
 
 def test_every_public_name_resolves():

@@ -132,6 +132,8 @@ def test_coercive_bound_linear():
     assert coercive_letter_bound(pot, -5.5) == 5
     assert coercive_letter_bound(pot, 0.0) == 0
     assert coercive_letter_bound(pot, 3.0) == 0  # nothing qualifies, clamped
+    # past 2**52 the float tail cannot tell neighbours apart: floor(-t/c), no stepping
+    assert coercive_letter_bound(pot, -2e19) == 20000000000000000000
     halved = PotentialSpec(depth=1, tail_kind="linear", tail_scale=0.5)
     assert coercive_letter_bound(halved, -5.0) == 10
 

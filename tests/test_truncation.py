@@ -67,6 +67,23 @@ def test_stage_round_trips_through_the_cache(renewal_spec, renewal_pot):
     assert second.graph.is_optimized()
 
 
+def test_a_stage_differing_in_any_input_misses_the_cache(renewal_spec, renewal_pot):
+    variants = [
+        (renewal_spec, renewal_pot, 6),
+        (renewal_spec, renewal_pot, 7),
+        (renewal_spec._replace(metric_base=0.25), renewal_pot, 6),
+        (renewal_spec._replace(renewal_rule=(2, 1)), renewal_pot, 6),
+        (renewal_spec, renewal_pot._replace(tail_scale=2.0), 6),
+        (renewal_spec, renewal_pot._replace(table={(0,): -0.5}), 6),
+        (renewal_spec, renewal_pot._replace(table={(0,): 0.0, (1,): -0.5}), 6),
+    ]
+    for count, (spec, pot, requested) in enumerate(variants, start=1):
+        assert not build_stage(spec, pot, requested).from_cache
+        assert len(_cache_files()) == count
+    for spec, pot, requested in variants:
+        assert build_stage(spec, pot, requested).from_cache
+
+
 def test_cache_entry_holds_only_the_critical_structure(renewal_spec, renewal_pot):
     build_stage(renewal_spec, renewal_pot, 6)
     entry = _read_entry(_cache_entry_path())
