@@ -9,12 +9,12 @@ Exit codes: 0 on success, 1 when --assert is set and a verdict fails,
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from collections.abc import Mapping
 from importlib import import_module
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import _LAYERS, _OWNER
@@ -37,6 +37,8 @@ from .shift_space import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .truncation import Stage
 
 
@@ -108,7 +110,7 @@ def _load_values_csv(path: str) -> dict[Word, float]:
     return values
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: SimpleNamespace, text: str) -> None:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -119,18 +121,18 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args: argparse.Namespace, payload: dict) -> None:
+def _emit_json(args: SimpleNamespace, payload: dict) -> None:
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple[ShiftSpec, PotentialSpec]:
+def _load_inputs(args: SimpleNamespace) -> tuple[ShiftSpec, PotentialSpec]:
     spec = parse_shift_spec(_read_text(args.shift))
     pot = parse_potential(_read_text(args.potential))
     validate_table(pot, spec)
     return spec, pot
 
 
-def _finite_for(args: argparse.Namespace, spec: ShiftSpec) -> FiniteShift:
+def _finite_for(args: SimpleNamespace, spec: ShiftSpec) -> FiniteShift:
     if spec.kind in (KIND_EXPLICIT, KIND_FULL):
         bound = spec.max_letter() if args.max_letter is None else args.max_letter
         return truncate(spec, bound)
@@ -140,14 +142,14 @@ def _finite_for(args: argparse.Namespace, spec: ShiftSpec) -> FiniteShift:
 
 
 def _optimized_graph(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
 ) -> tuple[ShiftSpec, PotentialSpec, WeightedMemoryGraph]:
     spec, pot = _load_inputs(args)
     finite = _finite_for(args, spec)
     return spec, pot, optimize(build_memory_graph(finite, pot), args.tol)
 
 
-def _cmd_shift_check(args: argparse.Namespace) -> int:
+def _cmd_shift_check(args: SimpleNamespace) -> int:
     spec = parse_shift_spec(_read_text(args.shift))
     transitive = None
     if spec.kind in (KIND_EXPLICIT, KIND_FULL):
@@ -165,7 +167,7 @@ def _cmd_shift_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _cmd_optimize(args: SimpleNamespace) -> int:
     _, _, graph = _optimized_graph(args)
     _emit_json(
         args,
@@ -179,7 +181,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_barrier(args: argparse.Namespace) -> int:
+def _cmd_barrier(args: SimpleNamespace) -> int:
     _load("barrier")
     spec, pot, graph = _optimized_graph(args)
     result = compute_barrier(graph, args.tol)
@@ -208,7 +210,7 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_subaction_verify(args: argparse.Namespace) -> int:
+def _cmd_subaction_verify(args: SimpleNamespace) -> int:
     _load("subaction")
     _, _, graph = _optimized_graph(args)
     values = _load_values_csv(args.values)
@@ -234,7 +236,7 @@ def _cmd_subaction_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_subaction_compare(args: argparse.Namespace) -> int:
+def _cmd_subaction_compare(args: SimpleNamespace) -> int:
     _load("subaction")
     _, _, graph = _optimized_graph(args)
     first = _load_values_csv(args.values)
@@ -259,7 +261,7 @@ def _stage_summary(stage: Stage) -> dict:
     }
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
+def _cmd_converge(args: SimpleNamespace) -> int:
     _load("truncation")
     spec, pot = _load_inputs(args)
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
@@ -297,7 +299,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo_renewal(args: argparse.Namespace) -> int:
+def _cmd_demo_renewal(args: SimpleNamespace) -> int:
     _load("truncation")
     spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
     pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
@@ -340,81 +342,112 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
+class _Option:
+    """One long flag; ``kind`` is a converter or argparse's "store_true"/"store_false"."""
+
+    def __init__(self, flag, dest, kind=str, default=None, required=False, help=None, choices=None):
+        self.flag, self.dest, self.kind, self.default = flag, dest, kind, default
+        self.required, self.help, self.choices = required, help, choices
+
+
+_SHIFT = _Option("--shift", "shift", required=True, help="shift spec JSON file")
+_TOL = _Option("--tol", "tol", float, DEFAULT_TOL)
+_OUT = _Option("--out", "out", help="write the report here instead of stdout")
+_IO = (_SHIFT, _Option("--potential", "potential", required=True, help="potential JSON file"))
+_IO += (_Option("--max-letter", "max_letter", int), _TOL, _OUT)
+_FORMAT = _Option("--format", "format", default="json", choices=("json", "csv"))
+_ASSERT = _Option("--assert", "assert_verdict", "store_true", False)
+_NO_CACHE = _Option("--no-cache", "use_cache", "store_false", True)
+_SUBACTION_HELP = "verify or compare subaction tables"
+
+# The command line, one entry per command path: (path, handler, help of each path word,
+# options in usage order).  ``_read`` parses it, ``_build_parser`` builds argparse from it.
+_COMMANDS = (
+    (("shift", "check"), _cmd_shift_check,
+     ("inspect a shift spec", "entry/exit boundedness and transitivity"),
+     (_SHIFT, _OUT, _Option("--horizon", "horizon", int, 100))),
+    (("optimize",), _cmd_optimize, ("maximum cycle mean and critical cycle",), _IO),
+    (("barrier",), _cmd_barrier, ("barrier values from the base vertex",), _IO + (_FORMAT,)),
+    (("subaction", "verify"), _cmd_subaction_verify, (_SUBACTION_HELP, "check a values CSV"),
+     _IO + (_Option("--values", "values", required=True, help="CSV of vertex_word,value"),
+            _ASSERT)),
+    (("subaction", "compare"), _cmd_subaction_compare, (_SUBACTION_HELP, "compare two values CSVs"),
+     _IO + (_Option("--values", "values", required=True),
+            _Option("--values-b", "values_b", required=True), _ASSERT)),
+    (("converge",), _cmd_converge, ("truncation family experiments",), _IO + (
+        _Option("--stages", "stages", _int_list, required=True),
+        _Option("--letters", "letters", _int_list, ()),
+        _Option("--scan-to", "scan_to", int), _NO_CACHE, _FORMAT, _ASSERT)),
+    (("demo", "renewal"), _cmd_demo_renewal,
+     ("worked examples end to end", "renewal shift divergence study"),
+     (_Option("--a", "a", int, 2), _Option("--b", "b", int, 0),
+      _Option("--stages", "stages", _int_list, (6, 12, 24)),
+      _Option("--scan-to", "scan_to", int, 23), _TOL, _NO_CACHE, _Option("--out", "out"))),
+)
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a command path followed by its own long flags, each at most
+    once and with a value that does not start with ``-`` and converts; else None."""
+    entry = next((e for e in _COMMANDS if tuple(argv[: len(e[0])]) == e[0]), None)
+    if entry is None:
+        return None
+    path, handler, _, options = entry
+    by_flag = {option.flag: option for option in options}
+    args = {option.dest: option.default for option in options}
+    tokens = iter(argv[len(path) :])
+    for flag in tokens:
+        option = by_flag.pop(flag, None)
+        if option is None:
+            return None
+        if isinstance(option.kind, str):
+            args[option.dest] = option.kind == "store_true"
+            continue
+        value = next(tokens, "-")  # a flag without its value declines here
+        if value.startswith("-"):
+            return None
+        try:
+            args[option.dest] = value = option.kind(value)
+        except Exception:  # ValueError, or _int_list's ArgumentTypeError
+            return None
+        if option.choices and value not in option.choices:
+            return None
+    if any(option.required for option in by_flag.values()):
+        return None
+    return SimpleNamespace(handler=handler, **args)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="peierls",
-        description="maximizing cycles, barriers and subactions on Markov shifts",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The argparse tree of ``_COMMANDS``, for help text and usage errors."""
+    import argparse
 
-    def add_io(p: argparse.ArgumentParser, potential: bool = True) -> None:
-        p.add_argument("--shift", required=True, help="shift spec JSON file")
-        if potential:
-            p.add_argument("--potential", required=True, help="potential JSON file")
-            p.add_argument("--max-letter", type=int, default=None)
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    shift = sub.add_parser("shift", help="inspect a shift spec")
-    shift_sub = shift.add_subparsers(dest="action", required=True)
-    check = shift_sub.add_parser("check", help="entry/exit boundedness and transitivity")
-    add_io(check, potential=False)
-    check.add_argument("--horizon", type=int, default=100)
-    check.set_defaults(handler=_cmd_shift_check)
-
-    optimize_p = sub.add_parser("optimize", help="maximum cycle mean and critical cycle")
-    add_io(optimize_p)
-    optimize_p.set_defaults(handler=_cmd_optimize)
-
-    barrier_p = sub.add_parser("barrier", help="barrier values from the base vertex")
-    add_io(barrier_p)
-    barrier_p.add_argument("--format", choices=("json", "csv"), default="json")
-    barrier_p.set_defaults(handler=_cmd_barrier)
-
-    subaction_p = sub.add_parser("subaction", help="verify or compare subaction tables")
-    subaction_sub = subaction_p.add_subparsers(dest="action", required=True)
-    verify = subaction_sub.add_parser("verify", help="check a values CSV")
-    add_io(verify)
-    verify.add_argument("--values", required=True, help="CSV of vertex_word,value")
-    verify.add_argument("--assert", dest="assert_verdict", action="store_true")
-    verify.set_defaults(handler=_cmd_subaction_verify)
-    compare = subaction_sub.add_parser("compare", help="compare two values CSVs")
-    add_io(compare)
-    compare.add_argument("--values", required=True)
-    compare.add_argument("--values-b", required=True)
-    compare.add_argument("--assert", dest="assert_verdict", action="store_true")
-    compare.set_defaults(handler=_cmd_subaction_compare)
-
-    converge_p = sub.add_parser("converge", help="truncation family experiments")
-    add_io(converge_p)
-    converge_p.add_argument("--stages", type=_int_list, required=True)
-    converge_p.add_argument("--letters", type=_int_list, default=())
-    converge_p.add_argument("--scan-to", type=int, default=None)
-    converge_p.add_argument("--no-cache", dest="use_cache", action="store_false")
-    converge_p.add_argument("--format", choices=("json", "csv"), default="json")
-    converge_p.add_argument("--assert", dest="assert_verdict", action="store_true")
-    converge_p.set_defaults(handler=_cmd_converge)
-
-    demo = sub.add_parser("demo", help="worked examples end to end")
-    demo_sub = demo.add_subparsers(dest="action", required=True)
-    renewal = demo_sub.add_parser("renewal", help="renewal shift divergence study")
-    renewal.add_argument("--a", type=int, default=2)
-    renewal.add_argument("--b", type=int, default=0)
-    renewal.add_argument("--stages", type=_int_list, default=(6, 12, 24))
-    renewal.add_argument("--scan-to", type=int, default=23)
-    renewal.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    renewal.add_argument("--no-cache", dest="use_cache", action="store_false")
-    renewal.add_argument("--out", default=None)
-    renewal.set_defaults(handler=_cmd_demo_renewal)
-
+    description = "maximizing cycles, barriers and subactions on Markov shifts"
+    parser = argparse.ArgumentParser(prog="peierls", description=description)
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, handler, helps, options in _COMMANDS:
+        if path[:-1] not in subparsers:
+            node = subparsers[()].add_parser(path[0], help=helps[0])
+            subparsers[path[:-1]] = node.add_subparsers(dest="action", required=True)
+        command = subparsers[path[:-1]].add_parser(path[-1], help=helps[-1])
+        for o in options:
+            extra = {"action": o.kind} if isinstance(o.kind, str) else {"type": o.kind}
+            if o.choices:
+                extra["choices"] = o.choices
+            command.add_argument(
+                o.flag, dest=o.dest, default=o.default, required=o.required, help=o.help, **extra
+            )
+        command.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

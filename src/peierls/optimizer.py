@@ -139,6 +139,8 @@ def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemor
 
 def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
     """``tol``, raised to the float rounding of a |V|-edge walk sum when weights are large."""
+    if not 0 <= tol < math.inf:
+        raise GraphError(f"tolerance must be finite and nonnegative, got {tol!r}")
     scale = max((abs(w) for w in graph.weights.values()), default=0.0)
     return max(tol, 4 * len(graph.vertices) * sys.float_info.epsilon * scale)
 

@@ -7,14 +7,28 @@ seeded random graph generator.  Exponential blowup is acceptable at the
 sizes used in the suite (graphs of at most 8 vertices).  Larger graphs
 are checked against two polynomial references instead: Karp's maximum
 cycle mean and Floyd-Warshall's all-pairs longest reduced paths.
+``oracle_parser`` is the command line's argparse tree written out call by
+call, as ``cli`` built it before the grammar became one table.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 
 from peierls import TransitivityError, TruncationError, transitive_core, truncate
+from peierls.cli import (
+    _cmd_barrier,
+    _cmd_converge,
+    _cmd_demo_renewal,
+    _cmd_optimize,
+    _cmd_shift_check,
+    _cmd_subaction_compare,
+    _cmd_subaction_verify,
+    _int_list,
+)
+from peierls.optimizer import DEFAULT_TOL
 
 
 def successors(weights):
@@ -250,3 +264,73 @@ def random_graph(rng: random.Random, n: int, extra_p: float = 0.3):
             if (i, j) not in weights and rng.random() < extra_p:
                 weights[(i, j)] = rng.randint(-10, 10)
     return weights
+
+
+def oracle_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="peierls",
+        description="maximizing cycles, barriers and subactions on Markov shifts",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_io(p: argparse.ArgumentParser, potential: bool = True) -> None:
+        p.add_argument("--shift", required=True, help="shift spec JSON file")
+        if potential:
+            p.add_argument("--potential", required=True, help="potential JSON file")
+            p.add_argument("--max-letter", type=int, default=None)
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+
+    shift = sub.add_parser("shift", help="inspect a shift spec")
+    shift_sub = shift.add_subparsers(dest="action", required=True)
+    check = shift_sub.add_parser("check", help="entry/exit boundedness and transitivity")
+    add_io(check, potential=False)
+    check.add_argument("--horizon", type=int, default=100)
+    check.set_defaults(handler=_cmd_shift_check)
+
+    optimize_p = sub.add_parser("optimize", help="maximum cycle mean and critical cycle")
+    add_io(optimize_p)
+    optimize_p.set_defaults(handler=_cmd_optimize)
+
+    barrier_p = sub.add_parser("barrier", help="barrier values from the base vertex")
+    add_io(barrier_p)
+    barrier_p.add_argument("--format", choices=("json", "csv"), default="json")
+    barrier_p.set_defaults(handler=_cmd_barrier)
+
+    subaction_p = sub.add_parser("subaction", help="verify or compare subaction tables")
+    subaction_sub = subaction_p.add_subparsers(dest="action", required=True)
+    verify = subaction_sub.add_parser("verify", help="check a values CSV")
+    add_io(verify)
+    verify.add_argument("--values", required=True, help="CSV of vertex_word,value")
+    verify.add_argument("--assert", dest="assert_verdict", action="store_true")
+    verify.set_defaults(handler=_cmd_subaction_verify)
+    compare = subaction_sub.add_parser("compare", help="compare two values CSVs")
+    add_io(compare)
+    compare.add_argument("--values", required=True)
+    compare.add_argument("--values-b", required=True)
+    compare.add_argument("--assert", dest="assert_verdict", action="store_true")
+    compare.set_defaults(handler=_cmd_subaction_compare)
+
+    converge_p = sub.add_parser("converge", help="truncation family experiments")
+    add_io(converge_p)
+    converge_p.add_argument("--stages", type=_int_list, required=True)
+    converge_p.add_argument("--letters", type=_int_list, default=())
+    converge_p.add_argument("--scan-to", type=int, default=None)
+    converge_p.add_argument("--no-cache", dest="use_cache", action="store_false")
+    converge_p.add_argument("--format", choices=("json", "csv"), default="json")
+    converge_p.add_argument("--assert", dest="assert_verdict", action="store_true")
+    converge_p.set_defaults(handler=_cmd_converge)
+
+    demo = sub.add_parser("demo", help="worked examples end to end")
+    demo_sub = demo.add_subparsers(dest="action", required=True)
+    renewal = demo_sub.add_parser("renewal", help="renewal shift divergence study")
+    renewal.add_argument("--a", type=int, default=2)
+    renewal.add_argument("--b", type=int, default=0)
+    renewal.add_argument("--stages", type=_int_list, default=(6, 12, 24))
+    renewal.add_argument("--scan-to", type=int, default=23)
+    renewal.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    renewal.add_argument("--no-cache", dest="use_cache", action="store_false")
+    renewal.add_argument("--out", default=None)
+    renewal.set_defaults(handler=_cmd_demo_renewal)
+
+    return parser

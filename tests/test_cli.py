@@ -244,6 +244,21 @@ def test_malformed_input_is_a_usage_error(gm_files, tmp_path, capsys, shift, pot
     assert err == f"error: {message.replace('{values}', str(values_path))}\n"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_a_usage_error(tmp_path, capsys, tol):
+    # with --tol inf the parent printed m = -5.0 on [[0]]; the maximum is -8/3 on [[0],[2],[1]]
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(json.dumps({"kind": "renewal", "renewal": {"a": 1, "b": 1}}))
+    pot.write_text(json.dumps({"depth": 1, "tail": TAIL, "table": [{"word": [0], "value": -5}]}))
+    argv = ["optimize", "--shift", str(shift), "--potential", str(pot), "--max-letter", "3"]
+    assert run(argv + ["--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: tolerance must be finite and nonnegative, got {float(tol)!r}\n"
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["cycle"] == [[0], [2], [1]]
+
+
 def test_missing_file_is_a_usage_error(gm_files, capsys):
     _, pot = gm_files
     assert run(["optimize", "--shift", "/nonexistent.json", "--potential", pot]) == 2

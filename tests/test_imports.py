@@ -78,10 +78,11 @@ def test_each_command_loads_only_its_layers(inputs, tmp_path, command, layers):
     "command", [["optimize", "--max-letter", "6"], BARRIER, VERIFY, COMPARE, CONVERGE, DEMO]
 )
 def test_no_command_loads_dataclasses_or_inspect(inputs, tmp_path, command):
-    # records are NamedTuples: dataclasses (and the inspect it pulls in) cost ~20 ms a run
+    # records are NamedTuples: dataclasses (and the inspect it pulls in) cost ~20 ms a run;
+    # a well-formed line needs no argparse, nor the gettext and locale its first parser loads
     argv = command + (inputs if command is not DEMO else []) + ["--out", "report.out"]
     code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
-    for root in ("dataclasses", "inspect"):
+    for root in ("dataclasses", "inspect", "argparse", "gettext", "locale"):
         assert _loaded_after(code, tmp_path, root=root) == set()
 
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,11 @@ from peierls import (
     GraphError,
     PositiveCycleError,
     PotentialSpec,
+    ShiftSpec,
     birkhoff_sum,
     build_memory_graph,
+    compute_barrier,
+    covering_core,
     graph_from_weights,
     max_mean_cycle,
     optimize,
@@ -183,6 +187,21 @@ def test_positive_cycle_guard_trips():
     optimize(g)
     with pytest.raises(PositiveCycleError):
         _longest_walk(g, {0: 0.0}, 0.0, 1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(tol):
+    # renewal (1,1), table value -5 at letters 0..3: m = -8/3 on [0, 2, 1]; with
+    # tol = inf every edge looked tight and optimize reported m = -5 on [0]
+    spec = ShiftSpec(kind="renewal", renewal_rule=(1, 1))
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): -5.0})
+    graph = build_memory_graph(covering_core(spec, range(4)), pot)
+    assert optimize(graph).critical_cycle == ((0,), (2,), (1,))
+    with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
+        optimize(graph, tol)
+    with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
+        compute_barrier(optimize(graph), tol)
+    assert optimize(graph, 0.0).max_mean == pytest.approx(-8 / 3)
 
 
 def test_birkhoff_sum_and_missing_edge(gm_graph):
