@@ -347,47 +347,40 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
-class _Option:
-    """One long flag; ``kind`` is a converter or argparse's "store_true"/"store_false"."""
+# Each option is a long flag and argparse's own ``add_argument`` keywords for it.
+_SHIFT = ("--shift", dict(required=True, help="shift spec JSON file"))
+_TOL = ("--tol", dict(type=float, default=DEFAULT_TOL))
+_OUT = ("--out", dict(default=None, help="write the report here instead of stdout"))
+_IO = (_SHIFT, ("--potential", dict(required=True, help="potential JSON file")))
+_IO += (("--max-letter", dict(type=int, default=None)), _TOL, _OUT)
+_FORMAT = ("--format", dict(choices=("json", "csv"), default="json"))
+_ASSERT = ("--assert", dict(dest="assert_verdict", action="store_true", default=False))
+_NO_CACHE = ("--no-cache", dict(dest="use_cache", action="store_false", default=True))
+_GROUP_HELP = {
+    "shift": "inspect a shift spec",
+    "subaction": "verify or compare subaction tables",
+    "demo": "worked examples end to end",
+}
 
-    def __init__(self, flag, dest, kind=str, default=None, required=False, help=None, choices=None):
-        self.flag, self.dest, self.kind, self.default = flag, dest, kind, default
-        self.required, self.help, self.choices = required, help, choices
-
-
-_SHIFT = _Option("--shift", "shift", required=True, help="shift spec JSON file")
-_TOL = _Option("--tol", "tol", float, DEFAULT_TOL)
-_OUT = _Option("--out", "out", help="write the report here instead of stdout")
-_IO = (_SHIFT, _Option("--potential", "potential", required=True, help="potential JSON file"))
-_IO += (_Option("--max-letter", "max_letter", int), _TOL, _OUT)
-_FORMAT = _Option("--format", "format", default="json", choices=("json", "csv"))
-_ASSERT = _Option("--assert", "assert_verdict", "store_true", False)
-_NO_CACHE = _Option("--no-cache", "use_cache", "store_false", True)
-_SUBACTION_HELP = "verify or compare subaction tables"
-
-# The command line, one entry per command path: (path, handler, help of each path word,
-# options in usage order).  ``_read`` parses it, ``_build_parser`` builds argparse from it.
+# The command line, one entry per command path: (path, handler, help, options in usage
+# order).  ``_read`` parses it, ``_build_parser`` builds argparse from it.
 _COMMANDS = (
-    (("shift", "check"), _cmd_shift_check,
-     ("inspect a shift spec", "entry/exit boundedness and transitivity"),
-     (_SHIFT, _OUT, _Option("--horizon", "horizon", int, 100))),
-    (("optimize",), _cmd_optimize, ("maximum cycle mean and critical cycle",), _IO),
-    (("barrier",), _cmd_barrier, ("barrier values from the base vertex",), _IO + (_FORMAT,)),
-    (("subaction", "verify"), _cmd_subaction_verify, (_SUBACTION_HELP, "check a values CSV"),
-     _IO + (_Option("--values", "values", required=True, help="CSV of vertex_word,value"),
-            _ASSERT)),
-    (("subaction", "compare"), _cmd_subaction_compare, (_SUBACTION_HELP, "compare two values CSVs"),
-     _IO + (_Option("--values", "values", required=True),
-            _Option("--values-b", "values_b", required=True), _ASSERT)),
-    (("converge",), _cmd_converge, ("truncation family experiments",), _IO + (
-        _Option("--stages", "stages", _int_list, required=True),
-        _Option("--letters", "letters", _int_list, ()),
-        _Option("--scan-to", "scan_to", int), _NO_CACHE, _FORMAT, _ASSERT)),
-    (("demo", "renewal"), _cmd_demo_renewal,
-     ("worked examples end to end", "renewal shift divergence study"),
-     (_Option("--a", "a", int, 2), _Option("--b", "b", int, 0),
-      _Option("--stages", "stages", _int_list, (6, 12, 24)),
-      _Option("--scan-to", "scan_to", int, 23), _TOL, _NO_CACHE, _Option("--out", "out"))),
+    (("shift", "check"), _cmd_shift_check, "entry/exit boundedness and transitivity",
+     (_SHIFT, _OUT, ("--horizon", dict(type=int, default=100)))),
+    (("optimize",), _cmd_optimize, "maximum cycle mean and critical cycle", _IO),
+    (("barrier",), _cmd_barrier, "barrier values from the base vertex", _IO + (_FORMAT,)),
+    (("subaction", "verify"), _cmd_subaction_verify, "check a values CSV",
+     _IO + (("--values", dict(required=True, help="CSV of vertex_word,value")), _ASSERT)),
+    (("subaction", "compare"), _cmd_subaction_compare, "compare two values CSVs",
+     _IO + (("--values", dict(required=True)), ("--values-b", dict(required=True)), _ASSERT)),
+    (("converge",), _cmd_converge, "truncation family experiments", _IO + (
+        ("--stages", dict(type=_int_list, required=True)),
+        ("--letters", dict(type=_int_list, default=())),
+        ("--scan-to", dict(type=int, default=None)), _NO_CACHE, _FORMAT, _ASSERT)),
+    (("demo", "renewal"), _cmd_demo_renewal, "renewal shift divergence study",
+     (("--a", dict(type=int, default=2)), ("--b", dict(type=int, default=0)),
+      ("--stages", dict(type=_int_list, default=(6, 12, 24))),
+      ("--scan-to", dict(type=int, default=23)), _TOL, _NO_CACHE, ("--out", dict(default=None)))),
 )
 
 
@@ -398,26 +391,27 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     if entry is None:
         return None
     path, handler, _, options = entry
-    by_flag = {option.flag: option for option in options}
-    args = {option.dest: option.default for option in options}
+    # argparse's dest of a long flag: its name with "-" read as "_"
+    by_flag = {flag: (kw.get("dest", flag[2:].replace("-", "_")), kw) for flag, kw in options}
+    args = {dest: kw.get("default") for dest, kw in by_flag.values()}
     tokens = iter(argv[len(path) :])
     for flag in tokens:
-        option = by_flag.pop(flag, None)
-        if option is None:
+        dest, kw = by_flag.pop(flag, (None, None))
+        if kw is None:
             return None
-        if isinstance(option.kind, str):
-            args[option.dest] = option.kind == "store_true"
+        if "action" in kw:
+            args[dest] = kw["action"] == "store_true"
             continue
         value = next(tokens, "-")  # a flag without its value declines here
         if value.startswith("-"):
             return None
         try:
-            args[option.dest] = value = option.kind(value)
+            args[dest] = value = kw.get("type", str)(value)
         except Exception:  # ValueError, or _int_list's ArgumentTypeError
             return None
-        if option.choices and value not in option.choices:
+        if value not in kw.get("choices", (value,)):
             return None
-    if any(option.required for option in by_flag.values()):
+    if any(kw.get("required") for _, kw in by_flag.values()):
         return None
     return SimpleNamespace(handler=handler, **args)
 
@@ -429,18 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
     description = "maximizing cycles, barriers and subactions on Markov shifts"
     parser = argparse.ArgumentParser(prog="peierls", description=description)
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
-    for path, handler, helps, options in _COMMANDS:
+    for path, handler, leaf_help, options in _COMMANDS:
         if path[:-1] not in subparsers:
-            node = subparsers[()].add_parser(path[0], help=helps[0])
+            node = subparsers[()].add_parser(path[0], help=_GROUP_HELP[path[0]])
             subparsers[path[:-1]] = node.add_subparsers(dest="action", required=True)
-        command = subparsers[path[:-1]].add_parser(path[-1], help=helps[-1])
-        for o in options:
-            extra = {"action": o.kind} if isinstance(o.kind, str) else {"type": o.kind}
-            if o.choices:
-                extra["choices"] = o.choices
-            command.add_argument(
-                o.flag, dest=o.dest, default=o.default, required=o.required, help=o.help, **extra
-            )
+        command = subparsers[path[:-1]].add_parser(path[-1], help=leaf_help)
+        for flag, kw in options:
+            command.add_argument(flag, **kw)
         command.set_defaults(handler=handler)
     return parser
 

@@ -3,10 +3,10 @@
 ``test_cli_golden`` calls ``run`` in-process; these cases start
 ``python -m peierls.cli`` so that ``main`` and the interpreter's exit are
 part of what is checked: the same golden stdout, the same ``--out`` files
-and the documented exit codes.
+and the documented exit codes.  One case runs ``run`` in a ``python -c`` child
+instead, to read the freeze count before anything of peierls is imported.
 """
 
-import gc
 import os
 import subprocess
 import sys
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from peierls.cli import run
 from test_cli_golden import CASES, GOLDEN, INPUTS, RENEWAL
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -22,11 +21,21 @@ ENTRY_CASE_NAMES = {"barrier_json", "barrier_csv", "subaction_verify", "converge
 ENTRY_CASES = [c for c in CASES if c[0] in ENTRY_CASE_NAMES]
 
 
-def _peierls(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+UNFROZEN_RUN = (
+    "-c",
+    "import gc, sys; frozen = gc.get_freeze_count(); from peierls.cli import run; "
+    "code = run(sys.argv[1:]); assert gc.get_freeze_count() == frozen, gc.get_freeze_count(); "
+    "sys.exit(code)",
+)
+
+
+def _peierls(
+    argv: list[str], cwd: Path, entry: tuple[str, ...] = ("-m", "peierls.cli")
+) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PEIERLS_CACHE_DIR=str(cwd))
     return subprocess.run(
-        [sys.executable, "-m", "peierls.cli", *argv],
+        [sys.executable, *entry, *argv],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -90,11 +99,10 @@ def test_entry_point_reports_a_bad_value_through_argparse(workdir):
     )
 
 
-def test_run_leaves_the_caller_unfrozen(workdir, monkeypatch, capsys):
-    # only main freezes the heap, just before the interpreter exits; Python 3.12 starts
-    # with a nonzero freeze count, so the count must only stay where it was
-    monkeypatch.chdir(workdir)
-    frozen = gc.get_freeze_count()
-    assert run(["barrier", *RENEWAL, "--max-letter", "6"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "barrier_json.out").read_text(encoding="utf-8")
-    assert gc.get_freeze_count() == frozen
+def test_run_leaves_the_caller_unfrozen(workdir):
+    # only main freezes the heap, just before the interpreter exits; the child reads its
+    # freeze count before importing peierls (some Pythons start with frozen objects), so
+    # a gc.freeze() at import time or inside run fails the check
+    done = _peierls(["barrier", *RENEWAL, "--max-letter", "6"], workdir, entry=UNFROZEN_RUN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "barrier_json.out").read_text(encoding="utf-8")
