@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .digraph import bfs_distances
 from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk
@@ -114,9 +114,9 @@ def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> Bar
 
 
 def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> UpperBoundReport:
-    finite, pot, m = graph.shift, graph.pot, graph.max_mean
+    pot, m = graph.pot, graph.max_mean
     ambient = ambient_total_variation(pot)
-    per_letter = _letter_ceilings(graph, finite, pot, finite.letters, ambient)
+    per_letter = _letter_ceilings(graph, ambient)
 
     cycle = graph.critical_cycle
     lap = 0.0
@@ -170,14 +170,8 @@ def barrier_length_profile(
     return tuple(profile)
 
 
-def _letter_ceilings(
-    graph: WeightedMemoryGraph,
-    finite: FiniteShift,
-    pot: PotentialSpec,
-    letters: Iterable[int],
-    ambient: float,
-) -> dict[int, float]:
-    """Ceiling on barrier values at vertices starting with each of ``letters``.
+def _letter_ceilings(graph: WeightedMemoryGraph, ambient: float) -> dict[int, float]:
+    """Ceiling on barrier values at vertices starting with each letter of the graph's shift.
 
     Any walk from the base to such a vertex can be closed into a periodic
     word through a shortest connecting word back to the base letter; the
@@ -188,6 +182,7 @@ def _letter_ceilings(
     goes on as that letter's word, so its cheapest letter value is a running
     minimum in order of distance.
     """
+    finite, pot = graph.shift, graph.pot
     base = graph.critical_cycle[0][0]
     dist = bfs_distances(base, finite.pred) if base in finite.pred else {}
     low = {a: inf_bound_on_letter(pot, a) for a in dist}
@@ -199,7 +194,7 @@ def _letter_ceilings(
             exits[a] = step + 1, min(t for t in finite.succ[a] if dist.get(t) == step)
         floor[a] = low[a] if a == base else min(low[a], floor[exits[a][1]])
     ceilings = {}
-    for a in letters:
+    for a in finite.letters:
         if a not in exits:
             connecting_word(finite, a, base)  # raises the connector's own error
         length, nxt = exits[a]

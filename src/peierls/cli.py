@@ -21,8 +21,6 @@ from . import _LAYERS, _OWNER
 from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
 from .potential import PotentialSpec, TAIL_LINEAR, parse_potential, validate_table
 from .shift_space import (
-    KIND_EXPLICIT,
-    KIND_FULL,
     KIND_RENEWAL,
     FiniteShift,
     ShiftSpec,
@@ -122,7 +120,7 @@ def _emit(args: SimpleNamespace, text: str) -> None:
 
 
 def _emit_json(args: SimpleNamespace, payload: dict) -> None:
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, indent=2) + "\n")
 
 
 def _load_inputs(args: SimpleNamespace) -> tuple[ShiftSpec, PotentialSpec]:
@@ -133,7 +131,7 @@ def _load_inputs(args: SimpleNamespace) -> tuple[ShiftSpec, PotentialSpec]:
 
 
 def _finite_for(args: SimpleNamespace, spec: ShiftSpec) -> FiniteShift:
-    if spec.kind in (KIND_EXPLICIT, KIND_FULL):
+    if spec.max_letter() is not None:
         bound = spec.max_letter() if args.max_letter is None else args.max_letter
         return truncate(spec, bound)
     if args.max_letter is None:
@@ -152,12 +150,11 @@ def _optimized_graph(
 def _cmd_shift_check(args: SimpleNamespace) -> int:
     spec = parse_shift_spec(_read_text(args.shift))
     transitive = None
-    if spec.kind in (KIND_EXPLICIT, KIND_FULL):
+    if spec.max_letter() is not None:
         transitive = is_transitive(truncate(spec, spec.max_letter()))
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "kind": spec.kind,
             "bp": _plain(check_bp(spec, args.horizon)),
             "bi": _plain(check_bi(spec, args.horizon)),
@@ -172,7 +169,6 @@ def _cmd_optimize(args: SimpleNamespace) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "m": graph.max_mean,
             "cycle": [list(v) for v in graph.critical_cycle],
             "critical_class_unique": graph.critical_class_unique,
@@ -199,7 +195,6 @@ def _cmd_barrier(args: SimpleNamespace) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "m": result.max_mean,
             "base": list(result.base_vertex),
             "values": {_word_key(v): x for v, x in result.values.items()},
@@ -218,7 +213,6 @@ def _cmd_subaction_verify(args: SimpleNamespace) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "is_subaction": report.is_subaction,
             "worst_violation": report.worst_violation,
             "is_calibrated": report.is_calibrated,
@@ -242,7 +236,7 @@ def _cmd_subaction_compare(args: SimpleNamespace) -> int:
     first = _load_values_csv(args.values)
     second = _load_values_csv(args.values_b)
     report = uniqueness_comparison(graph, first, second, args.tol)
-    payload = {"schema": SCHEMA, **_plain(report)}
+    payload = _plain(report)
     payload.update(payload.pop("comparison"))
     _emit_json(args, payload)
     if args.assert_verdict and not report.comparison.is_constant_diff:
@@ -283,7 +277,6 @@ def _cmd_converge(args: SimpleNamespace) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "stages": [_stage_summary(s) for s in family.stages],
             "base_stable": family.base_stable,
             "cycle_stable": family.cycle_stable,
@@ -314,7 +307,6 @@ def _cmd_demo_renewal(args: SimpleNamespace) -> int:
     _emit_json(
         args,
         {
-            "schema": SCHEMA,
             "renewal": {"a": args.a, "b": args.b},
             "stages": [_stage_summary(s) for s in family.stages],
             "m": family.stages[-1].graph.max_mean,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .digraph import least_word, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
@@ -92,21 +92,29 @@ class WeightedMemoryGraph(NamedTuple):
         )
 
 
+def _adjacency(
+    verts: Sequence[Vertex], edges: Iterable[Edge]
+) -> tuple[dict[Vertex, tuple[Vertex, ...]], dict[Vertex, tuple[Vertex, ...]]]:
+    """Successors in edge order and sorted predecessors of every vertex."""
+    succ: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
+    pred: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
+    for u, v in edges:
+        succ[u].append(v)
+        pred[v].append(u)
+    return {v: tuple(s) for v, s in succ.items()}, {v: tuple(sorted(p)) for v, p in pred.items()}
+
+
 def graph_from_weights(weights: Mapping[Edge, float]) -> WeightedMemoryGraph:
     """Assemble a graph from an explicit edge-weight map (test entry point)."""
     if not weights:
         raise GraphError("graph needs at least one edge")
-    verts = sorted({u for u, _ in weights} | {v for _, v in weights})
-    succ: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
-    pred: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
-    for u, v in sorted(weights):
-        succ[u].append(v)
-        pred[v].append(u)
+    verts = tuple(sorted({u for u, _ in weights} | {v for _, v in weights}))
+    succ, pred = _adjacency(verts, sorted(weights))
     return WeightedMemoryGraph(
-        vertices=tuple(verts),
+        vertices=verts,
         weights={e: float(w) for e, w in weights.items()},
-        succ={v: tuple(s) for v, s in succ.items()},
-        pred={v: tuple(p) for v, p in pred.items()},
+        succ=succ,
+        pred=pred,
     )
 
 
@@ -118,31 +126,33 @@ def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemor
     if not verts:
         raise GraphError("the truncation admits no words of the memory length")
     weights: dict[Edge, float] = {}
-    succ: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
-    pred: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
     for u in verts:
         for letter in finite.succ[u[-1]]:
             v = u[1:] + (letter,) if k >= 2 else (letter,)
             weights[(u, v)] = evaluate(pot, u + (letter,))
-            succ[u].append(v)
-            pred[v].append(u)
+    succ, pred = _adjacency(verts, weights)
     return WeightedMemoryGraph(
         vertices=verts,
         weights=weights,
-        succ={v: tuple(s) for v, s in succ.items()},
-        pred={v: tuple(sorted(p)) for v, p in pred.items()},
+        succ=succ,
+        pred=pred,
         depth=k,
         shift=finite,
         pot=pot,
     )
 
 
-def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
-    """``tol``, raised to the float rounding of a |V|-edge walk sum when weights are large."""
+def _checked_tol(tol: float) -> float:
+    """``tol`` itself, once it is a finite nonnegative number."""
     if not 0 <= tol < math.inf:
         raise GraphError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
+    """``tol``, raised to the float rounding of a |V|-edge walk sum when weights are large."""
     scale = max((abs(w) for w in graph.weights.values()), default=0.0)
-    return max(tol, 4 * len(graph.vertices) * sys.float_info.epsilon * scale)
+    return max(_checked_tol(tol), 4 * len(graph.vertices) * sys.float_info.epsilon * scale)
 
 
 def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex, float]]:

@@ -154,28 +154,30 @@ def admissible_words(finite: FiniteShift, length: int) -> Iterator[Word]:
 # truncation-exact oscillation
 
 
+def _prefix_spread(pairs: Iterable[tuple[Word, float]], j: int) -> float:
+    """Largest hi - lo of the values over the words sharing each length-j prefix."""
+    lo: dict[Word, float] = {}
+    hi: dict[Word, float] = {}
+    for word, value in pairs:
+        prefix = word[:j]
+        if prefix not in lo:
+            lo[prefix] = hi[prefix] = value
+        elif value < lo[prefix]:
+            lo[prefix] = value
+        elif value > hi[prefix]:
+            hi[prefix] = value
+    return max((hi[prefix] - lo[prefix] for prefix in lo), default=0.0)
+
+
 def var_j(pot: PotentialSpec, finite: FiniteShift, j: int) -> float:
     """Largest |f(w) - f(w')| over admissible depth words sharing j letters."""
     if j < 1:
         raise PotentialError("variation index j must be at least 1")
     if j >= pot.depth:
         return 0.0
-    spread = 0.0
-    lo: dict[Word, float] = {}
-    hi: dict[Word, float] = {}
-    for word in admissible_words(finite, pot.depth):
-        value = evaluate(pot, word)
-        prefix = word[:j]
-        if prefix not in lo:
-            lo[prefix] = hi[prefix] = value
-        else:
-            if value < lo[prefix]:
-                lo[prefix] = value
-            if value > hi[prefix]:
-                hi[prefix] = value
-    for prefix in lo:
-        spread = max(spread, hi[prefix] - lo[prefix])
-    return spread
+    return _prefix_spread(
+        ((word, evaluate(pot, word)) for word in admissible_words(finite, pot.depth)), j
+    )
 
 
 def total_variation(pot: PotentialSpec, finite: FiniteShift) -> float:
@@ -214,23 +216,9 @@ def ambient_var_j(pot: PotentialSpec, j: int) -> float:
         raise PotentialError("variation index j must be at least 1")
     if j >= pot.depth:
         return 0.0
-    lo: dict[Word, float] = {}
-    hi: dict[Word, float] = {}
-    for word, value in pot.table.items():
-        prefix = word[:j]
-        fallback = tail_value(pot, word[0])
-        if prefix not in lo:
-            lo[prefix] = min(value, fallback)
-            hi[prefix] = max(value, fallback)
-        else:
-            if value < lo[prefix]:
-                lo[prefix] = value
-            if value > hi[prefix]:
-                hi[prefix] = value
-    spread = 0.0
-    for prefix in lo:
-        spread = max(spread, hi[prefix] - lo[prefix])
-    return spread
+    # j >= 1, so every word under one prefix shares its first letter and its fallback
+    fallbacks = [(word, tail_value(pot, word[0])) for word in pot.table]
+    return _prefix_spread([*pot.table.items(), *fallbacks], j)
 
 
 def ambient_total_variation(pot: PotentialSpec) -> float:

@@ -37,7 +37,7 @@ UNDECIDED = "UNDECIDED"
 
 # Cap on the number of refutation witnesses carried in a verdict.
 MAX_WITNESSES = 24
-# Cap on the truncation bounds covering_core tries, one letter apart.
+# Cap on the truncation bounds covering_core tries on the oracle kind, one letter apart.
 CORE_ATTEMPTS = 64
 
 
@@ -218,8 +218,7 @@ def is_admissible_word(spec: ShiftSpec, word: Word) -> bool:
 class FiniteShift(NamedTuple):
     """A finite letter set with the induced transition structure.
 
-    ``transitive`` marks cores (``transitive_core``, renewal ``covering_core``);
-    plain truncations leave it False even when they are strongly connected.
+    Whether it is strongly connected is ``is_transitive``'s to decide.
     Two truncations are equal only when they are the same object.
     """
 
@@ -228,7 +227,6 @@ class FiniteShift(NamedTuple):
     pred: Mapping[int, tuple[int, ...]]
     spec: ShiftSpec | None = None
     truncation_bound: int | None = None
-    transitive: bool = False
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
@@ -238,7 +236,6 @@ def _make_finite(
     bound: int | None,
     letters: Iterable[int],
     succ: Mapping[int, Iterable[int]],
-    transitive: bool,
 ) -> FiniteShift:
     letters_t = tuple(sorted(letters))
     keep = set(letters_t)
@@ -254,7 +251,6 @@ def _make_finite(
         pred=pred_t,
         spec=spec,
         truncation_bound=bound,
-        transitive=transitive,
     )
 
 
@@ -306,7 +302,7 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
         raise TruncationError(
             f"no admissible cycle among letters 0..{max_letter}; truncation is empty"
         )
-    return _make_finite(spec, max_letter, alive, succ, transitive=False)
+    return _make_finite(spec, max_letter, alive, succ)
 
 
 def is_transitive(finite: FiniteShift) -> bool:
@@ -351,7 +347,6 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
         finite.truncation_bound,
         core,
         {i: finite.succ[i] for i in core},
-        transitive=True,
     )
 
 
@@ -477,11 +472,12 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     Raises the bound one letter at a time until the truncation's strongly
     connected component through the requested letters covers them all; a
     truncation can strand its top letters and need such an advance.  A
-    renewal core needs no search.  For K an entry letter or 0, every
-    letter of 0..K steps down to 0 and is reached from 0 through the jump
-    to K, while a truncation between entry letters strands its top.  So
-    the core is the truncation at the least such K at or above the
-    requested letters.
+    finite alphabet is searched up to its top letter, an oracle shift for
+    ``CORE_ATTEMPTS`` bounds.  A renewal core needs no search.  For K an
+    entry letter or 0, every letter of 0..K steps down to 0 and is reached
+    from 0 through the jump to K, while a truncation between entry letters
+    strands its top.  So the core is the truncation at the least such K at
+    or above the requested letters.
     """
     cap = spec.max_letter()
     wanted = sorted(set(letters))
@@ -490,11 +486,11 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     if spec.kind == KIND_RENEWAL:
         top = least_entry_letter(spec, wanted[-1])
         alive = list(range(top + 1))
-        return _make_finite(spec, top, alive, _raw_truncation_edges(spec, alive), transitive=True)
+        return _make_finite(spec, top, alive, _raw_truncation_edges(spec, alive))
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     bound = wanted[-1]
-    for _ in range(CORE_ATTEMPTS):
+    for _ in range(CORE_ATTEMPTS if cap is None else cap - bound + 1):
         try:
             fin = truncate(spec, bound)
             core = transitive_core(fin, [l for l in wanted if l in fin.pred])

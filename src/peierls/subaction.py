@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk
+from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _checked_tol, _longest_walk
 from .potential import PotentialSpec, var_j
 from .shift_space import FiniteShift, Word
 
@@ -95,6 +95,7 @@ def verify_subaction(
     """Check the subaction inequality edge by edge and locate the contact set."""
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before verifying subactions")
+    _checked_tol(tol)
     missing = sorted(set(graph.succ) - set(values))
     if missing:
         raise GraphError(f"values missing for vertices: {missing[:4]}")
@@ -147,6 +148,7 @@ def calibrated_preorbit(
     """
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before tracing preorbits")
+    _checked_tol(tol)
     if start not in graph.succ:
         raise GraphError(f"unknown vertex {start!r}")
     if steps < 0:
@@ -193,6 +195,7 @@ def consistent_seed(
     """
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before building seeds")
+    _checked_tol(tol)
     anchors = dict(anchors or {})
     stray = sorted(set(anchors) - graph.critical_class)
     if stray:
@@ -242,6 +245,7 @@ def fixpoint_subaction(
     """
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before building subactions")
+    _checked_tol(tol)
     if set(seed) != set(graph.critical_class):
         raise SeedConsistencyError(
             "seed must assign a value to every critical-class vertex and nothing else"
@@ -290,6 +294,7 @@ def minimality_check(
     """
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before minimality checks")
+    _checked_tol(tol)
     base = graph.critical_cycle[0]
     offset = candidate[base]
     worst_margin = float("inf")
@@ -311,6 +316,7 @@ def compare_up_to_constant(
 ) -> ComparisonReport:
     if set(first) != set(second):
         raise ValueError("value tables must cover the same vertices")
+    _checked_tol(tol)
     from statistics import median  # only this function needs it
 
     diffs = [first[v] - second[v] for v in sorted(first)]
@@ -377,6 +383,7 @@ def variation_of_subaction(
     """
     if not values:
         raise ValueError("values must be nonempty")
+    _checked_tol(tol)
     lengths = {len(v) for v in values}
     if len(lengths) != 1:
         raise ValueError("vertex words must share one length")

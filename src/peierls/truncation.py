@@ -28,7 +28,12 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
 from .optimizer import (
-    DEFAULT_TOL, PositiveCycleError, WeightedMemoryGraph, build_memory_graph, optimize
+    DEFAULT_TOL,
+    PositiveCycleError,
+    WeightedMemoryGraph,
+    _checked_tol,
+    build_memory_graph,
+    optimize,
 )
 from .potential import PotentialSpec
 from .shift_space import (
@@ -262,64 +267,38 @@ def stabilization_experiment(
     """
     if len(family.stages) < 2:
         raise FamilyError("stabilization needs at least two stages")
+    _checked_tol(tol)
     final = family.stages[-1]
     entries: list[LetterStabilization] = []
     for letter in sorted(set(letters_of_interest)):
-        if letter not in final.shift.pred:
-            entries.append(
-                LetterStabilization(
-                    letter=letter,
-                    observed_index=None,
-                    observed_requested=None,
-                    observed_used=None,
-                    predicted=None,
-                    ok=None,
-                    note="letter is missing from the widest stage",
+        observed: tuple[int | None, ...] = (None, None, None)
+        predicted = None
+        ok: bool | None = None
+        note = "letter is missing from the widest stage"
+        if letter in final.shift.pred:
+            for idx, stage in enumerate(family.stages):
+                if letter not in stage.shift.pred:
+                    continue
+                mine = {v: stage.barrier.values[v] for v in stage.graph.vertices if v[0] == letter}
+                stable = all(
+                    abs(value - later.barrier.values[v]) <= tol
+                    for later in family.stages[idx + 1 :]
+                    for v, value in mine.items()
                 )
-            )
-            continue
-
-        observed: tuple[int, int, int] | None = None
-        for idx, stage in enumerate(family.stages):
-            if letter not in stage.shift.pred:
-                continue
-            mine = {v: stage.barrier.values[v] for v in stage.graph.vertices if v[0] == letter}
-            stable = all(
-                abs(value - later.barrier.values[v]) <= tol
-                for later in family.stages[idx + 1 :]
-                for v, value in mine.items()
-            )
-            if stable:
-                observed = (idx, stage.requested, stage.used)
-                break
-
-        try:
-            predicted = letter_cutoff(family.spec, family.pot, final.shift, letter)
-            prediction_note = ""
-        except ValueError as exc:
-            predicted = None
-            prediction_note = f"prediction unavailable: {exc}"
-
-        if observed is None:
-            ok: bool | None = False
-            note = "values still moving at the final stage"
-        elif predicted is None:
-            ok = None
-            note = prediction_note
-        else:
-            ok = observed[2] <= predicted.confinement_bound
-            note = "" if ok else "stabilized later than the predicted bound"
-        entries.append(
-            LetterStabilization(
-                letter=letter,
-                observed_index=None if observed is None else observed[0],
-                observed_requested=None if observed is None else observed[1],
-                observed_used=None if observed is None else observed[2],
-                predicted=predicted,
-                ok=ok,
-                note=note,
-            )
-        )
+                if stable:
+                    observed = (idx, stage.requested, stage.used)
+                    break
+            try:
+                predicted = letter_cutoff(family.spec, family.pot, final.shift, letter)
+                note = ""
+            except ValueError as exc:
+                note = f"prediction unavailable: {exc}"
+            if observed[0] is None:
+                ok, note = False, "values still moving at the final stage"
+            elif predicted is not None:
+                ok = observed[2] <= predicted.confinement_bound
+                note = "" if ok else "stabilized later than the predicted bound"
+        entries.append(LetterStabilization(letter, *observed, predicted, ok, note))
     return StabilizationReport(
         entries=tuple(entries), ok=not any(e.ok is False for e in entries)
     )
@@ -341,6 +320,7 @@ def bp_boundedness_probe(
     """
     if scan_to < 0:
         raise ValueError("scan_to must be nonnegative")
+    _checked_tol(tol)
     final = family.stages[-1]
     if max(final.shift.letters) < scan_to:
         raise FamilyError(

@@ -430,6 +430,19 @@ def test_converge_json_with_probe_and_assert(renewal_files, capsys):
     assert payload["probe"]["slope"] == pytest.approx(-1.0)
 
 
+def test_converge_covers_a_finite_alphabet_past_the_oracle_budget(tmp_path, capsys):
+    # a search held to the oracle kind's 64 bounds gave up here at bound 67
+    edges = [[i, i + 1] for i in range(5)] + [[5, 99], [99, 0]] + [[i, i] for i in range(6, 99)]
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(json.dumps({"kind": "explicit-finite", "alphabet_size": 100, "edges": edges}))
+    pot.write_text(GM_POT)
+    argv = ["converge", "--shift", str(shift), "--potential", str(pot), "--stages", "3,5"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(s["requested"], s["used"]) for s in payload["stages"]] == [(3, 99), (5, 99)]
+    assert payload["stages"][0]["cycle"] == [[0], [1], [2], [3], [4], [5], [99]]
+
+
 def test_converge_requires_stages(renewal_files, capsys):
     shift, pot = renewal_files
     with pytest.raises(SystemExit) as exc:

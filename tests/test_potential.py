@@ -13,6 +13,7 @@ from peierls import (
     parse_potential,
     tail_value,
     total_variation,
+    truncate,
     validate_table,
     var_j,
 )
@@ -183,6 +184,23 @@ def test_coercive_bound_contract_linear(scale, threshold, table_letter, table_va
         assert sup_bound_on_letter(pot, j) < threshold
     if bound > 0:
         assert sup_bound_on_letter(pot, bound) >= threshold
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    depth=st.sampled_from([2, 3]),
+    tail_kind=st.sampled_from(["linear", "log"]),
+    data=st.data(),
+)
+def test_var_j_is_bounded_by_its_ambient_form(n, depth, tail_kind, data):
+    # the ambient form ignores adjacency, so it bounds the variation of every truncation
+    words = st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * depth)
+    table = data.draw(st.dictionaries(words, st.floats(min_value=-10.0, max_value=10.0)))
+    pot = PotentialSpec(depth=depth, tail_kind=tail_kind, tail_scale=1.5, table=table)
+    finite = truncate(ShiftSpec(kind="full", alphabet_size=n), n - 1)
+    for j in range(1, depth):
+        assert var_j(pot, finite, j) <= ambient_var_j(pot, j)
 
 
 def test_potential_spec_rejects_attribute_assignment(depth2_pot):

@@ -120,7 +120,7 @@ def test_transitive_core_splits_components():
 def test_covering_core_advances_past_stranded_bound(renewal_spec):
     core = covering_core(renewal_spec, range(8))
     assert core.letters == tuple(range(9))
-    assert core.transitive
+    assert is_transitive(core)
 
 
 def test_covering_core_starts_renewal_search_at_an_entry_letter():
@@ -132,7 +132,7 @@ def test_covering_core_starts_renewal_search_at_an_entry_letter():
 
 def test_renewal_covering_cores_match_the_search_oracle():
     def facts(core):
-        return core.letters, core.succ, core.pred, core.truncation_bound, core.transitive
+        return core.letters, core.succ, core.pred, core.truncation_bound
 
     for a in range(1, 7):
         for b in range(6):
@@ -148,8 +148,18 @@ def test_covering_core_budget_exhausted():
         kind="oracle",
         membership=lambda i, j: (i == j == 0) or j == i - 1 or (i == 0 and j == 1000),
     )
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"covering letters \[0, 1\] found up to bound 65$"):
         covering_core(spec, range(2))
+
+
+def test_covering_core_searches_a_finite_alphabet_to_its_top():
+    # letters 0..3 lie on the cycle 0 -> 1 -> ... -> 5 -> 99 -> 0, which closes only
+    # at bound 99, past the 64 bounds an oracle shift is allowed
+    edges = {(i, i + 1) for i in range(5)} | {(5, 99), (99, 0)} | {(i, i) for i in range(6, 99)}
+    spec = ShiftSpec(kind="explicit-finite", alphabet_size=100, edges=frozenset(edges))
+    core = covering_core(spec, range(4))
+    assert core.letters == (0, 1, 2, 3, 4, 5, 99)
+    assert core.truncation_bound == 99
 
 
 def test_connecting_word_gm(gm_finite):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from peierls import (
@@ -127,6 +129,25 @@ def test_compare_requires_matching_supports():
     report = compare_up_to_constant({0: 0.0, 1: 1.0}, {0: 0.0, 1: 0.0})
     assert not report.is_constant_diff
     assert report.max_deviation == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(gm_graph, gm_finite, tol):
+    # unchecked, nan left every vertex uncalibrated and inf every one calibrated
+    values = compute_barrier(gm_graph).values
+    checks = (
+        lambda: verify_subaction(gm_graph, values, tol),
+        lambda: compare_up_to_constant(values, values, tol),
+        lambda: uniqueness_comparison(gm_graph, values, values, tol),
+        lambda: calibrated_preorbit(gm_graph, values, (1,), 2, tol),
+        lambda: consistent_seed(gm_graph, None, tol),
+        lambda: fixpoint_subaction(gm_graph, {(0,): 0.0}, tol),
+        lambda: minimality_check(gm_graph, values, values, tol),
+        lambda: variation_of_subaction(values, gm_finite, gm_graph.pot, tol),
+    )
+    for check in checks:
+        with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
+            check()
 
 
 def test_uniqueness_comparison_two_class_graph(two_class_graph):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -7,6 +8,7 @@ from peierls import (
     BOUNDED,
     DIVERGENT,
     FamilyError,
+    GraphError,
     PotentialSpec,
     ShiftSpec,
     bp_boundedness_probe,
@@ -206,6 +208,18 @@ def test_stabilization_needs_two_stages(renewal_spec, renewal_pot):
     family = build_family(renewal_spec, renewal_pot, [6])
     with pytest.raises(FamilyError):
         stabilization_experiment(family, [1])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(
+    renewal_spec, renewal_pot, tol
+):
+    # unchecked, nan turned the probe's DIVERGENT into INCONCLUSIVE
+    family = build_family(renewal_spec, renewal_pot, [6, 12, 24])
+    with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
+        stabilization_experiment(family, [1, 3], tol)
+    with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
+        bp_boundedness_probe(family, renewal_spec, 23, tol)
 
 
 def test_probe_divergent_on_two_step_entries(renewal_spec, renewal_pot):
