@@ -2,27 +2,26 @@
 """Soak test: optimizer and barrier against brute-force enumeration.
 
 Draws seeded random strongly connected graphs, compares the package's
-mean, canonical cycle and barrier against an independent exhaustive
-enumeration written here (deliberately not shared with the library), and
-reports the worst absolute deviations and the cycle mismatches seen.  A
-tenth as many larger graphs (20 to 60 vertices, past the reach of
-enumeration) check the mean against Karp's dynamic program, also written
-here.  It also checks the stage-two bound and connect length of the letter
-cutoff on renewal cores (a = 1..6, b = 0..5, top letters 0..5) against a
-stage-two core found by brute search from the entry rule and an all-pairs
-BFS, and builds each of those stages twice in a temporary stage cache,
-cold then warm, requiring the two to agree bit for bit.  Exits nonzero
-past --tol or on any cycle, stage-two or cache mismatch.
+mean, canonical cycle and barrier against the exhaustive enumerations of
+``tests/oracles.py``, which share no code with the library, and reports
+the worst absolute deviations and the cycle mismatches seen.  A tenth as
+many larger graphs (20 to 60 vertices, past the reach of enumeration)
+check the mean against Karp's dynamic program from the same module.  It
+also checks the stage-two bound and connect length of the letter cutoff on
+renewal cores (a = 1..6, b = 0..5, top letters 0..5) against a stage-two
+core found here by brute search from the entry rule and an all-pairs BFS,
+and builds each of those stages twice in a temporary stage cache, cold
+then warm, requiring the two to agree bit for bit.  Exits nonzero past
+--tol or on any cycle, stage-two or cache mismatch.
 """
 
 import argparse
-import math
 import os
 import random
 import sys
 import tempfile
 import time
-from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 from peierls import (
@@ -36,104 +35,17 @@ from peierls import (
     optimize,
 )
 
-
-def successors(weights):
-    succ = {}
-    for u, v in weights:
-        succ.setdefault(u, []).append(v)
-        succ.setdefault(v, [])
-    return succ
-
-
-def brute_cycles(edges):
-    """Every simple cycle once, as a vertex list starting at its least vertex."""
-    succ = successors(edges)
-    cycles = []
-
-    def extend(start, path, seen):
-        for nxt in succ[path[-1]]:
-            if nxt == start:
-                cycles.append(path)
-            elif nxt > start and nxt not in seen:
-                extend(start, path + [nxt], seen | {nxt})
-
-    for start in sorted(succ):
-        extend(start, [start], {start})
-    return cycles
-
-
-def brute_max_mean(weights):
-    def mean(cycle):
-        closed = cycle + [cycle[0]]
-        return sum(Fraction(weights[(a, b)]) for a, b in zip(closed, closed[1:])) / len(cycle)
-
-    return float(max(mean(cycle) for cycle in brute_cycles(weights)))
-
-
-def karp_max_mean(weights):
-    """Karp's maximum cycle mean of a strongly connected graph on 0..n-1, walks from 0."""
-    n = 1 + max(max(edge) for edge in weights)
-    best = [[-math.inf] * n for _ in range(n + 1)]  # best[k][v]: heaviest k-edge walk 0 -> v
-    best[0][0] = 0.0
-    for prev, row in zip(best, best[1:]):
-        for (u, v), w in weights.items():
-            row[v] = max(row[v], prev[u] + w)
-    return max(
-        min((best[n][v] - best[k][v]) / (n - k) for k in range(n) if best[k][v] > -math.inf)
-        for v in range(n)
-        if best[n][v] > -math.inf
-    )
-
-
-def brute_canonical_cycle(edges):
-    """Shortest cycle, lexicographically least vertex sequence on ties."""
-    return tuple(min(brute_cycles(edges), key=lambda cycle: (len(cycle), cycle)))
-
-
-def brute_barrier(weights, base, mean):
-    succ = successors(weights)
-    best = {v: float("-inf") for v in succ}
-    best[base] = 0.0
-
-    def extend(path, seen, total):
-        for nxt in succ[path[-1]]:
-            if nxt in seen:
-                continue
-            reduced = total + weights[(path[-1], nxt)] - mean
-            if reduced > best[nxt]:
-                best[nxt] = reduced
-            extend(path + [nxt], seen | {nxt}, reduced)
-
-    extend([base], {base}, 0.0)
-    return best
-
-
-def brute_connect_len(succ):
-    """Largest least edge count of a walk i -> j with at least one edge, over all pairs."""
-    worst = 0
-    for start in succ:
-        dist = {}
-        frontier = list(succ[start])
-        steps = 1
-        while frontier:
-            fresh = [x for x in dict.fromkeys(frontier) if x not in dist]
-            for x in fresh:
-                dist[x] = steps
-            frontier = [y for x in fresh for y in succ[x]]
-            steps += 1
-        worst = max(worst, max(dist.values()))
-    return worst
-
-
-def reach(succ, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in succ[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import (
+    oracle_barrier,
+    oracle_canonical_cycle,
+    oracle_connect_len,
+    oracle_karp_max_mean,
+    oracle_max_mean,
+    predecessors,
+    random_graph,
+    reach,
+)
 
 
 def brute_renewal_core(a, b, wanted):
@@ -143,7 +55,7 @@ def brute_renewal_core(a, b, wanted):
     while True:
         succ = {j: [j - 1] for j in range(1, top + 1)}
         succ[0] = [0] + [j for j in range(1, top + 1) if j >= a + b and (j - b) % a == 0]
-        pred = {j: [i for i in succ if j in succ[i]] for j in succ}
+        pred = predecessors(succ)
         piece = reach(succ, min(wanted)) & reach(pred, min(wanted))
         if set(wanted) <= piece:
             return {i: [j for j in succ[i] if j in piece] for i in piece}
@@ -164,7 +76,7 @@ def renewal_stage_two_mismatches():
                 wide = brute_renewal_core(a, b, needed)
                 mismatches += (
                     report.wide_bound != max(wide)
-                    or report.wide_connect_len != brute_connect_len(wide)
+                    or report.wide_connect_len != oracle_connect_len(wide)
                 )
     return mismatches
 
@@ -203,17 +115,6 @@ def renewal_cache_mismatches():
     return mismatches
 
 
-def random_graph(rng, n):
-    weights = {}
-    for i in range(n):
-        weights[(i, (i + 1) % n)] = rng.randint(-10, 10)
-    for i in range(n):
-        for j in range(n):
-            if (i, j) not in weights and rng.random() < 0.3:
-                weights[(i, j)] = rng.randint(-10, 10)
-    return weights
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
@@ -230,10 +131,10 @@ def main(argv=None):
     for _ in range(args.count):
         weights = random_graph(rng, rng.randint(1, args.max_vertices))
         g = optimize(graph_from_weights(weights))
-        worst_mean = max(worst_mean, abs(g.max_mean - brute_max_mean(weights)))
-        cycle_mismatches += g.critical_cycle != brute_canonical_cycle(g.critical_edges)
+        worst_mean = max(worst_mean, abs(g.max_mean - oracle_max_mean(weights)))
+        cycle_mismatches += g.critical_cycle != oracle_canonical_cycle(g.critical_edges)[1]
         result = compute_barrier(g)
-        oracle = brute_barrier(weights, result.base_vertex, g.max_mean)
+        oracle = oracle_barrier(weights, result.base_vertex, g.max_mean)
         for v, value in result.values.items():
             worst_barrier = max(worst_barrier, abs(value - oracle[v]))
     large_count = args.count // 10
@@ -241,7 +142,7 @@ def main(argv=None):
     for _ in range(large_count):
         weights = random_graph(rng, rng.randint(20, 60))
         g = optimize(graph_from_weights(weights))
-        worst_large = max(worst_large, abs(g.max_mean - karp_max_mean(weights)))
+        worst_large = max(worst_large, abs(g.max_mean - oracle_karp_max_mean(weights)))
     stage_two_mismatches = renewal_stage_two_mismatches()
     cache_mismatches = renewal_cache_mismatches()
     elapsed = time.perf_counter() - started

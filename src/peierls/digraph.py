@@ -1,4 +1,8 @@
-"""Deterministic digraph helpers shared by the shift and optimizer layers."""
+"""Deterministic digraph helpers shared by the shift and optimizer layers.
+
+Strong connectivity is Kosaraju's two-pass algorithm (Sharir 1981), and
+``adjacency`` is the one builder of successor and predecessor maps.
+"""
 
 from __future__ import annotations
 
@@ -7,66 +11,65 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 N = TypeVar("N", bound=Hashable)
 
 
+def adjacency(
+    nodes: Iterable[N], edges: Iterable[tuple[N, N]]
+) -> tuple[dict[N, tuple[N, ...]], dict[N, tuple[N, ...]]]:
+    """Successors in edge order and sorted predecessors of every node."""
+    succ: dict[N, list[N]] = {v: [] for v in nodes}
+    pred: dict[N, list[N]] = {v: [] for v in succ}
+    for u, v in edges:
+        succ[u].append(v)
+        pred[v].append(u)
+    return {v: tuple(s) for v, s in succ.items()}, {v: tuple(sorted(p)) for v, p in pred.items()}
+
+
 def strongly_connected_components(
     nodes: Sequence[N], succ: Callable[[N], Iterable[N]]
 ) -> list[list[N]]:
-    """Tarjan's algorithm, iterative so deep truncations cannot overflow the stack.
+    """Kosaraju's algorithm, iterative so deep truncations cannot overflow the stack.
 
-    Components come out in reverse topological order; each component is
-    sorted ascending so the result is deterministic for a given node order.
+    A depth-first pass records finishing order; a pass over the reversed
+    edges, latest finisher first, then collects one component per root.
+    Each component is sorted ascending; the order of the components is
+    unspecified.
     """
-    index: dict[N, int] = {}
-    low: dict[N, int] = {}
-    on_stack: set[N] = set()
-    stack: list[N] = []
-    comps: list[list[N]] = []
-    counter = 0
-
+    finished: list[N] = []
+    seen: set[N] = set()
     for root in nodes:
-        if root in index:
+        if root in seen:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        frames: list[tuple[N, Iterable[N]]] = [(root, iter(succ(root)))]
+        seen.add(root)
+        frames = [(root, iter(succ(root)))]
         while frames:
-            node, it = frames[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
+            node, children = frames[-1]
+            for child in children:
+                if child not in seen:
+                    seen.add(child)
                     frames.append((child, iter(succ(child))))
-                    advanced = True
                     break
-                if child in on_stack and index[child] < low[node]:
-                    low[node] = index[child]
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp))
+            else:
+                frames.pop()
+                finished.append(node)
+    _, pred = adjacency(nodes, ((u, v) for u in nodes for v in succ(u)))
+    comps: list[list[N]] = []
+    placed: set[N] = set()
+    for root in reversed(finished):
+        if root not in placed:
+            placed.add(root)
+            comp = [root]
+            for node in comp:  # grows while it is read: a breadth-first walk
+                for v in pred[node]:
+                    if v not in placed:
+                        placed.add(v)
+                        comp.append(v)
+            comps.append(sorted(comp))
     return comps
 
 
-def bfs_distances(start: N, adjacency: Mapping[N, Iterable[N]]) -> dict[N, int]:
+def bfs_distances(start: N, neighbours: Mapping[N, Iterable[N]]) -> dict[N, int]:
     """Least edge counts from ``start`` to every node it reaches.
 
-    Pass the predecessor map as ``adjacency`` to get counts to ``start``.
+    Pass the predecessor map as ``neighbours`` to get counts to ``start``.
     """
     dist = {start: 0}
     frontier = [start]
@@ -75,7 +78,7 @@ def bfs_distances(start: N, adjacency: Mapping[N, Iterable[N]]) -> dict[N, int]:
         d += 1
         nxt = []
         for node in frontier:
-            for child in adjacency[node]:
+            for child in neighbours[node]:
                 if child not in dist:
                     dist[child] = d
                     nxt.append(child)

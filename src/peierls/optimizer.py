@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from .digraph import least_word, strongly_connected_components
+from .digraph import adjacency, least_word, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
 from .shift_space import FiniteShift
 
@@ -92,24 +92,12 @@ class WeightedMemoryGraph(NamedTuple):
         )
 
 
-def _adjacency(
-    verts: Sequence[Vertex], edges: Iterable[Edge]
-) -> tuple[dict[Vertex, tuple[Vertex, ...]], dict[Vertex, tuple[Vertex, ...]]]:
-    """Successors in edge order and sorted predecessors of every vertex."""
-    succ: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
-    pred: dict[Vertex, list[Vertex]] = {v: [] for v in verts}
-    for u, v in edges:
-        succ[u].append(v)
-        pred[v].append(u)
-    return {v: tuple(s) for v, s in succ.items()}, {v: tuple(sorted(p)) for v, p in pred.items()}
-
-
 def graph_from_weights(weights: Mapping[Edge, float]) -> WeightedMemoryGraph:
     """Assemble a graph from an explicit edge-weight map (test entry point)."""
     if not weights:
         raise GraphError("graph needs at least one edge")
     verts = tuple(sorted({u for u, _ in weights} | {v for _, v in weights}))
-    succ, pred = _adjacency(verts, sorted(weights))
+    succ, pred = adjacency(verts, sorted(weights))
     return WeightedMemoryGraph(
         vertices=verts,
         weights={e: float(w) for e, w in weights.items()},
@@ -130,7 +118,7 @@ def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemor
         for letter in finite.succ[u[-1]]:
             v = u[1:] + (letter,) if k >= 2 else (letter,)
             weights[(u, v)] = evaluate(pot, u + (letter,))
-    succ, pred = _adjacency(verts, weights)
+    succ, pred = adjacency(verts, weights)
     return WeightedMemoryGraph(
         vertices=verts,
         weights=weights,
@@ -262,7 +250,7 @@ def _tight_adjacency(
 
 def _canonical_cycle(
     intra_succ: Mapping[Vertex, tuple[Vertex, ...]],
-    intra_pred: Mapping[Vertex, list[Vertex]],
+    intra_pred: Mapping[Vertex, tuple[Vertex, ...]],
 ) -> tuple[Vertex, ...]:
     """Minimal-length critical cycle, lexicographically least sequence on ties."""
     best: tuple[Vertex, ...] | None = None
@@ -291,16 +279,11 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
     if not critical:
         raise GraphError("no critical cycle found at the computed mean")
     comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
-    intra: dict[Vertex, tuple[Vertex, ...]] = {}
-    intra_pred: dict[Vertex, list[Vertex]] = {v: [] for v in comp_of}
-    for u, idx in comp_of.items():
-        intra[u] = tuple(v for v in tight_succ[u] if comp_of.get(v) == idx)
-        for v in intra[u]:
-            intra_pred[v].append(u)
+    edges = [(u, v) for u, idx in comp_of.items() for v in tight_succ[u] if comp_of.get(v) == idx]
     return graph.with_optimum(
-        _canonical_cycle(intra, intra_pred),
+        _canonical_cycle(*adjacency(comp_of, edges)),
         tuple(tuple(comp) for comp in critical),
-        frozenset((u, v) for u, keep in intra.items() for v in keep),
+        frozenset(edges),
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .digraph import least_word, strongly_connected_components
+from .digraph import adjacency, least_word, strongly_connected_components
 
 Letter = int
 Word = tuple[int, ...]
@@ -239,12 +239,9 @@ def _make_finite(
 ) -> FiniteShift:
     letters_t = tuple(sorted(letters))
     keep = set(letters_t)
-    succ_t = {i: tuple(sorted(j for j in succ.get(i, ()) if j in keep)) for i in letters_t}
-    pred_map: dict[int, list[int]] = {i: [] for i in letters_t}
-    for i in letters_t:
-        for j in succ_t[i]:
-            pred_map[j].append(i)
-    pred_t = {j: tuple(sorted(v)) for j, v in pred_map.items()}
+    succ_t, pred_t = adjacency(
+        letters_t, [(i, j) for i in letters_t for j in sorted(succ.get(i, ())) if j in keep]
+    )
     return FiniteShift(
         letters=letters_t,
         succ=succ_t,
@@ -270,9 +267,9 @@ def _raw_truncation_edges(spec: ShiftSpec, letters: list[int]) -> dict[int, list
 def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     """Induced structure on letters 0..max_letter, stranded letters pruned.
 
-    Pruning iterates: a letter with no in-edge or no out-edge inside the
-    retained set can never occur in a point of the truncated shift, and
-    removing it may strand further letters.
+    Pruning runs to a fixpoint: a letter with no in-edge or no out-edge
+    inside the retained set can never occur in a point of the truncated
+    shift, and removing it may strand further letters.
     """
     if max_letter < 0:
         raise TruncationError("max_letter must be nonnegative")
@@ -283,21 +280,12 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     letters = list(range(top + 1))
     succ = _raw_truncation_edges(spec, letters)
 
-    alive = set(letters)
-    changed = True
-    while changed:
-        changed = False
-        indeg = {j: 0 for j in alive}
-        outdeg = {i: 0 for i in alive}
-        for i in list(alive):
-            for j in succ[i]:
-                if j in alive:
-                    outdeg[i] += 1
-                    indeg[j] += 1
-        for l in list(alive):
-            if indeg[l] == 0 or outdeg[l] == 0:
-                alive.discard(l)
-                changed = True
+    alive: set[int] = set()
+    kept = set(letters)
+    while kept != alive:
+        alive = kept
+        entered = {j for i in alive for j in succ[i] if j in alive}
+        kept = {i for i in entered if any(j in alive for j in succ[i])}
     if not alive:
         raise TruncationError(
             f"no admissible cycle among letters 0..{max_letter}; truncation is empty"
@@ -489,20 +477,17 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
         return _make_finite(spec, top, alive, _raw_truncation_edges(spec, alive))
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
-    bound = wanted[-1]
-    for _ in range(CORE_ATTEMPTS if cap is None else cap - bound + 1):
+    last = wanted[-1] + CORE_ATTEMPTS - 1 if cap is None else cap
+    for bound in range(wanted[-1], last + 1):
         try:
             fin = truncate(spec, bound)
             core = transitive_core(fin, [l for l in wanted if l in fin.pred])
         except (TruncationError, TransitivityError):
-            core = None
-        if core is not None and all(l in core.pred for l in wanted):
+            continue
+        if all(l in core.pred for l in wanted):
             return core
-        if cap is not None and bound >= cap:
-            break
-        bound += 1
     raise TruncationError(
-        f"no transitive truncation covering letters {wanted} found up to bound {bound}"
+        f"no transitive truncation covering letters {wanted} found up to bound {last}"
     )
 
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _checked_tol, _longest_walk
+from .digraph import adjacency
+from .optimizer import (
+    DEFAULT_TOL, GraphError, WeightedMemoryGraph, _checked_tol, _longest_walk, _rounding_tol
+)
 from .potential import PotentialSpec, var_j
 from .shift_space import FiniteShift, Word
 
@@ -95,7 +98,7 @@ def verify_subaction(
     """Check the subaction inequality edge by edge and locate the contact set."""
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before verifying subactions")
-    _checked_tol(tol)
+    tol = _rounding_tol(graph, tol)
     missing = sorted(set(graph.succ) - set(values))
     if missing:
         raise GraphError(f"values missing for vertices: {missing[:4]}")
@@ -148,7 +151,7 @@ def calibrated_preorbit(
     """
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before tracing preorbits")
-    _checked_tol(tol)
+    tol = _rounding_tol(graph, tol)
     if start not in graph.succ:
         raise GraphError(f"unknown vertex {start!r}")
     if steps < 0:
@@ -195,7 +198,7 @@ def consistent_seed(
     """
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before building seeds")
-    _checked_tol(tol)
+    tol = _rounding_tol(graph, tol)
     anchors = dict(anchors or {})
     stray = sorted(set(anchors) - graph.critical_class)
     if stray:
@@ -203,9 +206,7 @@ def consistent_seed(
             f"anchors must sit on the critical class; these do not: {stray[:4]}"
         )
 
-    tight_succ: dict[Vertex, list[Vertex]] = {}
-    for u, v in graph.critical_edges:
-        tight_succ.setdefault(u, []).append(v)
+    tight_succ, _ = adjacency(graph.critical_class, graph.critical_edges)
 
     seed: dict[Vertex, float] = {}
     for comp in graph.critical_components:
@@ -215,7 +216,7 @@ def consistent_seed(
         frontier = [root]
         while frontier:
             u = frontier.pop()
-            for v in tight_succ.get(u, ()):
+            for v in tight_succ[u]:
                 cand = seed[u] + graph.weights[(u, v)] - graph.max_mean
                 if v in seed:
                     if abs(seed[v] - cand) > tol:
@@ -245,7 +246,7 @@ def fixpoint_subaction(
     """
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before building subactions")
-    _checked_tol(tol)
+    tol = _rounding_tol(graph, tol)
     if set(seed) != set(graph.critical_class):
         raise SeedConsistencyError(
             "seed must assign a value to every critical-class vertex and nothing else"
@@ -294,7 +295,7 @@ def minimality_check(
     """
     if not graph.is_optimized():
         raise GraphError("graph must be optimized before minimality checks")
-    _checked_tol(tol)
+    tol = _rounding_tol(graph, tol)
     base = graph.critical_cycle[0]
     offset = candidate[base]
     worst_margin = float("inf")

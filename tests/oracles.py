@@ -1,12 +1,14 @@
 """Brute-force reference implementations the tests compare against.
 
 Everything here is deliberately naive: exhaustive enumeration of simple
-cycles and simple paths, breadth-first reachability, a covering-core
-search that raises the truncation bound one letter at a time, and a
-seeded random graph generator.  Exponential blowup is acceptable at the
-sizes used in the suite (graphs of at most 8 vertices).  Larger graphs
-are checked against two polynomial references instead: Karp's maximum
-cycle mean and Floyd-Warshall's all-pairs longest reduced paths.
+cycles and simple paths, reachability, components by mutual reachability,
+a trim that removes one stranded letter at a time, a covering-core search
+that raises the truncation bound one letter at a time, and a seeded random
+graph generator.  Exponential blowup is acceptable at the sizes used in
+the suite (graphs of at most 8 vertices).  Larger graphs are checked
+against two polynomial references instead: Karp's maximum cycle mean and
+Floyd-Warshall's all-pairs longest reduced paths.
+``scripts/oracle_sweep.py`` imports its references from here too.
 ``oracle_parser`` is the command line's argparse tree written out call by
 call, as ``cli`` built it before the grammar became one table.
 """
@@ -227,27 +229,59 @@ def oracle_connecting_word(succ, a, b):
     raise ValueError(f"letter {b} is not reachable from letter {a}")
 
 
+def reach(succ, start):
+    """Every node a walk of zero or more edges leads to from ``start``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in succ[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def predecessors(succ):
+    pred = {v: set() for v in succ}
+    for u, targets in succ.items():
+        for v in targets:
+            pred[v].add(u)
+    return pred
+
+
 def is_strongly_connected(weights):
     succ = successors(weights)
-    pred = {}
-    for u, v in weights:
-        pred.setdefault(v, set()).add(u)
-        pred.setdefault(u, set())
-
-    def reach(start, adj):
-        seen = {start}
-        todo = [start]
-        while todo:
-            node = todo.pop()
-            for x in adj[node]:
-                if x not in seen:
-                    seen.add(x)
-                    todo.append(x)
-        return seen
-
+    pred = predecessors(succ)
     verts = set(succ)
     first = min(verts)
-    return reach(first, succ) == verts and reach(first, pred) == verts
+    return reach(succ, first) == verts and reach(pred, first) == verts
+
+
+def oracle_components(succ):
+    """Strongly connected components as a set of frozensets, by mutual reachability.
+
+    Two nodes share a component iff each reaches the other; a node on no
+    cycle is a component of its own.
+    """
+    pred = predecessors(succ)
+    return {frozenset(reach(succ, v) & reach(pred, v)) for v in succ}
+
+
+def oracle_trimmed_letters(edges, letters):
+    """Letters left once no letter lacks an in-edge or an out-edge among them.
+
+    Removes the least such letter, one at a time, and rescans from scratch.
+    """
+    kept = set(letters)
+    while True:
+        stranded = [
+            l
+            for l in sorted(kept)
+            if not any((l, j) in edges for j in kept) or not any((i, l) in edges for i in kept)
+        ]
+        if not stranded:
+            return kept
+        kept.discard(stranded[0])
 
 
 def random_graph(rng: random.Random, n: int, extra_p: float = 0.3):

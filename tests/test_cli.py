@@ -330,6 +330,24 @@ def test_barrier_csv_round_trips_into_verify(renewal_files, tmp_path, capsys):
     assert payload["supp_in_contact"] is True
 
 
+def test_a_barrier_with_large_weights_passes_its_own_check(tmp_path, capsys):
+    # near 1e12 one ulp is 1.2e-4: the check must allow the graph's rounding, not just 1e-9
+    shift = tmp_path / "full.json"
+    pot = tmp_path / "large.json"
+    values = tmp_path / "values.csv"
+    shift.write_text(json.dumps({"kind": "full", "alphabet_size": 2}), encoding="utf-8")
+    table = {(0, 0): 1e12 - 3 / 7, (0, 1): 1e12 - 3 / 7, (1, 0): 1e12 - 1 / 7, (1, 1): 1e12 - 3 / 7}
+    rows = [{"word": list(w), "value": x} for w, x in table.items()]
+    tail = {"kind": "linear", "c": 1}
+    pot.write_text(json.dumps({"depth": 2, "tail": tail, "table": rows}), encoding="utf-8")
+    io = ["--shift", str(shift), "--potential", str(pot)]
+    assert run(["barrier", *io, "--format", "csv", "--out", str(values)]) == 0
+    assert run(["subaction", "verify", *io, "--values", str(values), "--assert"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["is_calibrated"] is True
+    assert payload["supp_in_contact"] is True
+
+
 def test_verify_assert_fails_on_broken_values(gm_files, tmp_path, capsys):
     shift, pot = gm_files
     values = tmp_path / "broken.csv"

@@ -20,7 +20,7 @@ from peierls import (
     truncate,
 )
 
-from oracles import oracle_covering_core
+from oracles import oracle_covering_core, oracle_trimmed_letters
 
 GM_JSON = json.dumps(
     {"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 0], [0, 1], [1, 0]]}
@@ -102,6 +102,31 @@ def test_truncate_empty_graph_errors():
         truncate(spec, -1)
 
 
+@st.composite
+def explicit_shifts(draw):
+    """A valid explicit-finite spec: every letter gets a drawn out-edge and in-edge."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    letter = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(letter, letter), max_size=2 * n))
+    edges |= {(i, draw(letter)) for i in range(n)} | {(draw(letter), j) for j in range(n)}
+    return ShiftSpec(kind="explicit-finite", alphabet_size=n, edges=frozenset(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=explicit_shifts(), max_letter=st.integers(min_value=0, max_value=8))
+def test_truncate_keeps_what_one_letter_at_a_time_removal_keeps(spec, max_letter):
+    kept = oracle_trimmed_letters(spec.edges, range(min(max_letter, spec.alphabet_size - 1) + 1))
+    if not kept:
+        with pytest.raises(TruncationError):
+            truncate(spec, max_letter)
+        return
+    fin = truncate(spec, max_letter)
+    assert fin.letters == tuple(sorted(kept))
+    for i in fin.letters:
+        assert fin.succ[i] == tuple(j for j in fin.letters if (i, j) in spec.edges)
+        assert fin.pred[i] == tuple(j for j in fin.letters if (j, i) in spec.edges)
+
+
 def test_transitive_core_splits_components():
     spec = ShiftSpec(
         kind="explicit-finite",
@@ -148,7 +173,7 @@ def test_covering_core_budget_exhausted():
         kind="oracle",
         membership=lambda i, j: (i == j == 0) or j == i - 1 or (i == 0 and j == 1000),
     )
-    with pytest.raises(TruncationError, match=r"covering letters \[0, 1\] found up to bound 65$"):
+    with pytest.raises(TruncationError, match=r"covering letters \[0, 1\] found up to bound 64$"):
         covering_core(spec, range(2))
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -20,6 +21,8 @@ from peierls import (
     variation_of_subaction,
     verify_subaction,
 )
+
+from oracles import random_graph
 
 
 @pytest.fixture
@@ -121,6 +124,24 @@ def test_minimality_of_barrier(renewal_graph):
     assert not report.ok
     assert report.worst_vertex == (3,)
     assert report.worst_margin == pytest.approx(-1.0)
+
+
+def test_subaction_checks_use_the_rounding_tolerance_of_large_weights():
+    # near 1e12 one ulp is 1.2e-4, so the barrier's own rounding passes the 1e-9 default
+    rng = random.Random(0)
+    tables = [{(0, 0): 1e12 - 3 / 7, (0, 1): 1e12 - 3 / 7, (1, 0): 1e12 - 1 / 7, (1, 1): 1e12 - 3 / 7}]
+    for _ in range(200):
+        tables.append({e: k / 7 + 1e12 for e, k in random_graph(rng, rng.randint(1, 8)).items()})
+    for weights in tables:
+        graph = optimize(graph_from_weights(weights))
+        barrier = compute_barrier(graph).values
+        report = verify_subaction(graph, barrier)
+        assert report.is_subaction and report.is_calibrated and report.supp_in_contact
+        steps = len(graph.vertices)
+        for v in graph.vertices:
+            assert calibrated_preorbit(graph, barrier, v, steps).tail_in_critical_class
+        lifted = fixpoint_subaction(graph, consistent_seed(graph))
+        assert minimality_check(graph, lifted, barrier).ok
 
 
 def test_compare_requires_matching_supports():
