@@ -6,13 +6,16 @@ mean, canonical cycle and barrier against the exhaustive enumerations of
 ``tests/oracles.py``, which share no code with the library, and reports
 the worst absolute deviations and the cycle mismatches seen.  A tenth as
 many larger graphs (20 to 60 vertices, past the reach of enumeration)
-check the mean against Karp's dynamic program from the same module.  It
+check the mean against Karp's dynamic program from the same module.  On
+both passes the critical components must be the mutual-reachability
+classes of the critical edges, so the tight-graph strong connectivity is
+checked against an oracle that shares no code with the library.  It
 also checks the stage-two bound and connect length of the letter cutoff on
 renewal cores (a = 1..6, b = 0..5, top letters 0..5) against a stage-two
 core found here by brute search from the entry rule and an all-pairs BFS,
 and builds each of those stages twice in a temporary stage cache, cold
 then warm, requiring the two to agree bit for bit.  Exits nonzero past
---tol or on any cycle, stage-two or cache mismatch.
+--tol or on any cycle, component, stage-two or cache mismatch.
 """
 
 import argparse
@@ -39,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import (
     oracle_barrier,
     oracle_canonical_cycle,
+    oracle_components,
     oracle_connect_len,
     oracle_karp_max_mean,
     oracle_max_mean,
@@ -79,6 +83,15 @@ def renewal_stage_two_mismatches():
                     or report.wide_connect_len != oracle_connect_len(wide)
                 )
     return mismatches
+
+
+def component_mismatch(g):
+    """Whether the critical components of ``g`` differ from the strongly connected
+    components, by mutual reachability, of the graph of its critical edges."""
+    succ = {v: [] for edge in g.critical_edges for v in edge}
+    for u, v in sorted(g.critical_edges):
+        succ[u].append(v)
+    return {frozenset(comp) for comp in g.critical_components} != oracle_components(succ)
 
 
 def stage_facts(stage):
@@ -127,12 +140,14 @@ def main(argv=None):
     worst_mean = 0.0
     worst_barrier = 0.0
     cycle_mismatches = 0
+    component_mismatches = 0
     started = time.perf_counter()
     for _ in range(args.count):
         weights = random_graph(rng, rng.randint(1, args.max_vertices))
         g = optimize(graph_from_weights(weights))
         worst_mean = max(worst_mean, abs(g.max_mean - oracle_max_mean(weights)))
         cycle_mismatches += g.critical_cycle != oracle_canonical_cycle(g.critical_edges)[1]
+        component_mismatches += component_mismatch(g)
         result = compute_barrier(g)
         oracle = oracle_barrier(weights, result.base_vertex, g.max_mean)
         for v, value in result.values.items():
@@ -143,6 +158,7 @@ def main(argv=None):
         weights = random_graph(rng, rng.randint(20, 60))
         g = optimize(graph_from_weights(weights))
         worst_large = max(worst_large, abs(g.max_mean - oracle_karp_max_mean(weights)))
+        component_mismatches += component_mismatch(g)
     stage_two_mismatches = renewal_stage_two_mismatches()
     cache_mismatches = renewal_cache_mismatches()
     elapsed = time.perf_counter() - started
@@ -153,6 +169,7 @@ def main(argv=None):
     print(f"larger graphs checked {large_count}")
     print(f"worst mean deviation from Karp {worst_large:.3e}")
     print(f"canonical cycle mismatches {cycle_mismatches}")
+    print(f"critical component mismatches {component_mismatches}")
     print(f"renewal stage-two mismatches {stage_two_mismatches}")
     print(f"renewal cache round-trip mismatches {cache_mismatches}")
     print(f"elapsed               {elapsed:.2f}s")
@@ -161,6 +178,9 @@ def main(argv=None):
         return 1
     if cycle_mismatches:
         print("canonical cycle differs from the brute-force cycle", file=sys.stderr)
+        return 1
+    if component_mismatches:
+        print("critical components differ from the critical-edge oracle", file=sys.stderr)
         return 1
     if stage_two_mismatches:
         print("renewal stage-two core differs from the brute force", file=sys.stderr)

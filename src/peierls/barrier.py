@@ -30,7 +30,9 @@ import sys
 from typing import Mapping, NamedTuple
 
 from .digraph import bfs_distances
-from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk
+from .optimizer import (
+    DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk, _require_optimized
+)
 from .potential import (
     TAIL_LOG,
     PotentialSpec,
@@ -98,8 +100,7 @@ class CutoffReport(NamedTuple):
 
 def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> BarrierResult:
     """Barrier values from the canonical cycle's base vertex, base pinned to 0.0."""
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before computing the barrier")
+    _require_optimized(graph)
     base = graph.critical_cycle[0]
     raw = _longest_walk(graph, {base: 0.0}, graph.max_mean, tol)
     stuck = sorted(v for v, x in raw.items() if x == float("-inf"))
@@ -151,8 +152,7 @@ def barrier_length_profile(
     Unreachable lengths give -inf; the barrier value is the supremum of
     the profile as n_max grows.
     """
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before computing walk profiles")
+    _require_optimized(graph)
     if vertex not in graph.succ:
         raise GraphError(f"unknown vertex {vertex!r}")
     if n_max < 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import sys
 from collections.abc import Mapping
 from importlib import import_module
@@ -101,8 +102,13 @@ def _load_values_csv(path: str) -> dict[Word, float]:
         try:
             value = float(raw)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad value {raw!r}") from None
-        values[_parse_word_key(key.strip())] = value
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: bad value {raw!r}")
+        word = _parse_word_key(key.strip())
+        if word in values:
+            raise ValueError(f"{path}:{lineno}: repeated vertex word {key.strip()!r}")
+        values[word] = value
     if not values:
         raise ValueError(f"{path}: no value rows found")
     return values

@@ -1,12 +1,13 @@
 """Deterministic digraph helpers shared by the shift and optimizer layers.
 
-Strong connectivity is Kosaraju's two-pass algorithm (Sharir 1981), and
-``adjacency`` is the one builder of successor and predecessor maps.
+Strong connectivity is Kosaraju's two-pass algorithm (Sharir 1981) over the
+successor and predecessor maps its caller holds, and ``adjacency`` is the one
+builder of those maps.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
@@ -24,12 +25,12 @@ def adjacency(
 
 
 def strongly_connected_components(
-    nodes: Sequence[N], succ: Callable[[N], Iterable[N]]
+    nodes: Sequence[N], succ: Mapping[N, Iterable[N]], pred: Mapping[N, Iterable[N]]
 ) -> list[list[N]]:
     """Kosaraju's algorithm, iterative so deep truncations cannot overflow the stack.
 
-    A depth-first pass records finishing order; a pass over the reversed
-    edges, latest finisher first, then collects one component per root.
+    A depth-first pass over ``succ`` records finishing order; a pass over
+    ``pred``, latest finisher first, then collects one component per root.
     Each component is sorted ascending; the order of the components is
     unspecified.
     """
@@ -39,18 +40,17 @@ def strongly_connected_components(
         if root in seen:
             continue
         seen.add(root)
-        frames = [(root, iter(succ(root)))]
+        frames = [(root, iter(succ[root]))]
         while frames:
             node, children = frames[-1]
             for child in children:
                 if child not in seen:
                     seen.add(child)
-                    frames.append((child, iter(succ(child))))
+                    frames.append((child, iter(succ[child])))
                     break
             else:
                 frames.pop()
                 finished.append(node)
-    _, pred = adjacency(nodes, ((u, v) for u in nodes for v in succ(u)))
     comps: list[list[N]] = []
     placed: set[N] = set()
     for root in reversed(finished):

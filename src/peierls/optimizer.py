@@ -143,6 +143,13 @@ def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
     return max(_checked_tol(tol), 4 * len(graph.vertices) * sys.float_info.epsilon * scale)
 
 
+def _require_optimized(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> float:
+    """``_rounding_tol(graph, tol)`` for a graph ``optimize`` returned; GraphError for others."""
+    if not graph.is_optimized():
+        raise GraphError("graph is not optimized; pass it through optimize first")
+    return _rounding_tol(graph, tol)
+
+
 def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex, float]]:
     """Max-plus policy iteration: the maximum mean m and a subaction h = -x at m.
 
@@ -238,16 +245,6 @@ def _longest_walk(
     return values
 
 
-def _tight_adjacency(
-    graph: WeightedMemoryGraph, h: Mapping[Vertex, float], mean: float, tol: float
-) -> dict[Vertex, tuple[Vertex, ...]]:
-    tol, w = _rounding_tol(graph, tol), graph.weights
-    return {
-        u: tuple(v for v in sorted(graph.succ[u]) if h[u] + (w[(u, v)] - mean) >= h[v] - tol)
-        for u in graph.vertices
-    }
-
-
 def _canonical_cycle(
     intra_succ: Mapping[Vertex, tuple[Vertex, ...]],
     intra_pred: Mapping[Vertex, tuple[Vertex, ...]],
@@ -269,12 +266,17 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
     """A copy of ``graph`` carrying m, the critical class and a canonical critical cycle."""
     if not graph.vertices:
         raise GraphError("graph has no vertices")
-    comps = strongly_connected_components(graph.vertices, lambda v: graph.succ[v])
+    comps = strongly_connected_components(graph.vertices, graph.succ, graph.pred)
     if len(comps) != 1:
         raise GraphError(f"graph must be strongly connected; found {len(comps)} components")
     mean, h = _howard(graph, tol)
-    tight_succ = _tight_adjacency(graph, h, mean, tol)
-    comps = strongly_connected_components(graph.vertices, lambda v: tight_succ[v])
+    tol, w = _rounding_tol(graph, tol), graph.weights
+    tight = [
+        (u, v) for u in graph.vertices for v in sorted(graph.succ[u])
+        if h[u] + (w[(u, v)] - mean) >= h[v] - tol
+    ]
+    tight_succ, tight_pred = adjacency(graph.vertices, tight)
+    comps = strongly_connected_components(graph.vertices, tight_succ, tight_pred)
     critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in tight_succ[comp[0]])
     if not critical:
         raise GraphError("no critical cycle found at the computed mean")

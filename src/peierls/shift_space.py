@@ -295,7 +295,7 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
 
 def is_transitive(finite: FiniteShift) -> bool:
     """Strong connectivity of the finite transition structure."""
-    comps = strongly_connected_components(finite.letters, lambda l: finite.succ[l])
+    comps = strongly_connected_components(finite.letters, finite.succ, finite.pred)
     return len(comps) == 1
 
 
@@ -312,7 +312,7 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
         raise TransitivityError(
             f"letters {missing} are not present in the truncation", tuple()
         )
-    comps = strongly_connected_components(finite.letters, lambda l: finite.succ[l])
+    comps = strongly_connected_components(finite.letters, finite.succ, finite.pred)
     comp_of: dict[int, int] = {}
     for ci, comp in enumerate(comps):
         for l in comp:

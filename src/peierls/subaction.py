@@ -16,11 +16,12 @@ the one-step transfer operator.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, NamedTuple
 
 from .digraph import adjacency
 from .optimizer import (
-    DEFAULT_TOL, GraphError, WeightedMemoryGraph, _checked_tol, _longest_walk, _rounding_tol
+    DEFAULT_TOL, GraphError, WeightedMemoryGraph, _checked_tol, _longest_walk, _require_optimized
 )
 from .potential import PotentialSpec, var_j
 from .shift_space import FiniteShift, Word
@@ -96,12 +97,13 @@ def verify_subaction(
     graph: WeightedMemoryGraph, values: Mapping[Vertex, float], tol: float = DEFAULT_TOL
 ) -> SubactionReport:
     """Check the subaction inequality edge by edge and locate the contact set."""
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before verifying subactions")
-    tol = _rounding_tol(graph, tol)
+    tol = _require_optimized(graph, tol)
     missing = sorted(set(graph.succ) - set(values))
     if missing:
         raise GraphError(f"values missing for vertices: {missing[:4]}")
+    nonfinite = sorted(v for v in graph.vertices if not math.isfinite(values[v]))
+    if nonfinite:
+        raise GraphError(f"values not finite at vertices: {nonfinite[:4]}")
 
     worst = 0.0
     contact: set[Edge] = set()
@@ -149,9 +151,7 @@ def calibrated_preorbit(
     so the sequence is eventually periodic and its cycle consists of
     tight edges, which places the tail inside the critical class.
     """
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before tracing preorbits")
-    tol = _rounding_tol(graph, tol)
+    tol = _require_optimized(graph, tol)
     if start not in graph.succ:
         raise GraphError(f"unknown vertex {start!r}")
     if steps < 0:
@@ -196,9 +196,7 @@ def consistent_seed(
     second anchor in the same component must agree with the propagated
     value or the seed is rejected.
     """
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before building seeds")
-    tol = _rounding_tol(graph, tol)
+    tol = _require_optimized(graph, tol)
     anchors = dict(anchors or {})
     stray = sorted(set(anchors) - graph.critical_class)
     if stray:
@@ -210,7 +208,7 @@ def consistent_seed(
 
     seed: dict[Vertex, float] = {}
     for comp in graph.critical_components:
-        comp_anchors = sorted(v for v in anchors if v in set(comp))
+        comp_anchors = sorted(anchors.keys() & comp)
         root = comp_anchors[0] if comp_anchors else comp[0]
         seed[root] = anchors.get(root, 0.0)
         frontier = [root]
@@ -244,9 +242,7 @@ def fixpoint_subaction(
     break consistency along a tight edge would be silently overwritten by
     the sweep, so they are rejected up front.
     """
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before building subactions")
-    tol = _rounding_tol(graph, tol)
+    tol = _require_optimized(graph, tol)
     if set(seed) != set(graph.critical_class):
         raise SeedConsistencyError(
             "seed must assign a value to every critical-class vertex and nothing else"
@@ -268,8 +264,7 @@ def one_step_image(
     graph: WeightedMemoryGraph, values: Mapping[Vertex, float]
 ) -> dict[Vertex, float]:
     """Transfer-operator image: best incoming value plus reduced weight."""
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before applying the operator")
+    _require_optimized(graph)
     image: dict[Vertex, float] = {}
     for v in graph.vertices:
         preds = graph.pred[v]
@@ -293,9 +288,7 @@ def minimality_check(
     the least subaction vanishing at the base vertex; a candidate falling
     below it somewhere is not a subaction at all.
     """
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before minimality checks")
-    tol = _rounding_tol(graph, tol)
+    tol = _require_optimized(graph, tol)
     base = graph.critical_cycle[0]
     offset = candidate[base]
     worst_margin = float("inf")
@@ -340,8 +333,7 @@ def uniqueness_comparison(
     critical class has a single component; with several components the
     anchor of each can move independently and disagreement is expected.
     """
-    if not graph.is_optimized():
-        raise GraphError("graph must be optimized before uniqueness comparisons")
+    _require_optimized(graph)
     comparison = compare_up_to_constant(first, second, tol)
     unique = bool(graph.critical_class_unique)
     parts = len(graph.critical_components)

@@ -219,12 +219,15 @@ TAIL = {"kind": "linear", "c": 1}
         (None, None, "0,1.0\n1,x\n", "{values}:2: bad value 'x'"),
         (None, None, "\n\n", "{values}: no value rows found"),
         (None, None, "a,1.0\n", "malformed vertex word 'a'"),
+        (None, None, "0,0.0\n1,nan\n", "{values}:2: bad value 'nan'"),
+        (None, None, "0,inf\n1,0.0\n", "{values}:1: bad value 'inf'"),
+        (None, None, "0,0.0\n1,0.0\n0,1.0\n", "{values}:3: repeated vertex word '0'"),
     ],
     ids=[
         "lambda-not-a-number", "renewal-without-b", "renewal-not-integers", "edge-not-a-pair",
         "potential-not-an-object", "no-tail", "table-not-a-list", "entry-malformed",
         "word-not-integers", "value-not-a-number", "csv-line-without-comma", "csv-bad-value",
-        "csv-no-rows", "csv-malformed-word",
+        "csv-no-rows", "csv-malformed-word", "csv-nan", "csv-inf", "csv-repeated-word",
     ],
 )
 def test_malformed_input_is_a_usage_error(gm_files, tmp_path, capsys, shift, pot, values, message):

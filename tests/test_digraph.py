@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from peierls.digraph import strongly_connected_components
 
-from oracles import oracle_components
+from oracles import oracle_components, predecessors
 
 
 def components(succ):
-    return strongly_connected_components(sorted(succ), lambda v: succ[v])
+    return strongly_connected_components(sorted(succ), succ, predecessors(succ))
 
 
 def assert_partition_matches_oracle(succ):

@@ -7,6 +7,7 @@ from peierls import (
     GraphError,
     PotentialSpec,
     SeedConsistencyError,
+    barrier_length_profile,
     build_memory_graph,
     calibrated_preorbit,
     compare_up_to_constant,
@@ -53,6 +54,37 @@ def test_verify_flags_uncalibrated_vertex(gm_graph):
     assert not report.is_calibrated
     assert report.uncalibrated_vertices == ((1,),)
     assert report.supp_in_contact
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_verify_rejects_values_that_are_not_finite(gm_graph, bad):
+    # unchecked, a nan slack skipped the worst-violation update and the table passed
+    with pytest.raises(GraphError, match=r"values not finite at vertices: \[\(1,\)\]"):
+        verify_subaction(gm_graph, {(0,): 0.0, (1,): bad})
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        compute_barrier,
+        lambda g: barrier_length_profile(g, 0, 4),
+        lambda g: verify_subaction(g, {0: 0.0}),
+        lambda g: calibrated_preorbit(g, {0: 0.0}, 0, 1),
+        consistent_seed,
+        lambda g: fixpoint_subaction(g, {0: 0.0}),
+        lambda g: one_step_image(g, {0: 0.0}),
+        lambda g: minimality_check(g, {0: 0.0}, {0: 0.0}),
+        lambda g: uniqueness_comparison(g, {0: 0.0}, {0: 0.0}),
+    ],
+    ids=[
+        "compute_barrier", "barrier_length_profile", "verify_subaction", "calibrated_preorbit",
+        "consistent_seed", "fixpoint_subaction", "one_step_image", "minimality_check",
+        "uniqueness_comparison",
+    ],
+)
+def test_every_pass_over_an_optimized_graph_rejects_an_unoptimized_one(check):
+    with pytest.raises(GraphError, match="pass it through optimize first"):
+        check(graph_from_weights({(0, 0): 0.0}))
 
 
 def test_preorbit_enters_critical_class(renewal_graph):
