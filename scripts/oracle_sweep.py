@@ -6,7 +6,11 @@ mean, canonical cycle and barrier against the exhaustive enumerations of
 ``tests/oracles.py``, which share no code with the library, and reports
 the worst absolute deviations and the cycle mismatches seen.  A tenth as
 many larger graphs (20 to 60 vertices, past the reach of enumeration)
-check the mean against Karp's dynamic program from the same module.  On
+check the mean against Karp's dynamic program from the same module, once
+as drawn and once with every weight divided by 64 and 1e12 added, where
+``optimize`` must return a mean within its float rounding tolerance of
+Karp's.  Sixty-fourths keep every walk sum of Karp's table exact, and they
+put distinct cycle means closer together than that tolerance.  On
 both passes the critical components must be the mutual-reachability
 classes of the critical edges, so the tight-graph strong connectivity is
 checked against an oracle that shares no code with the library.  It
@@ -15,7 +19,8 @@ renewal cores (a = 1..6, b = 0..5, top letters 0..5) against a stage-two
 core found here by brute search from the entry rule and an all-pairs BFS,
 and builds each of those stages twice in a temporary stage cache, cold
 then warm, requiring the two to agree bit for bit.  Exits nonzero past
---tol or on any cycle, component, stage-two or cache mismatch.
+--tol, on a ``GraphError`` at the 1e12 offset, or on any cycle, component,
+offset, stage-two or cache mismatch.
 """
 
 import argparse
@@ -28,6 +33,8 @@ from pathlib import Path
 from unittest import mock
 
 from peierls import (
+    DEFAULT_TOL,
+    GraphError,
     PotentialSpec,
     ShiftSpec,
     build_stage,
@@ -37,6 +44,7 @@ from peierls import (
     letter_cutoff,
     optimize,
 )
+from peierls.optimizer import _rounding_tol
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import (
@@ -154,10 +162,22 @@ def main(argv=None):
             worst_barrier = max(worst_barrier, abs(value - oracle[v]))
     large_count = args.count // 10
     worst_large = 0.0
+    worst_offset = 0.0
+    offset_mismatches = 0
     for _ in range(large_count):
         weights = random_graph(rng, rng.randint(20, 60))
         g = optimize(graph_from_weights(weights))
         worst_large = max(worst_large, abs(g.max_mean - oracle_karp_max_mean(weights)))
+        component_mismatches += component_mismatch(g)
+        shifted = {e: w / 64 + 1e12 for e, w in weights.items()}
+        try:
+            g = optimize(graph_from_weights(shifted))
+        except GraphError as exc:
+            print(f"optimize failed at the 1e12 offset: {exc}", file=sys.stderr)
+            return 1
+        deviation = abs(g.max_mean - oracle_karp_max_mean(shifted))
+        worst_offset = max(worst_offset, deviation)
+        offset_mismatches += deviation > _rounding_tol(g, DEFAULT_TOL)
         component_mismatches += component_mismatch(g)
     stage_two_mismatches = renewal_stage_two_mismatches()
     cache_mismatches = renewal_cache_mismatches()
@@ -168,6 +188,8 @@ def main(argv=None):
     print(f"worst barrier deviation {worst_barrier:.3e}")
     print(f"larger graphs checked {large_count}")
     print(f"worst mean deviation from Karp {worst_large:.3e}")
+    print(f"worst mean deviation from Karp at offset 1e12 {worst_offset:.3e}")
+    print(f"offset mean mismatches {offset_mismatches}")
     print(f"canonical cycle mismatches {cycle_mismatches}")
     print(f"critical component mismatches {component_mismatches}")
     print(f"renewal stage-two mismatches {stage_two_mismatches}")
@@ -175,6 +197,9 @@ def main(argv=None):
     print(f"elapsed               {elapsed:.2f}s")
     if max(worst_mean, worst_barrier, worst_large) > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
+        return 1
+    if offset_mismatches:
+        print("at offset 1e12 the mean strays past the rounding tolerance", file=sys.stderr)
         return 1
     if cycle_mismatches:
         print("canonical cycle differs from the brute-force cycle", file=sys.stderr)

@@ -21,8 +21,8 @@ _LAYERS = {
         WeightedMemoryGraph birkhoff_sum build_memory_graph graph_from_weights
         max_mean_cycle optimize periodic_measure""",
     "potential": """PotentialError PotentialSpec ambient_total_variation
-        coercive_letter_bound evaluate parse_potential tail_value total_variation
-        validate_table var_j""",
+        coercive_letter_bound evaluate parse_potential tail_value validate_table
+        var_j""",
     "shift_space": """ConditionVerdict FiniteShift ShiftSpec ShiftSpecError
         TransitivityError TruncationError admissible check_bi check_bp
         connecting_word covering_core is_admissible_word is_transitive

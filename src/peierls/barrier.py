@@ -75,7 +75,6 @@ class BarrierResult(NamedTuple):
 
     base_vertex: Vertex
     values: Mapping[Vertex, float]
-    max_mean: float
     bounds: UpperBoundReport | None
 
 
@@ -102,16 +101,13 @@ def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> Bar
     """Barrier values from the canonical cycle's base vertex, base pinned to 0.0."""
     _require_optimized(graph)
     base = graph.critical_cycle[0]
-    raw = _longest_walk(graph, {base: 0.0}, graph.max_mean, tol)
-    stuck = sorted(v for v, x in raw.items() if x == float("-inf"))
-    if stuck:
-        raise GraphError(f"vertices unreachable from the base vertex: {stuck[:4]}")
+    raw = _longest_walk(graph, {base: 0.0}, tol)
     shift = raw[base]
     values = {v: (x - shift) + 0.0 for v, x in raw.items()}
     bounds = None
     if graph.shift is not None and graph.pot is not None:
         bounds = _bound_report(graph, values)
-    return BarrierResult(base_vertex=base, values=values, max_mean=graph.max_mean, bounds=bounds)
+    return BarrierResult(base_vertex=base, values=values, bounds=bounds)
 
 
 def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> UpperBoundReport:

@@ -201,7 +201,7 @@ def _cmd_barrier(args: SimpleNamespace) -> int:
     _emit_json(
         args,
         {
-            "m": result.max_mean,
+            "m": graph.max_mean,
             "base": list(result.base_vertex),
             "values": {_word_key(v): x for v, x in result.values.items()},
             "bounds": _plain(result.bounds),

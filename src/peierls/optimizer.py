@@ -49,7 +49,6 @@ class WeightedMemoryGraph(NamedTuple):
     weights: dict[Edge, float]
     succ: dict[Vertex, tuple[Vertex, ...]]
     pred: dict[Vertex, tuple[Vertex, ...]]
-    depth: int = 1
     shift: FiniteShift | None = None
     pot: PotentialSpec | None = None
     max_mean: float | None = None
@@ -58,9 +57,6 @@ class WeightedMemoryGraph(NamedTuple):
     critical_edges: frozenset = frozenset()
     critical_components: tuple[tuple[Vertex, ...], ...] = ()
     critical_class_unique: bool | None = None
-
-    def edge_list(self) -> list[tuple[Edge, float]]:
-        return sorted(self.weights.items())
 
     def is_optimized(self) -> bool:
         return self.max_mean is not None
@@ -124,7 +120,6 @@ def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemor
         weights=weights,
         succ=succ,
         pred=pred,
-        depth=k,
         shift=finite,
         pot=pot,
     )
@@ -157,16 +152,23 @@ def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex,
     mean eta of the policy cycle it runs into and a bias x on the way, 0 at that cycle's
     least vertex.  A vertex switches to a successor of larger eta or, once none has one,
     of larger bias, if the gain passes the tolerance; at the end x[u] >= w - m + x[v].
+    A policy that comes back would come back forever, so it raises ``GraphError``.
     """
     verts, n = graph.vertices, len(graph.vertices)
     index = {v: i for i, v in enumerate(verts)}
     targets = [sorted(index[t] for t in graph.succ[v]) for v in verts]
     if not all(targets):
         raise GraphError("a vertex without out-edges lies on no cycle")
-    weights = [[graph.weights[(v, verts[t])] for t in ts] for v, ts in zip(verts, targets)]
+    # Shifted to a top weight of 0, the weights set the tolerance by their spread, not
+    # their size: at 1e12 a size-based one let the two phases undo each other forever.
+    top = max(graph.weights.values())
+    weights = [[graph.weights[(v, verts[t])] - top for t in ts] for v, ts in zip(verts, targets)]
+    spread = -min(min(ws) for ws in weights)
+    tol = max(_checked_tol(tol), 4 * n * sys.float_info.epsilon * spread)
     policy = [ws.index(max(ws)) for ws in weights]  # the least target on ties
-    tol = _rounding_tol(graph, tol)
-    while True:
+    seen: dict[tuple[int, ...], int] = {}  # each policy run so far -> its iteration, from 1
+    while (key := tuple(policy)) not in seen:
+        seen[key] = len(seen) + 1
         nxt = [ts[k] for ts, k in zip(targets, policy)]
         step = [ws[k] for ws, k in zip(weights, policy)]
         eta, x, walked = [math.nan] * n, [0.0] * n, [-1] * n
@@ -199,28 +201,27 @@ def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex,
             if max(gains) > x[i] + tol:
                 policy[i], switched = gains.index(max(gains)), True
         if not switched:
-            return max(eta), {v: -b for v, b in zip(verts, x)}
+            return max(eta) + top, {v: -b for v, b in zip(verts, x)}
+    raise GraphError(f"the policy of iteration {len(seen) + 1} repeats iteration {seen[key]}")
 
 
 def _longest_walk(
-    graph: WeightedMemoryGraph,
-    seeds: Mapping[Vertex, float],
-    reduce_by: float,
-    tol: float = DEFAULT_TOL,
+    graph: WeightedMemoryGraph, seeds: Mapping[Vertex, float], tol: float = DEFAULT_TOL
 ) -> dict[Vertex, float]:
     """Maximum reduced-weight walk values from the seeded vertices.
 
-    Bellman-Ford relaxation; with all reduced cycle weights nonpositive the
-    optimum is attained on simple paths, so |V|-1 sweeps suffice.  A final
-    check sweep turns any surviving improvement above the tolerance into
-    ``PositiveCycleError``.
+    Bellman-Ford relaxation on the weights minus the graph's maximum mean;
+    with all reduced cycle weights nonpositive the optimum is attained on
+    simple paths, so |V|-1 sweeps suffice.  A final check sweep turns any
+    surviving improvement above the tolerance into ``PositiveCycleError``,
+    and a vertex no seed reaches into ``GraphError``.
     """
     values: dict[Vertex, float] = {v: -math.inf for v in graph.vertices}
     for v, s in seeds.items():
         if v not in values:
             raise GraphError(f"seed vertex {v!r} is not in the graph")
         values[v] = float(s)
-    edges = graph.edge_list()
+    edges, m = sorted(graph.weights.items()), graph.max_mean
     tol = _rounding_tol(graph, tol)
     for _ in range(len(graph.vertices) - 1):
         changed = False
@@ -228,7 +229,7 @@ def _longest_walk(
             base = values[u]
             if base == -math.inf:
                 continue
-            cand = base + (w - reduce_by)
+            cand = base + (w - m)
             if cand > values[v]:
                 values[v] = cand
                 changed = True
@@ -238,10 +239,13 @@ def _longest_walk(
         base = values[u]
         if base == -math.inf:
             continue
-        if base + (w - reduce_by) > values[v] + tol:
+        if base + (w - m) > values[v] + tol:
             raise PositiveCycleError(
                 f"reduced cycle with positive weight through edge {u!r} -> {v!r}"
             )
+    stuck = sorted(v for v, x in values.items() if x == -math.inf)
+    if stuck:
+        raise GraphError(f"vertices unreachable from the seeds: {stuck[:4]}")
     return values
 
 
@@ -271,10 +275,18 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
         raise GraphError(f"graph must be strongly connected; found {len(comps)} components")
     mean, h = _howard(graph, tol)
     tol, w = _rounding_tol(graph, tol), graph.weights
-    tight = [
-        (u, v) for u in graph.vertices for v in sorted(graph.succ[u])
-        if h[u] + (w[(u, v)] - mean) >= h[v] - tol
-    ]
+    # h[u] + (w - m) <= h[v] + tol on every edge certifies that no cycle beats m
+    tight, excess = [], {}
+    for u in graph.vertices:
+        for v in sorted(graph.succ[u]):
+            reach = h[u] + (w[(u, v)] - mean)
+            if reach > h[v] + tol:
+                excess[(u, v)] = reach - h[v]
+            elif reach >= h[v] - tol:
+                tight.append((u, v))
+    if excess:
+        u, v = max(excess, key=excess.get)
+        raise GraphError(f"m is not certified: edge {u!r} -> {v!r} beats it by {excess[(u, v)]!r}")
     tight_succ, tight_pred = adjacency(graph.vertices, tight)
     comps = strongly_connected_components(graph.vertices, tight_succ, tight_pred)
     critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in tight_succ[comp[0]])

@@ -6,8 +6,8 @@ table falls back to the tail u(first letter), which decays linearly or
 logarithmically and makes the potential coercive.
 
 Two families of oscillation/extremum helpers coexist on purpose.  The
-``var_j`` and ``total_variation`` forms enumerate admissible words inside
-a given finite truncation and are exact there.  The ``*_bound_on_letter``
+``var_j`` form enumerates admissible words inside a given finite
+truncation and is exact there.  The ``*_bound_on_letter``
 and ``ambient_*`` forms ignore adjacency and bound the potential over the
 full countable alphabet; they are safe (one-sided) for any truncation and
 are what the cutoff and barrier-bound formulas consume.
@@ -178,10 +178,6 @@ def var_j(pot: PotentialSpec, finite: FiniteShift, j: int) -> float:
     return _prefix_spread(
         ((word, evaluate(pot, word)) for word in admissible_words(finite, pot.depth)), j
     )
-
-
-def total_variation(pot: PotentialSpec, finite: FiniteShift) -> float:
-    return float(sum(var_j(pot, finite, j) for j in range(1, pot.depth)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ A shift is described by one of four transition rules:
 * ``oracle``          -- an arbitrary membership predicate, library-only.
 
 Finite truncations keep the letters up to a bound and prune the letters
-stranded by the cut.  The metric parameter ``lambda`` is carried for
-reporting; oscillation bookkeeping downstream is indexed by agreement
-length, which orders cylinders the same way for every lambda in (0, 1).
+stranded by the cut.  The JSON form's metric parameter ``lambda`` is
+validated and not stored: oscillation bookkeeping downstream is indexed by
+agreement length, which orders cylinders the same way for every lambda in
+(0, 1), so no result depends on it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class _ShiftSpecFields(NamedTuple):
     edges: frozenset[tuple[int, int]] | None = None
     renewal_rule: tuple[int, int] | None = None
     membership: Callable[[int, int], bool] | None = None
-    metric_base: float = 0.5
 
 
 class ShiftSpec(_ShiftSpecFields):
@@ -78,8 +78,6 @@ class ShiftSpec(_ShiftSpecFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (KIND_EXPLICIT, KIND_FULL, KIND_RENEWAL, KIND_ORACLE):
             raise ShiftSpecError(f"unknown shift kind {self.kind!r}")
-        if not (0.0 < self.metric_base < 1.0):
-            raise ShiftSpecError("metric parameter lambda must lie strictly in (0, 1)")
         if self.kind in (KIND_EXPLICIT, KIND_FULL):
             if self.alphabet_size is None or self.alphabet_size < 1:
                 raise ShiftSpecError("finite kinds need a positive alphabet_size")
@@ -146,29 +144,29 @@ def parse_shift_spec(document: str) -> ShiftSpec:
         a, b = rule["a"], rule["b"]
         if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
             raise ShiftSpecError("renewal parameters a, b must be integers")
-        return ShiftSpec(kind=kind, renewal_rule=(a, b), metric_base=float(lam))
-
-    size = raw.get("alphabet_size")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ShiftSpecError("alphabet_size must be a positive integer")
-    if kind == KIND_FULL:
-        return ShiftSpec(kind=kind, alphabet_size=size, metric_base=float(lam))
-
-    edges_raw = raw.get("edges")
-    if not isinstance(edges_raw, list) or not edges_raw:
-        raise ShiftSpecError("explicit-finite shifts need a nonempty edges list")
-    edges: set[tuple[int, int]] = set()
-    for item in edges_raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
-            raise ShiftSpecError(f"edge entries must be [i, j] integer pairs, got {item!r}")
-        edges.add((item[0], item[1]))
-    return ShiftSpec(
-        kind=kind, alphabet_size=size, edges=frozenset(edges), metric_base=float(lam)
-    )
+        fields: dict = {"renewal_rule": (a, b)}
+    else:
+        size = raw.get("alphabet_size")
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise ShiftSpecError("alphabet_size must be a positive integer")
+        fields = {"alphabet_size": size}
+    if kind == KIND_EXPLICIT:
+        edges_raw = raw.get("edges")
+        if not isinstance(edges_raw, list) or not edges_raw:
+            raise ShiftSpecError("explicit-finite shifts need a nonempty edges list")
+        edges: set[tuple[int, int]] = set()
+        for item in edges_raw:
+            if (
+                not isinstance(item, list)
+                or len(item) != 2
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+            ):
+                raise ShiftSpecError(f"edge entries must be [i, j] integer pairs, got {item!r}")
+            edges.add((item[0], item[1]))
+        fields["edges"] = frozenset(edges)
+    if not 0.0 < float(lam) < 1.0:
+        raise ShiftSpecError("metric parameter lambda must lie strictly in (0, 1)")
+    return ShiftSpec(kind=kind, **fields)
 
 
 def renewal_is_entry(spec: ShiftSpec, j: int) -> bool:
@@ -225,30 +223,20 @@ class FiniteShift(NamedTuple):
     letters: tuple[int, ...]
     succ: Mapping[int, tuple[int, ...]]
     pred: Mapping[int, tuple[int, ...]]
-    spec: ShiftSpec | None = None
     truncation_bound: int | None = None
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _make_finite(
-    spec: ShiftSpec | None,
-    bound: int | None,
-    letters: Iterable[int],
-    succ: Mapping[int, Iterable[int]],
+    bound: int | None, letters: Iterable[int], succ: Mapping[int, Iterable[int]]
 ) -> FiniteShift:
     letters_t = tuple(sorted(letters))
     keep = set(letters_t)
     succ_t, pred_t = adjacency(
         letters_t, [(i, j) for i in letters_t for j in sorted(succ.get(i, ())) if j in keep]
     )
-    return FiniteShift(
-        letters=letters_t,
-        succ=succ_t,
-        pred=pred_t,
-        spec=spec,
-        truncation_bound=bound,
-    )
+    return FiniteShift(letters=letters_t, succ=succ_t, pred=pred_t, truncation_bound=bound)
 
 
 def _raw_truncation_edges(spec: ShiftSpec, letters: list[int]) -> dict[int, list[int]]:
@@ -290,7 +278,7 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
         raise TruncationError(
             f"no admissible cycle among letters 0..{max_letter}; truncation is empty"
         )
-    return _make_finite(spec, max_letter, alive, succ)
+    return _make_finite(max_letter, alive, succ)
 
 
 def is_transitive(finite: FiniteShift) -> bool:
@@ -330,12 +318,7 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
             groups,
         )
     core = comps[hit[0]]
-    return _make_finite(
-        finite.spec,
-        finite.truncation_bound,
-        core,
-        {i: finite.succ[i] for i in core},
-    )
+    return _make_finite(finite.truncation_bound, core, {i: finite.succ[i] for i in core})
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +457,7 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     if spec.kind == KIND_RENEWAL:
         top = least_entry_letter(spec, wanted[-1])
         alive = list(range(top + 1))
-        return _make_finite(spec, top, alive, _raw_truncation_edges(spec, alive))
+        return _make_finite(top, alive, _raw_truncation_edges(spec, alive))
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     last = wanted[-1] + CORE_ATTEMPTS - 1 if cap is None else cap

@@ -37,13 +37,11 @@ class SeedConsistencyError(ValueError):
 class SubactionReport(NamedTuple):
     """Edge-by-edge verdict on a candidate subaction, with its contact set."""
 
-    values: Mapping[Vertex, float]
     is_subaction: bool
     worst_violation: float
     is_calibrated: bool
     uncalibrated_vertices: tuple[Vertex, ...]
     contact_edges: frozenset[Edge]
-    contact_slacks: Mapping[Edge, float]
     supp_in_contact: bool
 
 
@@ -93,11 +91,8 @@ def _edge_slack(
     return values[v] - values[u] + graph.max_mean - graph.weights[(u, v)]
 
 
-def verify_subaction(
-    graph: WeightedMemoryGraph, values: Mapping[Vertex, float], tol: float = DEFAULT_TOL
-) -> SubactionReport:
-    """Check the subaction inequality edge by edge and locate the contact set."""
-    tol = _require_optimized(graph, tol)
+def _check_table(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> None:
+    """GraphError unless ``values`` holds a finite value for every vertex of ``graph``."""
     missing = sorted(set(graph.succ) - set(values))
     if missing:
         raise GraphError(f"values missing for vertices: {missing[:4]}")
@@ -105,16 +100,21 @@ def verify_subaction(
     if nonfinite:
         raise GraphError(f"values not finite at vertices: {nonfinite[:4]}")
 
+
+def verify_subaction(
+    graph: WeightedMemoryGraph, values: Mapping[Vertex, float], tol: float = DEFAULT_TOL
+) -> SubactionReport:
+    """Check the subaction inequality edge by edge and locate the contact set."""
+    tol = _require_optimized(graph, tol)
+    _check_table(graph, values)
     worst = 0.0
     contact: set[Edge] = set()
-    slacks: dict[Edge, float] = {}
-    for (u, v), _ in graph.edge_list():
+    for u, v in graph.weights:  # a maximum and a set: the edge order does not matter
         slack = _edge_slack(graph, values, u, v)
         if -slack > worst:
             worst = -slack
         if abs(slack) <= tol:
             contact.add((u, v))
-            slacks[(u, v)] = slack
 
     uncalibrated = tuple(
         v
@@ -126,13 +126,11 @@ def verify_subaction(
         (cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
     }
     return SubactionReport(
-        values=dict(values),
         is_subaction=worst <= tol,
         worst_violation=worst,
         is_calibrated=not uncalibrated,
         uncalibrated_vertices=uncalibrated,
         contact_edges=frozenset(contact),
-        contact_slacks=slacks,
         supp_in_contact=cycle_edges <= contact,
     )
 
@@ -156,6 +154,7 @@ def calibrated_preorbit(
         raise GraphError(f"unknown vertex {start!r}")
     if steps < 0:
         raise GraphError("steps must be nonnegative")
+    _check_table(graph, values)
 
     sequence = [start]
     current = start
@@ -253,11 +252,7 @@ def fixpoint_subaction(
             raise SeedConsistencyError(
                 f"seed breaks the tight edge {u!r} -> {v!r} by {gap!r}"
             )
-    values = _longest_walk(graph, dict(seed), graph.max_mean, tol)
-    stuck = sorted(v for v, x in values.items() if x == float("-inf"))
-    if stuck:
-        raise GraphError(f"vertices unreachable from the critical class: {stuck[:4]}")
-    return values
+    return _longest_walk(graph, seed, tol)
 
 
 def one_step_image(
@@ -265,6 +260,7 @@ def one_step_image(
 ) -> dict[Vertex, float]:
     """Transfer-operator image: best incoming value plus reduced weight."""
     _require_optimized(graph)
+    _check_table(graph, values)
     image: dict[Vertex, float] = {}
     for v in graph.vertices:
         preds = graph.pred[v]
@@ -289,6 +285,8 @@ def minimality_check(
     below it somewhere is not a subaction at all.
     """
     tol = _require_optimized(graph, tol)
+    _check_table(graph, candidate)
+    _check_table(graph, barrier_values)
     base = graph.critical_cycle[0]
     offset = candidate[base]
     worst_margin = float("inf")

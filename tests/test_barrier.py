@@ -42,7 +42,6 @@ def test_barrier_golden_mean(gm_graph):
     assert result.base_vertex == (0,)
     assert result.values == {(0,): 0.0, (1,): 0.0}
     assert math.copysign(1.0, result.values[(0,)]) == 1.0
-    assert result.max_mean == 0.0
     bounds = result.bounds
     assert bounds is not None
     assert bounds.per_letter == {0: 0.0, 1: 1.0}

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from peierls.cli import run
+
+from oracles import random_graph
 
 GM_SHIFT = json.dumps(
     {"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 0], [0, 1], [1, 0]]}
@@ -183,6 +186,31 @@ def test_a_linear_tail_past_float_resolution_is_reported_at_once(tmp_path):
     assert "beyond the budget 4096" in payload["cutoff"]["error"]
 
 
+def test_optimize_returns_on_a_table_near_1e12(tmp_path):
+    # Howard's policy iteration cycled forever here: the graph turned into a
+    # 14-letter explicit shift (its edges) and a depth-2 table (its weights)
+    rng = random.Random(1835)
+    weights = {e: rng.uniform(-1, 1) + 1e12 for e in random_graph(rng, rng.randint(2, 14))}
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    edges = sorted(weights)
+    shift.write_text(json.dumps({"kind": "explicit-finite", "alphabet_size": 14, "edges": edges}))
+    table = [{"word": list(e), "value": weights[e]} for e in edges]
+    pot.write_text(json.dumps({"depth": 2, "tail": {"kind": "linear", "c": 1}, "table": table}))
+    argv = ["optimize", "--shift", str(shift), "--potential", str(pot)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "peierls.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["m"] == 1000000000000.6632
+    assert payload["cycle"] == [[11]]
+
+
 def test_barrier_countable_shift_requires_max_letter(renewal_files, capsys):
     shift, pot = renewal_files
     assert run(["barrier", "--shift", shift, "--potential", pot]) == 2
@@ -199,6 +227,10 @@ TAIL = {"kind": "linear", "c": 1}
     [
         ({"kind": "full", "alphabet_size": 2, "lambda": "x"}, None, None,
          "lambda must be a number in (0, 1)"),
+        ({"kind": "full", "alphabet_size": 2, "lambda": 1.0}, None, None,
+         "metric parameter lambda must lie strictly in (0, 1)"),
+        ({"kind": "full", "alphabet_size": 2, "lambda": 0}, None, None,
+         "metric parameter lambda must lie strictly in (0, 1)"),
         ({"kind": "renewal", "renewal": {"a": 2}}, None, None,
          'renewal shifts need {"renewal": {"a": int, "b": int}}'),
         ({"kind": "renewal", "renewal": {"a": 2.5, "b": 0}}, None, None,
@@ -224,10 +256,11 @@ TAIL = {"kind": "linear", "c": 1}
         (None, None, "0,0.0\n1,0.0\n0,1.0\n", "{values}:3: repeated vertex word '0'"),
     ],
     ids=[
-        "lambda-not-a-number", "renewal-without-b", "renewal-not-integers", "edge-not-a-pair",
-        "potential-not-an-object", "no-tail", "table-not-a-list", "entry-malformed",
-        "word-not-integers", "value-not-a-number", "csv-line-without-comma", "csv-bad-value",
-        "csv-no-rows", "csv-malformed-word", "csv-nan", "csv-inf", "csv-repeated-word",
+        "lambda-not-a-number", "lambda-one", "lambda-zero", "renewal-without-b",
+        "renewal-not-integers", "edge-not-a-pair", "potential-not-an-object", "no-tail",
+        "table-not-a-list", "entry-malformed", "word-not-integers", "value-not-a-number",
+        "csv-line-without-comma", "csv-bad-value", "csv-no-rows", "csv-malformed-word", "csv-nan",
+        "csv-inf", "csv-repeated-word",
     ],
 )
 def test_malformed_input_is_a_usage_error(gm_files, tmp_path, capsys, shift, pot, values, message):

@@ -20,7 +20,8 @@ from peierls import (
     optimize,
     periodic_measure,
 )
-from peierls.optimizer import _longest_walk
+from peierls import optimizer
+from peierls.optimizer import DEFAULT_TOL, _howard, _longest_walk, _rounding_tol
 
 from oracles import (
     oracle_canonical_cycle,
@@ -31,12 +32,18 @@ from oracles import (
 )
 
 
+def offset_weights(seed, draw):
+    """A seeded random graph whose weights are ``draw(rng)`` plus 1e12."""
+    rng = random.Random(seed)
+    return {e: draw(rng) + 1e12 for e in random_graph(rng, rng.randint(2, 14))}
+
+
 def test_graph_from_weights_structure():
     g = graph_from_weights({(0, 1): 1.0, (1, 0): -1.0, (0, 0): 0.5})
     assert g.vertices == (0, 1)
     assert g.succ[0] == (0, 1)
     assert g.pred[0] == (0, 1)
-    assert g.edge_list()[0] == ((0, 0), 0.5)
+    assert g.weights == {(0, 0): 0.5, (0, 1): 1.0, (1, 0): -1.0}
     assert not g.is_optimized()
 
 
@@ -53,7 +60,6 @@ def test_memory_graph_depth_one_weighs_source_letter(gm_finite):
     assert g.vertices == ((0,), (1,))
     assert g.weights[((0,), (1,))] == 0.0
     assert g.weights[((1,), (0,))] == -4.0
-    assert g.depth == 1
 
 
 def test_memory_graph_depth_two_weighs_transition(gm_finite):
@@ -183,10 +189,35 @@ def test_policy_iteration_leaves_a_greedy_start():
 
 
 def test_positive_cycle_guard_trips():
-    g = graph_from_weights({(0, 1): 1.0, (1, 0): 1.0})
-    optimize(g)
+    # a stated mean of 0 below the true mean 1 leaves the two-cycle positive
+    g = optimize(graph_from_weights({(0, 1): 1.0, (1, 0): 1.0}))._replace(max_mean=0.0)
     with pytest.raises(PositiveCycleError):
-        _longest_walk(g, {0: 0.0}, 0.0, 1e-9)
+        _longest_walk(g, {0: 0.0}, 1e-9)
+
+
+def test_policy_iteration_names_the_iteration_whose_policy_repeats():
+    # with the tolerance of the raw weights near 1e12, the mean phase and the
+    # bias phase of this graph undo each other; a repeat is proof of a cycle
+    graph = graph_from_weights(offset_weights(1835, lambda rng: rng.uniform(-1, 1)))
+    with pytest.raises(GraphError, match="the policy of iteration 6 repeats iteration 2"):
+        _howard(graph, _rounding_tol(graph, DEFAULT_TOL))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_optimize_returns_on_graphs_shifted_by_1e12(seed):
+    # multiples of 1/64 keep every walk sum exact, so Karp's mean is off by one rounding at most
+    weights = offset_weights(seed, lambda rng: rng.randint(-64, 64) / 64)
+    graph = graph_from_weights(weights)
+    deviation = abs(optimize(graph).max_mean - oracle_karp_max_mean(weights))
+    assert deviation <= _rounding_tol(graph, DEFAULT_TOL)
+
+
+def test_optimize_rejects_a_subaction_that_does_not_certify_the_mean(monkeypatch):
+    # the two-cycle has mean 1; a claimed mean 0 with a flat subaction is beaten on 0 -> 1
+    monkeypatch.setattr(optimizer, "_howard", lambda graph, tol: (0.0, {0: 0.0, 1: 0.0}))
+    with pytest.raises(GraphError, match=r"m is not certified: edge 0 -> 1 beats it by 3\.0"):
+        optimize(graph_from_weights({(0, 1): 3.0, (1, 0): -1.0}))
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])

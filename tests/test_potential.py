@@ -12,7 +12,6 @@ from peierls import (
     evaluate,
     parse_potential,
     tail_value,
-    total_variation,
     truncate,
     validate_table,
     var_j,
@@ -103,7 +102,6 @@ def test_admissible_word_enumeration(gm_finite):
 def test_var_and_total_variation(gm_finite, depth2_pot):
     assert var_j(depth2_pot, gm_finite, 1) == 3.0
     assert var_j(depth2_pot, gm_finite, 2) == 0.0
-    assert total_variation(depth2_pot, gm_finite) == 3.0
     with pytest.raises(PotentialError):
         var_j(depth2_pot, gm_finite, 0)
 

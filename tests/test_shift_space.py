@@ -32,13 +32,13 @@ def test_parse_explicit_roundtrip():
     assert spec.kind == "explicit-finite"
     assert spec.alphabet_size == 2
     assert spec.edges == frozenset({(0, 0), (0, 1), (1, 0)})
-    assert spec.metric_base == 0.5
 
 
 def test_parse_renewal_and_lambda():
+    # lambda is validated, not stored: no result depends on it
     spec = parse_shift_spec('{"kind": "renewal", "renewal": {"a": 2, "b": 0}, "lambda": 0.25}')
     assert spec.renewal_rule == (2, 0)
-    assert spec.metric_base == 0.25
+    assert spec == parse_shift_spec('{"kind": "renewal", "renewal": {"a": 2, "b": 0}}')
 
 
 @pytest.mark.parametrize(
@@ -336,7 +336,7 @@ def test_records_reject_attribute_assignment(record):
     "fields, message",
     [
         ({"kind": "bogus"}, "unknown shift kind 'bogus'"),
-        ({"metric_base": 1.0}, "metric parameter lambda must lie strictly in (0, 1)"),
+        ({"renewal_rule": None}, "renewal shifts need an entry rule (a, b)"),
         ({"kind": "full", "alphabet_size": 0}, "finite kinds need a positive alphabet_size"),
         (
             {"kind": "explicit-finite", "alphabet_size": 2, "edges": frozenset({(0, 2)})},

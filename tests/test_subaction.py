@@ -64,6 +64,31 @@ def test_verify_rejects_values_that_are_not_finite(gm_graph, bad):
 
 
 @pytest.mark.parametrize(
+    "table, message",
+    [
+        ({0: 0.0, 1: math.nan}, r"values not finite at vertices: \[1\]"),
+        ({0: 0.0}, r"values missing for vertices: \[1\]"),
+    ],
+    ids=["nan", "missing"],
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g, table: minimality_check(g, table, {0: 0.0, 1: 0.0}),
+        lambda g, table: minimality_check(g, {0: 0.0, 1: 0.0}, table),
+        one_step_image,
+        lambda g, table: calibrated_preorbit(g, table, 0, 1),
+    ],
+    ids=["minimality-candidate", "minimality-barrier", "one_step_image", "calibrated_preorbit"],
+)
+def test_every_value_table_is_checked_like_verify_subaction(two_cycle_graph, check, table, message):
+    # a nan margin never fell below the worst one, so minimality_check passed it with
+    # ok=True, and one_step_image's max kept or dropped a nan by argument order
+    with pytest.raises(GraphError, match=message):
+        check(two_cycle_graph, table)
+
+
+@pytest.mark.parametrize(
     "check",
     [
         compute_barrier,

@@ -73,7 +73,6 @@ def test_a_stage_differing_in_any_input_misses_the_cache(renewal_spec, renewal_p
     variants = [
         (renewal_spec, renewal_pot, 6),
         (renewal_spec, renewal_pot, 7),
-        (renewal_spec._replace(metric_base=0.25), renewal_pot, 6),
         (renewal_spec._replace(renewal_rule=(2, 1)), renewal_pot, 6),
         (renewal_spec, renewal_pot._replace(tail_scale=2.0), 6),
         (renewal_spec, renewal_pot._replace(table={(0,): -0.5}), 6),
