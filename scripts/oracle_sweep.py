@@ -18,14 +18,22 @@ also checks the stage-two bound and connect length of the letter cutoff on
 renewal cores (a = 1..6, b = 0..5, top letters 0..5) against a stage-two
 core found here by brute search from the entry rule and an all-pairs BFS,
 and builds each of those stages twice in a temporary stage cache, cold
-then warm, requiring the two to agree bit for bit.  Exits nonzero past
---tol, on a ``GraphError`` at the 1e12 offset, or on any cycle, component,
-offset, stage-two or cache mismatch.
+then warm, requiring the two to agree bit for bit.  Last, it fits 40 times
+--count seeded random letter/floor sets with the probe's slope and with
+``statistics.linear_regression``, and counts the fits whose slopes differ in
+any bit (none on 3.11; later versions sum with ``sumprod``).  Their
+difference is taken relative to the larger of the slope and the fit's scale
+sqrt(Syy/Sxx), since a near-zero slope magnifies a last-bit difference.
+Exits nonzero past --tol, on a ``GraphError`` at the 1e12 offset, on any
+cycle, component, offset, stage-two or cache mismatch, or on a slope
+difference above 1e-12.
 """
 
 import argparse
+import math
 import os
 import random
+import statistics
 import sys
 import tempfile
 import time
@@ -45,6 +53,7 @@ from peierls import (
     optimize,
 )
 from peierls.optimizer import _rounding_tol
+from peierls.truncation import _slope
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import (
@@ -136,6 +145,22 @@ def renewal_cache_mismatches():
     return mismatches
 
 
+def slope_differences(rng, count):
+    """Fits whose probe slope differs from the stdlib's in any bit, and the worst
+    difference relative to the larger of the slope and the fit's scale."""
+    differing, worst = 0, 0.0
+    for _ in range(count):
+        x = sorted(rng.sample(range(401), rng.randint(2, 40)))
+        y = [rng.uniform(-1000.0, 1000.0) for _ in x]
+        ours, expected = _slope(x, y), statistics.linear_regression(x, y).slope
+        xbar, ybar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+        syy = math.fsum((v - ybar) ** 2 for v in y)
+        scale = math.sqrt(syy / math.fsum((v - xbar) ** 2 for v in x))
+        differing += ours != expected
+        worst = max(worst, abs(ours - expected) / max(abs(expected), scale))
+    return differing, worst
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
@@ -181,6 +206,8 @@ def main(argv=None):
         component_mismatches += component_mismatch(g)
     stage_two_mismatches = renewal_stage_two_mismatches()
     cache_mismatches = renewal_cache_mismatches()
+    fits = 40 * args.count
+    slope_bits, worst_slope = slope_differences(rng, fits)
     elapsed = time.perf_counter() - started
 
     print(f"graphs checked        {args.count}")
@@ -194,6 +221,8 @@ def main(argv=None):
     print(f"critical component mismatches {component_mismatches}")
     print(f"renewal stage-two mismatches {stage_two_mismatches}")
     print(f"renewal cache round-trip mismatches {cache_mismatches}")
+    print(f"probe slopes differing from statistics {slope_bits} of {fits}")
+    print(f"worst probe slope difference {worst_slope:.3e}")
     print(f"elapsed               {elapsed:.2f}s")
     if max(worst_mean, worst_barrier, worst_large) > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
@@ -212,6 +241,9 @@ def main(argv=None):
         return 1
     if cache_mismatches:
         print("a cached renewal stage differs from the freshly built one", file=sys.stderr)
+        return 1
+    if worst_slope > 1e-12:
+        print("the probe slope strays from statistics.linear_regression", file=sys.stderr)
         return 1
     return 0
 

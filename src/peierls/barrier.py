@@ -71,11 +71,27 @@ class UpperBoundReport(NamedTuple):
 
 
 class BarrierResult(NamedTuple):
-    """Barrier values of an optimized graph, pinned to zero at the base vertex."""
+    """Barrier values of an optimized graph, pinned to zero at the base vertex.
+
+    ``bounds`` is built from ``graph`` each time it is read, None without a shift and a
+    potential.  Results are equal when base, values and bounds are, as truncations
+    compare by identity."""
 
     base_vertex: Vertex
     values: Mapping[Vertex, float]
-    bounds: UpperBoundReport | None
+    graph: WeightedMemoryGraph
+
+    @property
+    def bounds(self) -> UpperBoundReport | None:
+        graph = self.graph
+        return None if graph.shift is None or graph.pot is None else _bound_report(graph, self.values)
+
+    def __eq__(self, other):
+        same = isinstance(other, BarrierResult) and self[:2] == other[:2]
+        return same and (self.graph is other.graph or self.bounds == other.bounds)
+
+    def __ne__(self, other):
+        return not self == other
 
 
 class CutoffReport(NamedTuple):
@@ -104,10 +120,7 @@ def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> Bar
     raw = _longest_walk(graph, {base: 0.0}, tol)
     shift = raw[base]
     values = {v: (x - shift) + 0.0 for v, x in raw.items()}
-    bounds = None
-    if graph.shift is not None and graph.pot is not None:
-        bounds = _bound_report(graph, values)
-    return BarrierResult(base_vertex=base, values=values, bounds=bounds)
+    return BarrierResult(base_vertex=base, values=values, graph=graph)
 
 
 def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> UpperBoundReport:

@@ -164,7 +164,7 @@ def parse_shift_spec(document: str) -> ShiftSpec:
                 raise ShiftSpecError(f"edge entries must be [i, j] integer pairs, got {item!r}")
             edges.add((item[0], item[1]))
         fields["edges"] = frozenset(edges)
-    if not 0.0 < float(lam) < 1.0:
+    if not 0 < lam < 1:  # no float(): a 400-digit integer would overflow it
         raise ShiftSpecError("metric parameter lambda must lie strictly in (0, 1)")
     return ShiftSpec(kind=kind, **fields)
 

@@ -13,18 +13,19 @@ requested bound, so sweeps over stage lists can reuse earlier runs.  An
 entry holds only what needs Howard's policy iteration: the used bound, the
 canonical critical cycle, the critical components and the critical edges.
 A hit recomputes m from the cycle's weights, the uniqueness of the class,
-the barrier and its bounds, so it reproduces the freshly computed stage
-bit for bit.  An entry whose barrier walk fails, as it does when its cycle
-is not maximal, is a miss.
+and the barrier, so it reproduces the freshly computed stage bit for bit.
+An entry whose barrier walk fails, as it does when its cycle is not maximal,
+is a miss, and so is one whose stored key is not the stage's own.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 import os
 import tempfile
-from typing import Iterable, Mapping, NamedTuple
+import zlib
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
 from .optimizer import (
@@ -52,7 +53,7 @@ BOUNDED = "BOUNDED"
 DIVERGENT = "DIVERGENT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 MIN_TREND_LETTERS = 5
 
 
@@ -113,21 +114,21 @@ class BoundednessProbe(NamedTuple):
     note: str
 
 
-def _cache_path(spec: ShiftSpec, pot: PotentialSpec, requested: int) -> str:
-    # reprs of equal inputs listed in another order differ: a miss, never a wrong hit
-    key = hashlib.sha256(repr((spec, pot, requested)).encode()).hexdigest()[:32]
-    return os.path.join(os.environ.get("PEIERLS_CACHE_DIR", ".peierls-cache"), f"stage-{key}.json")
+def _cache_path(key: str) -> str:
+    # no hashlib, whose OpenSSL takes ms to load; the stored key makes a CRC collision a miss
+    name = f"stage-{zlib.crc32(key.encode()):08x}-{len(key)}.json"
+    return os.path.join(os.environ.get("PEIERLS_CACHE_DIR", ".peierls-cache"), name)
 
 
 def _word(obj) -> Word:
     return tuple(int(x) for x in obj)
 
 
-def _stage_payload(stage: Stage) -> dict:
+def _stage_payload(stage: Stage, key: str) -> dict:
     graph = stage.graph
     return {
         "schema": CACHE_SCHEMA,
-        "requested": stage.requested,
+        "key": key,
         "used": stage.used,
         "cycle": [list(v) for v in graph.critical_cycle],
         "components": [[list(v) for v in comp] for comp in graph.critical_components],
@@ -136,14 +137,12 @@ def _stage_payload(stage: Stage) -> dict:
 
 
 def _restore_optimum(
-    payload: object, requested: int, core: FiniteShift, graph: WeightedMemoryGraph
+    payload: object, key: str, core: FiniteShift, graph: WeightedMemoryGraph
 ) -> WeightedMemoryGraph | None:
     """The optimized graph an entry describes, or None when it does not fit this stage."""
-    if not isinstance(payload, dict):
+    if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
         return None
-    if payload.get("schema") != CACHE_SCHEMA or payload.get("requested") != requested:
-        return None
-    if int(payload["used"]) != max(core.letters):
+    if payload.get("key") != key or int(payload["used"]) != max(core.letters):
         return None
     cycle = tuple(_word(v) for v in payload["cycle"])
     if not cycle or any(
@@ -164,8 +163,8 @@ def _write_cache(path: str, payload: dict) -> None:
     except OSError:
         return
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as handle:
-            json.dump(payload, handle, sort_keys=True)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, sort_keys=True))  # dump would encode in Python
         os.replace(tmp, path)
     except OSError:
         try:
@@ -186,33 +185,33 @@ def build_stage(
         raise FamilyError("stage bounds must be nonnegative")
     core = covering_core(spec, range(requested + 1))
     graph = build_memory_graph(core, pot)
-    cacheable = use_cache and spec.kind != KIND_ORACLE
-    path = _cache_path(spec, pot, requested) if cacheable else None
+    # reprs of equal inputs listed in another order differ: a miss, never a wrong hit
+    key = repr((spec, pot, requested))
+    path = _cache_path(key) if use_cache and spec.kind != KIND_ORACLE else None
 
-    result = None  # the optimized graph and its barrier
+    barrier = None
     if path is not None and os.path.exists(path):
         try:
-            with open(path, "r", encoding="ascii") as handle:
-                optimum = _restore_optimum(json.load(handle), requested, core, graph)
+            with open(path, "r", encoding="utf-8") as handle:
+                optimum = _restore_optimum(json.load(handle), key, core, graph)
             if optimum is not None:
-                result = optimum, compute_barrier(optimum, tol)
+                barrier = compute_barrier(optimum, tol)
         except (OSError, ValueError, KeyError, TypeError, IndexError, PositiveCycleError):
             pass  # a corrupt entry is a miss, and so is one whose barrier walk fails
 
-    from_cache = result is not None
+    from_cache = barrier is not None
     if not from_cache:
-        graph = optimize(graph, tol)
-        result = graph, compute_barrier(graph, tol)
+        barrier = compute_barrier(optimize(graph, tol), tol)
     stage = Stage(
         requested=requested,
         used=max(core.letters),
         shift=core,
-        graph=result[0],
-        barrier=result[1],
+        graph=barrier.graph,
+        barrier=barrier,
         from_cache=from_cache,
     )
     if path is not None and not from_cache:
-        _write_cache(path, _stage_payload(stage))
+        _write_cache(path, _stage_payload(stage, key))
     return stage
 
 
@@ -304,6 +303,13 @@ def stabilization_experiment(
     )
 
 
+def _slope(x: Sequence[float], y: Sequence[float]) -> float:
+    """3.11's ``statistics.linear_regression`` slope, without loading decimal and fractions."""
+    xbar, ybar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    sxy = math.fsum((a - xbar) * (b - ybar) for a, b in zip(x, y))
+    return sxy / math.fsum((d := a - xbar) * d for a in x)
+
+
 def bp_boundedness_probe(
     family: TruncationFamily,
     spec: ShiftSpec,
@@ -328,11 +334,10 @@ def bp_boundedness_probe(
         )
 
     values = final.barrier.values
-    floors: dict[int, float] = {}
-    for j in final.shift.letters:
-        if j > scan_to:
-            continue
-        floors[j] = min(values[v] for v in final.graph.vertices if v[0] == j)
+    floors: dict[int, float] = {}  # in one pass: vertices come in the order of their letters
+    for v in final.graph.vertices:
+        if v[0] <= scan_to and values[v] < floors.get(v[0], math.inf):
+            floors[v[0]] = values[v]
 
     bp = check_bp(spec)
 
@@ -341,10 +346,7 @@ def bp_boundedness_probe(
         for j in sorted(floors)
         if j >= 1 and final.shift.pred[j] and min(final.shift.pred[j]) > j
     )
-    slope: float | None = None
-    if len(fit) >= 2:
-        import statistics  # it loads fractions and decimal, and only this fit uses it
-        slope = statistics.linear_regression(fit, [floors[j] for j in fit]).slope
+    slope = _slope(fit, [floors[j] for j in fit]) if len(fit) >= 2 else None
     monotone = all(
         floors[b] <= floors[a] + tol for a, b in zip(fit, fit[1:])
     )

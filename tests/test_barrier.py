@@ -20,6 +20,7 @@ from peierls import (
     optimize,
     truncate,
 )
+from peierls.barrier import _bound_report
 from peierls.potential import (
     admissible_words,
     ambient_total_variation,
@@ -105,6 +106,14 @@ def test_profile_frozen_values(renewal_graph):
         barrier_length_profile(renewal_graph, (9,), 3)
     with pytest.raises(GraphError):
         barrier_length_profile(renewal_graph, (1,), -1)
+
+
+@pytest.mark.parametrize("graph", ["gm_graph", "renewal_graph"])
+def test_bounds_are_the_report_built_when_read(graph, request):
+    graph = request.getfixturevalue(graph)
+    result = compute_barrier(graph)
+    assert result.graph is graph
+    assert result.bounds == _bound_report(graph, result.values)
 
 
 def test_per_letter_bound_uses_connector_and_floor(gm_graph):

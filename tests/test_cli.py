@@ -231,6 +231,8 @@ TAIL = {"kind": "linear", "c": 1}
          "metric parameter lambda must lie strictly in (0, 1)"),
         ({"kind": "full", "alphabet_size": 2, "lambda": 0}, None, None,
          "metric parameter lambda must lie strictly in (0, 1)"),
+        ({"kind": "full", "alphabet_size": 2, "lambda": 10**400}, None, None,
+         "metric parameter lambda must lie strictly in (0, 1)"),
         ({"kind": "renewal", "renewal": {"a": 2}}, None, None,
          'renewal shifts need {"renewal": {"a": int, "b": int}}'),
         ({"kind": "renewal", "renewal": {"a": 2.5, "b": 0}}, None, None,
@@ -256,7 +258,8 @@ TAIL = {"kind": "linear", "c": 1}
         (None, None, "0,0.0\n1,0.0\n0,1.0\n", "{values}:3: repeated vertex word '0'"),
     ],
     ids=[
-        "lambda-not-a-number", "lambda-one", "lambda-zero", "renewal-without-b",
+        "lambda-not-a-number", "lambda-one", "lambda-zero", "lambda-past-float-range",
+        "renewal-without-b",
         "renewal-not-integers", "edge-not-a-pair", "potential-not-an-object", "no-tail",
         "table-not-a-list", "entry-malformed", "word-not-integers", "value-not-a-number",
         "csv-line-without-comma", "csv-bad-value", "csv-no-rows", "csv-malformed-word", "csv-nan",

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # what every pipeline command loads: the package, cli and the layers below optimize
 PIPELINE = {"peierls", "peierls.cli", "peierls.digraph", "peierls.optimizer"}
 PIPELINE |= {"peierls.potential", "peierls.shift_space"}
-PRINT_LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == {root!r}))"
+PRINT_LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))"
 
 BARRIER = ["barrier", "--max-letter", "6"]
 VERIFY = ["subaction", "verify", "--max-letter", "6", "--values", "values.csv"]
@@ -26,11 +26,13 @@ CONVERGE = ["converge", "--stages", "6,12"]
 DEMO = ["demo", "renewal", "--stages", "6,12", "--scan-to", "12", "--no-cache"]
 
 
-def _loaded_after(code: str, cwd: Path, root: str = "peierls") -> set[str]:
-    """The modules under ``root`` a fresh interpreter holds after running ``code``."""
+def _loaded_after(code: str, cwd: Path, root: str | tuple[str, ...] = "peierls") -> set[str]:
+    """The modules under ``root`` (a name or several) a fresh interpreter holds after
+    running ``code``."""
+    roots = (root,) if isinstance(root, str) else root
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{PRINT_LOADED.format(root=root)}"],
+        [sys.executable, "-c", f"import sys\n{code}\n{PRINT_LOADED.format(roots=roots)}"],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -86,15 +88,21 @@ def test_no_command_loads_dataclasses_or_inspect(inputs, tmp_path, command):
         assert _loaded_after(code, tmp_path, root=root) == set()
 
 
-@pytest.mark.parametrize("rule, fits_a_slope", [((1, 1), False), ((2, 0), True)])
-def test_converge_loads_statistics_only_for_a_slope_fit(inputs, tmp_path, rule, fits_a_slope):
-    # on (1, 1) only letter 1 is entered from above alone, so the probe fits no slope
+@pytest.mark.parametrize("command", ["converge", "demo"])
+@pytest.mark.parametrize("rule", [(1, 1), (2, 0)])
+def test_converge_and_demo_load_no_statistics_or_hashlib(inputs, tmp_path, command, rule):
+    # statistics loads decimal and fractions for the probe's slope fit, which (2, 0) makes;
+    # hashlib loads OpenSSL for a cache file name.  Each command runs cold, then warm.
     shift = {"kind": "renewal", "renewal": {"a": rule[0], "b": rule[1]}}
     (tmp_path / "shift.json").write_text(json.dumps(shift))
     argv = CONVERGE + ["--scan-to", "12"] + inputs + ["--out", "report.out"]
-    code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
-    loaded = _loaded_after(code, tmp_path, root="statistics")
-    assert loaded == ({"statistics"} if fits_a_slope else set())
+    if command == "demo":  # unlike DEMO, with the cache
+        argv = ["demo", "renewal", "--a", str(rule[0]), "--b", str(rule[1]), "--stages", "6,12"]
+        argv += ["--scan-to", "12", "--out", "report.out"]
+    code = f"import peierls.cli\nfor _ in 'cold', 'warm': assert peierls.cli.run({argv!r}) == 0"
+    roots = ("statistics", "decimal", "fractions", "hashlib", "_hashlib")
+    assert _loaded_after(code, tmp_path, root=roots) == set()
+    assert len(os.listdir(os.environ["PEIERLS_CACHE_DIR"])) == 2
 
 
 def _wrap_sites() -> list[tuple[str, str]]:

@@ -1,8 +1,12 @@
 import json
 import math
 import os
+import statistics
+import sys
+import zlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from peierls import (
     BOUNDED,
@@ -16,6 +20,8 @@ from peierls import (
     build_stage,
     stabilization_experiment,
 )
+from peierls import barrier
+from peierls.truncation import _slope
 
 
 def _cache_files():
@@ -88,10 +94,12 @@ def test_a_stage_differing_in_any_input_misses_the_cache(renewal_spec, renewal_p
 def test_cache_entry_holds_only_the_critical_structure(renewal_spec, renewal_pot):
     build_stage(renewal_spec, renewal_pot, 6)
     entry = _read_entry(_cache_entry_path())
-    assert sorted(entry) == [
-        "components", "critical_edges", "cycle", "requested", "schema", "used"
-    ]
-    assert entry["schema"] == 2
+    assert sorted(entry) == ["components", "critical_edges", "cycle", "key", "schema", "used"]
+    assert entry["schema"] == 3
+    # the file is named by the key's CRC and length, and the entry holds the key itself
+    key = repr((renewal_spec, renewal_pot, 6))
+    assert entry["key"] == key
+    assert _cache_files() == [f"stage-{zlib.crc32(key.encode()):08x}-{len(key)}.json"]
 
 
 def _stage_facts(stage):
@@ -112,9 +120,13 @@ def _stage_facts(stage):
 
 @pytest.mark.parametrize(
     "written",
-    [[], None, 3, {"cycle": []}, {"cycle": [[1]]}, {"cycle": [[2], [1], [0]]}, {"used": 7}],
+    [
+        [], None, 3, {"cycle": []}, {"cycle": [[1]]}, {"cycle": [[2], [1], [0]]}, {"used": 7},
+        {"key": "(another stage)"},
+    ],
     # renewal letter 1 only steps down to 0, so [[1]] is a loop through a non-edge;
-    # 2 -> 1 -> 0 -> 2 is a real cycle whose mean is below the loop at 0
+    # 2 -> 1 -> 0 -> 2 is a real cycle whose mean is below the loop at 0; an entry
+    # whose key is not the stage's own stands in for a CRC collision of file names
     ids=[
         "list",
         "null",
@@ -123,6 +135,7 @@ def _stage_facts(stage):
         "cycle-through-non-edge",
         "non-maximal-cycle",
         "wrong-used",
+        "other-key",
     ],
 )
 def test_unusable_cache_entry_is_a_miss_and_is_rewritten(renewal_spec, renewal_pot, written):
@@ -268,3 +281,40 @@ def test_probe_scan_must_fit_the_final_stage(renewal_spec, renewal_pot):
         bp_boundedness_probe(family, renewal_spec, 20)
     with pytest.raises(ValueError):
         bp_boundedness_probe(family, renewal_spec, -1)
+
+
+def test_no_stage_builds_the_bound_report(renewal_spec, renewal_pot, monkeypatch):
+    # a family reads the barrier's values only; the bounds are built when read
+    def refuse(*args):
+        raise AssertionError("the bound report was built")
+
+    monkeypatch.setattr(barrier, "_bound_report", refuse)
+    for _ in "cold", "warm":
+        family = build_family(renewal_spec, renewal_pot, [6, 12, 24])
+        bp_boundedness_probe(family, renewal_spec, 23)
+        stabilization_experiment(family, [1, 3])
+    assert all(stage.from_cache for stage in family.stages)
+
+
+@st.composite
+def _fits(draw):
+    """Letters and floors shaped like the probe's fit: distinct sorted letters,
+    floors of magnitude 1e-3 to 1e6 or zero."""
+    x = sorted(draw(st.lists(st.integers(0, 400), min_size=2, max_size=40, unique=True)))
+    value = st.one_of(st.just(0.0), st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3))
+    return x, draw(st.lists(value, min_size=len(x), max_size=len(x)))
+
+
+@given(_fits())
+def test_probe_slope_is_the_least_squares_slope(fit):
+    x, y = fit
+    expected = statistics.linear_regression(x, y).slope
+    if sys.version_info[:2] == (3, 11):
+        assert _slope(x, y) == expected
+    else:
+        # later stdlibs sum the products with sumprod and differ in the last bits; a
+        # near-zero slope magnifies that, so the tolerance is on the fit's own scale
+        xbar, ybar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+        syy = math.fsum((v - ybar) ** 2 for v in y)
+        scale = math.sqrt(syy / math.fsum((v - xbar) ** 2 for v in x))
+        assert math.isclose(_slope(x, y), expected, rel_tol=1e-12, abs_tol=1e-12 * scale)
