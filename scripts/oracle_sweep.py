@@ -24,9 +24,14 @@ then warm, requiring the two to agree bit for bit.  Last, it fits 40 times
 any bit (none on 3.11; later versions sum with ``sumprod``).  Their
 difference is taken relative to the larger of the slope and the fit's scale
 sqrt(Syy/Sxx), since a near-zero slope magnifies a last-bit difference.
-Exits nonzero past --tol, on a ``GraphError`` at the 1e12 offset, on any
-cycle, component, offset, stage-two or cache mismatch, or on a slope
-difference above 1e-12.
+Then --count tie-heavy graphs (2 to 10 vertices, each weight -1, 0 or 0
+plus uniform noise of at most 1e-8, a hundredth of the tolerance) are
+optimized at tolerance 1e-6; the barrier walk must return, and
+``verify_subaction`` must find the barrier a calibrated subaction whose
+contact edges hold the critical cycle, both at the tolerance the graph
+carries.  Exits nonzero past --tol, on a ``GraphError`` at the 1e12
+offset, on any cycle, component, offset, stage-two or cache mismatch, on a
+slope difference above 1e-12, or on any tie-heavy graph that fails.
 """
 
 import argparse
@@ -43,6 +48,7 @@ from unittest import mock
 from peierls import (
     DEFAULT_TOL,
     GraphError,
+    PositiveCycleError,
     PotentialSpec,
     ShiftSpec,
     build_stage,
@@ -51,6 +57,7 @@ from peierls import (
     graph_from_weights,
     letter_cutoff,
     optimize,
+    verify_subaction,
 )
 from peierls.optimizer import _rounding_tol
 from peierls.truncation import _slope
@@ -161,6 +168,26 @@ def slope_differences(rng, count):
     return differing, worst
 
 
+TIE_TOL = 1e-6
+
+
+def tie_heavy_failures(rng, count):
+    """Tie-heavy graphs, optimized at ``TIE_TOL``, whose barrier walk raises or whose
+    barrier is not certified a calibrated subaction at the graph's own tolerance."""
+    failures, noise = 0, TIE_TOL / 100
+    for _ in range(count):
+        edges = random_graph(rng, rng.randint(2, 10))
+        weights = {e: rng.choice((-1.0, 0.0, 0.0)) + rng.uniform(-noise, noise) for e in edges}
+        try:
+            g = optimize(graph_from_weights(weights), TIE_TOL)
+            report = verify_subaction(g, compute_barrier(g).values)
+        except (GraphError, PositiveCycleError):
+            failures += 1
+            continue
+        failures += not (report.is_subaction and report.is_calibrated and report.supp_in_contact)
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
@@ -208,6 +235,7 @@ def main(argv=None):
     cache_mismatches = renewal_cache_mismatches()
     fits = 40 * args.count
     slope_bits, worst_slope = slope_differences(rng, fits)
+    tie_failures = tie_heavy_failures(rng, args.count)
     elapsed = time.perf_counter() - started
 
     print(f"graphs checked        {args.count}")
@@ -223,6 +251,7 @@ def main(argv=None):
     print(f"renewal cache round-trip mismatches {cache_mismatches}")
     print(f"probe slopes differing from statistics {slope_bits} of {fits}")
     print(f"worst probe slope difference {worst_slope:.3e}")
+    print(f"tie-heavy graphs failing at tolerance {TIE_TOL:g} {tie_failures} of {args.count}")
     print(f"elapsed               {elapsed:.2f}s")
     if max(worst_mean, worst_barrier, worst_large) > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
@@ -244,6 +273,9 @@ def main(argv=None):
         return 1
     if worst_slope > 1e-12:
         print("the probe slope strays from statistics.linear_regression", file=sys.stderr)
+        return 1
+    if tie_failures:
+        print("a tie-heavy graph failed its barrier walk or subaction check", file=sys.stderr)
         return 1
     return 0
 

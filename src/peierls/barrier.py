@@ -30,9 +30,7 @@ import sys
 from typing import Mapping, NamedTuple
 
 from .digraph import bfs_distances
-from .optimizer import (
-    DEFAULT_TOL, GraphError, WeightedMemoryGraph, _longest_walk, _require_optimized
-)
+from .optimizer import GraphError, WeightedMemoryGraph, _longest_walk, _require_optimized
 from .potential import (
     TAIL_LOG,
     PotentialSpec,
@@ -113,11 +111,11 @@ class CutoffReport(NamedTuple):
     wide_bound: int
 
 
-def compute_barrier(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> BarrierResult:
+def compute_barrier(graph: WeightedMemoryGraph) -> BarrierResult:
     """Barrier values from the canonical cycle's base vertex, base pinned to 0.0."""
     _require_optimized(graph)
     base = graph.critical_cycle[0]
-    raw = _longest_walk(graph, {base: 0.0}, tol)
+    raw = _longest_walk(graph, {base: 0.0})
     shift = raw[base]
     values = {v: (x - shift) + 0.0 for v, x in raw.items()}
     return BarrierResult(base_vertex=base, values=values, graph=graph)

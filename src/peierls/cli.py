@@ -186,7 +186,7 @@ def _cmd_optimize(args: SimpleNamespace) -> int:
 def _cmd_barrier(args: SimpleNamespace) -> int:
     _load("barrier")
     spec, pot, graph = _optimized_graph(args)
-    result = compute_barrier(graph, args.tol)
+    result = compute_barrier(graph)
     if args.format == "csv":
         rows = [f"{_word_key(v)},{value!r}" for v, value in sorted(result.values.items())]
         _emit(args, "\n".join(rows) + "\n")
@@ -215,7 +215,7 @@ def _cmd_subaction_verify(args: SimpleNamespace) -> int:
     _load("subaction")
     _, _, graph = _optimized_graph(args)
     values = _load_values_csv(args.values)
-    report = verify_subaction(graph, values, args.tol)
+    report = verify_subaction(graph, values)
     _emit_json(
         args,
         {
@@ -241,7 +241,7 @@ def _cmd_subaction_compare(args: SimpleNamespace) -> int:
     _, _, graph = _optimized_graph(args)
     first = _load_values_csv(args.values)
     second = _load_values_csv(args.values_b)
-    report = uniqueness_comparison(graph, first, second, args.tol)
+    report = uniqueness_comparison(graph, first, second)
     payload = _plain(report)
     payload.update(payload.pop("comparison"))
     _emit_json(args, payload)
@@ -276,10 +276,10 @@ def _cmd_converge(args: SimpleNamespace) -> int:
 
     stabilization = None
     if args.letters:
-        stabilization = stabilization_experiment(family, args.letters, args.tol)
+        stabilization = stabilization_experiment(family, args.letters)
     probe = None
     if args.scan_to is not None:
-        probe = bp_boundedness_probe(family, spec, args.scan_to, args.tol)
+        probe = bp_boundedness_probe(family, spec, args.scan_to)
     _emit_json(
         args,
         {
@@ -300,7 +300,7 @@ def _cmd_demo_renewal(args: SimpleNamespace) -> int:
     spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
     pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
-    probe = bp_boundedness_probe(family, spec, args.scan_to, args.tol)
+    probe = bp_boundedness_probe(family, spec, args.scan_to)
     if probe.verdict == DIVERGENT:
         conclusion = "no bounded calibrated subaction exists."
     elif probe.verdict == BOUNDED:

@@ -41,8 +41,9 @@ class PositiveCycleError(RuntimeError):
 class WeightedMemoryGraph(NamedTuple):
     """Finite weighted digraph plus the optimization results, once computed.
 
-    ``optimize`` returns a copy with the ``max_mean`` / ``critical_*``
-    fields set; the graph it was given stays unoptimized.
+    ``optimize`` returns a copy with the ``max_mean`` / ``critical_*`` fields
+    set and ``tol``, the tolerance they were decided at, which every later
+    pass on the graph reads; the graph it was given stays unoptimized.
     """
 
     vertices: tuple[Vertex, ...]
@@ -57,6 +58,7 @@ class WeightedMemoryGraph(NamedTuple):
     critical_edges: frozenset = frozenset()
     critical_components: tuple[tuple[Vertex, ...], ...] = ()
     critical_class_unique: bool | None = None
+    tol: float | None = None
 
     def is_optimized(self) -> bool:
         return self.max_mean is not None
@@ -66,8 +68,10 @@ class WeightedMemoryGraph(NamedTuple):
         cycle: tuple[Vertex, ...],
         components: tuple[tuple[Vertex, ...], ...],
         edges: frozenset,
+        tol: float,
     ) -> WeightedMemoryGraph:
-        """A copy carrying this optimum, with every field that follows from it derived here.
+        """A copy carrying this optimum, decided at ``tol``, with every field that follows
+        from it derived here.
 
         m is the mean weight of ``cycle``, the critical class is the union of
         ``components``, and the class is unique when it is one component whose
@@ -85,6 +89,7 @@ class WeightedMemoryGraph(NamedTuple):
             critical_edges=edges,
             critical_components=components,
             critical_class_unique=unique,
+            tol=tol,
         )
 
 
@@ -138,11 +143,12 @@ def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
     return max(_checked_tol(tol), 4 * len(graph.vertices) * sys.float_info.epsilon * scale)
 
 
-def _require_optimized(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> float:
-    """``_rounding_tol(graph, tol)`` for a graph ``optimize`` returned; GraphError for others."""
+def _require_optimized(graph: WeightedMemoryGraph) -> float:
+    """``_rounding_tol`` of the graph's own tolerance for a graph ``optimize`` returned;
+    GraphError for others."""
     if not graph.is_optimized():
         raise GraphError("graph is not optimized; pass it through optimize first")
-    return _rounding_tol(graph, tol)
+    return _rounding_tol(graph, graph.tol)
 
 
 def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex, float]]:
@@ -205,9 +211,7 @@ def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex,
     raise GraphError(f"the policy of iteration {len(seen) + 1} repeats iteration {seen[key]}")
 
 
-def _longest_walk(
-    graph: WeightedMemoryGraph, seeds: Mapping[Vertex, float], tol: float = DEFAULT_TOL
-) -> dict[Vertex, float]:
+def _longest_walk(graph: WeightedMemoryGraph, seeds: Mapping[Vertex, float]) -> dict[Vertex, float]:
     """Maximum reduced-weight walk values from the seeded vertices.
 
     Bellman-Ford relaxation on the weights minus the graph's maximum mean;
@@ -221,8 +225,7 @@ def _longest_walk(
         if v not in values:
             raise GraphError(f"seed vertex {v!r} is not in the graph")
         values[v] = float(s)
-    edges, m = sorted(graph.weights.items()), graph.max_mean
-    tol = _rounding_tol(graph, tol)
+    edges, m, tol = sorted(graph.weights.items()), graph.max_mean, _require_optimized(graph)
     for _ in range(len(graph.vertices) - 1):
         changed = False
         for (u, v), w in edges:
@@ -274,15 +277,15 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
     if len(comps) != 1:
         raise GraphError(f"graph must be strongly connected; found {len(comps)} components")
     mean, h = _howard(graph, tol)
-    tol, w = _rounding_tol(graph, tol), graph.weights
-    # h[u] + (w - m) <= h[v] + tol on every edge certifies that no cycle beats m
+    rounding, w = _rounding_tol(graph, tol), graph.weights
+    # h[u] + (w - m) <= h[v] + rounding on every edge certifies that no cycle beats m
     tight, excess = [], {}
     for u in graph.vertices:
         for v in sorted(graph.succ[u]):
             reach = h[u] + (w[(u, v)] - mean)
-            if reach > h[v] + tol:
+            if reach > h[v] + rounding:
                 excess[(u, v)] = reach - h[v]
-            elif reach >= h[v] - tol:
+            elif reach >= h[v] - rounding:
                 tight.append((u, v))
     if excess:
         u, v = max(excess, key=excess.get)
@@ -298,6 +301,7 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
         _canonical_cycle(*adjacency(comp_of, edges)),
         tuple(tuple(comp) for comp in critical),
         frozenset(edges),
+        tol,
     )
 
 

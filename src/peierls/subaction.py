@@ -101,11 +101,9 @@ def _check_table(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> 
         raise GraphError(f"values not finite at vertices: {nonfinite[:4]}")
 
 
-def verify_subaction(
-    graph: WeightedMemoryGraph, values: Mapping[Vertex, float], tol: float = DEFAULT_TOL
-) -> SubactionReport:
+def verify_subaction(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> SubactionReport:
     """Check the subaction inequality edge by edge and locate the contact set."""
-    tol = _require_optimized(graph, tol)
+    tol = _require_optimized(graph)
     _check_table(graph, values)
     worst = 0.0
     contact: set[Edge] = set()
@@ -140,7 +138,6 @@ def calibrated_preorbit(
     values: Mapping[Vertex, float],
     start: Vertex,
     steps: int,
-    tol: float = DEFAULT_TOL,
 ) -> PreorbitReport:
     """Walk contact edges backwards from ``start``, least source first.
 
@@ -149,7 +146,7 @@ def calibrated_preorbit(
     so the sequence is eventually periodic and its cycle consists of
     tight edges, which places the tail inside the critical class.
     """
-    tol = _require_optimized(graph, tol)
+    tol = _require_optimized(graph)
     if start not in graph.succ:
         raise GraphError(f"unknown vertex {start!r}")
     if steps < 0:
@@ -184,9 +181,7 @@ def calibrated_preorbit(
 
 
 def consistent_seed(
-    graph: WeightedMemoryGraph,
-    anchors: Mapping[Vertex, float] | None = None,
-    tol: float = DEFAULT_TOL,
+    graph: WeightedMemoryGraph, anchors: Mapping[Vertex, float] | None = None
 ) -> dict[Vertex, float]:
     """Extend anchor values across the critical class along tight edges.
 
@@ -195,7 +190,7 @@ def consistent_seed(
     second anchor in the same component must agree with the propagated
     value or the seed is rejected.
     """
-    tol = _require_optimized(graph, tol)
+    tol = _require_optimized(graph)
     anchors = dict(anchors or {})
     stray = sorted(set(anchors) - graph.critical_class)
     if stray:
@@ -233,7 +228,7 @@ def consistent_seed(
 
 
 def fixpoint_subaction(
-    graph: WeightedMemoryGraph, seed: Mapping[Vertex, float], tol: float = DEFAULT_TOL
+    graph: WeightedMemoryGraph, seed: Mapping[Vertex, float]
 ) -> dict[Vertex, float]:
     """Calibrated subaction from a consistent seed on the critical class.
 
@@ -241,7 +236,7 @@ def fixpoint_subaction(
     break consistency along a tight edge would be silently overwritten by
     the sweep, so they are rejected up front.
     """
-    tol = _require_optimized(graph, tol)
+    tol = _require_optimized(graph)
     if set(seed) != set(graph.critical_class):
         raise SeedConsistencyError(
             "seed must assign a value to every critical-class vertex and nothing else"
@@ -252,7 +247,7 @@ def fixpoint_subaction(
             raise SeedConsistencyError(
                 f"seed breaks the tight edge {u!r} -> {v!r} by {gap!r}"
             )
-    return _longest_walk(graph, seed, tol)
+    return _longest_walk(graph, seed)
 
 
 def one_step_image(
@@ -276,7 +271,6 @@ def minimality_check(
     graph: WeightedMemoryGraph,
     candidate: Mapping[Vertex, float],
     barrier_values: Mapping[Vertex, float],
-    tol: float = DEFAULT_TOL,
 ) -> MinimalityReport:
     """Check that a subaction dominates the barrier once pinned at the base.
 
@@ -284,7 +278,7 @@ def minimality_check(
     the least subaction vanishing at the base vertex; a candidate falling
     below it somewhere is not a subaction at all.
     """
-    tol = _require_optimized(graph, tol)
+    tol = _require_optimized(graph)
     _check_table(graph, candidate)
     _check_table(graph, barrier_values)
     base = graph.critical_cycle[0]
@@ -323,7 +317,6 @@ def uniqueness_comparison(
     graph: WeightedMemoryGraph,
     first: Mapping[Vertex, float],
     second: Mapping[Vertex, float],
-    tol: float = DEFAULT_TOL,
 ) -> UniquenessReport:
     """Compare two candidates against the unique-class hypothesis.
 
@@ -332,7 +325,7 @@ def uniqueness_comparison(
     anchor of each can move independently and disagreement is expected.
     """
     _require_optimized(graph)
-    comparison = compare_up_to_constant(first, second, tol)
+    comparison = compare_up_to_constant(first, second, graph.tol)
     unique = bool(graph.critical_class_unique)
     parts = len(graph.critical_components)
     if unique and comparison.is_constant_diff:

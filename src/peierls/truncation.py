@@ -8,10 +8,11 @@ the substituted bound).  Larger stages only add walks, so the maximum
 cycle mean never decreases along the family and per-vertex barrier
 values never decrease where comparable.
 
-Stage results are cached on disk keyed by the shift, the weights and the
-requested bound, so sweeps over stage lists can reuse earlier runs.  An
-entry holds only what needs Howard's policy iteration: the used bound, the
-canonical critical cycle, the critical components and the critical edges.
+Stage results are cached on disk keyed by the shift, the weights, the
+requested bound and the tolerance, so sweeps over stage lists can reuse
+earlier runs.  An entry holds only what needs Howard's policy iteration:
+the used bound, the canonical critical cycle, the critical components and
+the critical edges.
 A hit recomputes m from the cycle's weights, the uniqueness of the class,
 and the barrier, so it reproduces the freshly computed stage bit for bit.
 An entry whose barrier walk fails, as it does when its cycle is not maximal,
@@ -29,12 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
 from .optimizer import (
-    DEFAULT_TOL,
-    PositiveCycleError,
-    WeightedMemoryGraph,
-    _checked_tol,
-    build_memory_graph,
-    optimize,
+    DEFAULT_TOL, PositiveCycleError, WeightedMemoryGraph, build_memory_graph, optimize
 )
 from .potential import PotentialSpec
 from .shift_space import (
@@ -137,7 +133,7 @@ def _stage_payload(stage: Stage, key: str) -> dict:
 
 
 def _restore_optimum(
-    payload: object, key: str, core: FiniteShift, graph: WeightedMemoryGraph
+    payload: object, key: str, core: FiniteShift, graph: WeightedMemoryGraph, tol: float
 ) -> WeightedMemoryGraph | None:
     """The optimized graph an entry describes, or None when it does not fit this stage."""
     if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
@@ -151,7 +147,7 @@ def _restore_optimum(
         return None
     components = tuple(tuple(_word(v) for v in comp) for comp in payload["components"])
     edges = frozenset((_word(u), _word(v)) for u, v in payload["critical_edges"])
-    return graph.with_optimum(cycle, components, edges)
+    return graph.with_optimum(cycle, components, edges, tol)
 
 
 def _write_cache(path: str, payload: dict) -> None:
@@ -186,22 +182,22 @@ def build_stage(
     core = covering_core(spec, range(requested + 1))
     graph = build_memory_graph(core, pot)
     # reprs of equal inputs listed in another order differ: a miss, never a wrong hit
-    key = repr((spec, pot, requested))
+    key = repr((spec, pot, requested, tol))
     path = _cache_path(key) if use_cache and spec.kind != KIND_ORACLE else None
 
     barrier = None
     if path is not None and os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                optimum = _restore_optimum(json.load(handle), key, core, graph)
+                optimum = _restore_optimum(json.load(handle), key, core, graph, tol)
             if optimum is not None:
-                barrier = compute_barrier(optimum, tol)
+                barrier = compute_barrier(optimum)
         except (OSError, ValueError, KeyError, TypeError, IndexError, PositiveCycleError):
             pass  # a corrupt entry is a miss, and so is one whose barrier walk fails
 
     from_cache = barrier is not None
     if not from_cache:
-        barrier = compute_barrier(optimize(graph, tol), tol)
+        barrier = compute_barrier(optimize(graph, tol))
     stage = Stage(
         requested=requested,
         used=max(core.letters),
@@ -252,9 +248,7 @@ def build_family(
 
 
 def stabilization_experiment(
-    family: TruncationFamily,
-    letters_of_interest: Iterable[int],
-    tol: float = DEFAULT_TOL,
+    family: TruncationFamily, letters_of_interest: Iterable[int]
 ) -> StabilizationReport:
     """Observed versus predicted stage at which per-letter values freeze.
 
@@ -262,12 +256,13 @@ def stabilization_experiment(
     assigns the same barrier value to each of the stage's vertices
     starting with that letter.  The prediction is the two-stage cutoff
     bound; observing stabilization at a larger bound than predicted
-    falsifies the bound and fails the report.
+    falsifies the bound and fails the report.  Values compare at the final
+    stage's tolerance.
     """
     if len(family.stages) < 2:
         raise FamilyError("stabilization needs at least two stages")
-    _checked_tol(tol)
     final = family.stages[-1]
+    tol = final.graph.tol
     entries: list[LetterStabilization] = []
     for letter in sorted(set(letters_of_interest)):
         observed: tuple[int | None, ...] = (None, None, None)
@@ -311,10 +306,7 @@ def _slope(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def bp_boundedness_probe(
-    family: TruncationFamily,
-    spec: ShiftSpec,
-    scan_to: int,
-    tol: float = DEFAULT_TOL,
+    family: TruncationFamily, spec: ShiftSpec, scan_to: int
 ) -> BoundednessProbe:
     """Final-stage barrier floors per letter, fused with the exact BP verdict.
 
@@ -322,12 +314,12 @@ def bp_boundedness_probe(
     bounded incoming alphabet would have to miss, so the floor trend is
     fitted over those.  The divergence call needs an established trend:
     at least MIN_TREND_LETTERS fitted letters, floors non-increasing, and
-    fitted slope at most -tol.
+    fitted slope at most -tol, the final stage's tolerance.
     """
     if scan_to < 0:
         raise ValueError("scan_to must be nonnegative")
-    _checked_tol(tol)
     final = family.stages[-1]
+    tol = final.graph.tol
     if max(final.shift.letters) < scan_to:
         raise FamilyError(
             f"final stage tops out at {max(final.shift.letters)}, below scan_to={scan_to}"

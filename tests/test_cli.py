@@ -554,6 +554,32 @@ def test_repeated_runs_are_byte_identical(renewal_files, capsys):
     assert first == second == third
 
 
+def test_converge_prints_the_same_bytes_after_a_run_at_another_tolerance(
+    tmp_path, monkeypatch, capsys
+):
+    # at --tol 1e-3 the loop at 0 (mean -1e-4) ties the loop at 1 (mean 0); a cache
+    # keyed without the tolerance served the default run's m 0.0 on [[1]] to this one
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(json.dumps(
+        {"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]}
+    ))
+    table = [{"word": [0], "value": -0.0001}, {"word": [1], "value": 0.0}]
+    pot.write_text(json.dumps({"depth": 1, "tail": TAIL, "table": table}))
+    default = ["converge", "--shift", str(shift), "--potential", str(pot), "--stages", "0,1"]
+    argv = default + ["--tol", "1e-3"]
+    assert run(argv + ["--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["stages"][1]["cycle"] == [[0]]
+    assert run(argv) == 0  # cold
+    assert capsys.readouterr().out == expected
+    monkeypatch.setenv("PEIERLS_CACHE_DIR", str(tmp_path / "filled-at-the-default"))
+    assert run(default) == 0
+    assert json.loads(capsys.readouterr().out)["stages"][1]["cycle"] == [[1]]
+    for _ in range(2):  # a miss, then a hit on its own entry
+        assert run(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_unwritable_out_path_is_an_input_error(renewal_files, tmp_path, capsys):
     shift, pot = renewal_files
     out = tmp_path / "missing-dir" / "x.json"

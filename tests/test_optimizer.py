@@ -13,7 +13,6 @@ from peierls import (
     ShiftSpec,
     birkhoff_sum,
     build_memory_graph,
-    compute_barrier,
     covering_core,
     graph_from_weights,
     max_mean_cycle,
@@ -192,7 +191,7 @@ def test_positive_cycle_guard_trips():
     # a stated mean of 0 below the true mean 1 leaves the two-cycle positive
     g = optimize(graph_from_weights({(0, 1): 1.0, (1, 0): 1.0}))._replace(max_mean=0.0)
     with pytest.raises(PositiveCycleError):
-        _longest_walk(g, {0: 0.0}, 1e-9)
+        _longest_walk(g, {0: 0.0})
 
 
 def test_policy_iteration_names_the_iteration_whose_policy_repeats():
@@ -230,8 +229,6 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(tol):
     assert optimize(graph).critical_cycle == ((0,), (2,), (1,))
     with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
         optimize(graph, tol)
-    with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
-        compute_barrier(optimize(graph), tol)
     assert optimize(graph, 0.0).max_mean == pytest.approx(-8 / 3)
 
 

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("renewal_divergence.py", ["--no-cache"]),
         ("oracle_sweep.py", ["--count", "50"]),
+        ("renewal_divergence.py", []),  # the default, cached path
     ],
 )
 def test_script_exits_cleanly(script, args, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from peierls import (
     BOUNDED,
+    DEFAULT_TOL,
     DIVERGENT,
     FamilyError,
     GraphError,
@@ -77,18 +78,20 @@ def test_stage_round_trips_through_the_cache(renewal_spec, renewal_pot):
 
 def test_a_stage_differing_in_any_input_misses_the_cache(renewal_spec, renewal_pot):
     variants = [
-        (renewal_spec, renewal_pot, 6),
-        (renewal_spec, renewal_pot, 7),
-        (renewal_spec._replace(renewal_rule=(2, 1)), renewal_pot, 6),
-        (renewal_spec, renewal_pot._replace(tail_scale=2.0), 6),
-        (renewal_spec, renewal_pot._replace(table={(0,): -0.5}), 6),
-        (renewal_spec, renewal_pot._replace(table={(0,): 0.0, (1,): -0.5}), 6),
+        (renewal_spec, renewal_pot, 6, DEFAULT_TOL),
+        (renewal_spec, renewal_pot, 7, DEFAULT_TOL),
+        (renewal_spec._replace(renewal_rule=(2, 1)), renewal_pot, 6, DEFAULT_TOL),
+        (renewal_spec, renewal_pot._replace(tail_scale=2.0), 6, DEFAULT_TOL),
+        (renewal_spec, renewal_pot._replace(table={(0,): -0.5}), 6, DEFAULT_TOL),
+        (renewal_spec, renewal_pot._replace(table={(0,): 0.0, (1,): -0.5}), 6, DEFAULT_TOL),
+        (renewal_spec, renewal_pot, 6, 1e-6),
     ]
-    for count, (spec, pot, requested) in enumerate(variants, start=1):
-        assert not build_stage(spec, pot, requested).from_cache
+    for count, (spec, pot, requested, tol) in enumerate(variants, start=1):
+        assert not build_stage(spec, pot, requested, tol).from_cache
         assert len(_cache_files()) == count
-    for spec, pot, requested in variants:
-        assert build_stage(spec, pot, requested).from_cache
+    for spec, pot, requested, tol in variants:
+        stage = build_stage(spec, pot, requested, tol)
+        assert stage.from_cache and stage.graph.tol == tol
 
 
 def test_cache_entry_holds_only_the_critical_structure(renewal_spec, renewal_pot):
@@ -97,7 +100,7 @@ def test_cache_entry_holds_only_the_critical_structure(renewal_spec, renewal_pot
     assert sorted(entry) == ["components", "critical_edges", "cycle", "key", "schema", "used"]
     assert entry["schema"] == 3
     # the file is named by the key's CRC and length, and the entry holds the key itself
-    key = repr((renewal_spec, renewal_pot, 6))
+    key = repr((renewal_spec, renewal_pot, 6, DEFAULT_TOL))
     assert entry["key"] == key
     assert _cache_files() == [f"stage-{zlib.crc32(key.encode()):08x}-{len(key)}.json"]
 
@@ -226,12 +229,11 @@ def test_stabilization_needs_two_stages(renewal_spec, renewal_pot):
 def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(
     renewal_spec, renewal_pot, tol
 ):
-    # unchecked, nan turned the probe's DIVERGENT into INCONCLUSIVE
-    family = build_family(renewal_spec, renewal_pot, [6, 12, 24])
+    # unchecked, nan turned the probe's DIVERGENT into INCONCLUSIVE; the stages'
+    # tolerance is the one the probe and the stabilization experiment read
     with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
-        stabilization_experiment(family, [1, 3], tol)
-    with pytest.raises(GraphError, match="tolerance must be finite and nonnegative"):
-        bp_boundedness_probe(family, renewal_spec, 23, tol)
+        build_family(renewal_spec, renewal_pot, [6, 12, 24], tol=tol)
+    assert not _cache_files()
 
 
 def test_probe_divergent_on_two_step_entries(renewal_spec, renewal_pot):
