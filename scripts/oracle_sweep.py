@@ -18,7 +18,12 @@ also checks the stage-two bound and connect length of the letter cutoff on
 renewal cores (a = 1..6, b = 0..5, top letters 0..5) against a stage-two
 core found here by brute search from the entry rule and an all-pairs BFS,
 and builds each of those stages twice in a temporary stage cache, cold
-then warm, requiring the two to agree bit for bit.  Last, it fits 40 times
+then warm, requiring the two to agree bit for bit.  Renewal stages only
+ever cache the loop at 0, so --count tie-heavy explicit shifts (2 to 10
+letters from the random graphs, a depth-2 table of weights -1, 0 or 0, once
+as drawn and once plus uniform noise of at most 1e-12) each build their
+stage without the cache, cold and warm: the warm build must be a hit, and
+all three must agree bit for bit.  Last, it fits 40 times
 --count seeded random letter/floor sets with the probe's slope and with
 ``statistics.linear_regression``, and counts the fits whose slopes differ in
 any bit (none on 3.11; later versions sum with ``sumprod``).  Their
@@ -152,6 +157,28 @@ def renewal_cache_mismatches():
     return mismatches
 
 
+def tie_heavy_cache_mismatches(rng, count):
+    """Stages of tie-heavy explicit shifts whose cached builds, cold then warm, differ
+    from the uncached one, or whose warm build misses."""
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, PEIERLS_CACHE_DIR=root):
+        for _ in range(count):
+            n = rng.randint(2, 10)
+            edges = random_graph(rng, n)
+            spec = ShiftSpec(kind="explicit-finite", alphabet_size=n, edges=frozenset(edges))
+            table = {e: rng.choice((-1.0, 0.0, 0.0)) for e in edges}
+            for noise in (0.0, 1e-12):
+                noisy = {e: w + rng.uniform(-noise, noise) for e, w in table.items()}
+                pot = PotentialSpec(depth=2, tail_kind="linear", tail_scale=1.0, table=noisy)
+                fresh = stage_facts(build_stage(spec, pot, n - 1, use_cache=False))
+                cold = build_stage(spec, pot, n - 1)
+                warm = build_stage(spec, pot, n - 1)
+                # a repeated draw may make the cold build a hit too, which changes nothing
+                same = fresh == stage_facts(cold) == stage_facts(warm)
+                mismatches += not (warm.from_cache and same)
+    return mismatches
+
+
 def slope_differences(rng, count):
     """Fits whose probe slope differs from the stdlib's in any bit, and the worst
     difference relative to the larger of the slope and the fit's scale."""
@@ -236,6 +263,7 @@ def main(argv=None):
     fits = 40 * args.count
     slope_bits, worst_slope = slope_differences(rng, fits)
     tie_failures = tie_heavy_failures(rng, args.count)
+    tie_cache_mismatches = tie_heavy_cache_mismatches(rng, args.count)
     elapsed = time.perf_counter() - started
 
     print(f"graphs checked        {args.count}")
@@ -252,6 +280,7 @@ def main(argv=None):
     print(f"probe slopes differing from statistics {slope_bits} of {fits}")
     print(f"worst probe slope difference {worst_slope:.3e}")
     print(f"tie-heavy graphs failing at tolerance {TIE_TOL:g} {tie_failures} of {args.count}")
+    print(f"tie-heavy cache round-trip mismatches {tie_cache_mismatches} of {2 * args.count}")
     print(f"elapsed               {elapsed:.2f}s")
     if max(worst_mean, worst_barrier, worst_large) > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
@@ -270,6 +299,9 @@ def main(argv=None):
         return 1
     if cache_mismatches:
         print("a cached renewal stage differs from the freshly built one", file=sys.stderr)
+        return 1
+    if tie_cache_mismatches:
+        print("a cached tie-heavy stage differs from the freshly built one", file=sys.stderr)
         return 1
     if worst_slope > 1e-12:
         print("the probe slope strays from statistics.linear_regression", file=sys.stderr)

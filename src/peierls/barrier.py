@@ -134,7 +134,7 @@ def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) ->
         lap += graph.weights[(u, v)] - m
         cycle_peak = max(cycle_peak, lap)
 
-    cutoff = coercive_letter_bound(pot, m - ambient)
+    cutoff = _printable_letter_bound(pot, m - ambient, "low-letter cutoff")
     firsts: dict[int, set[Vertex]] = {}  # successors of the vertices starting with each low letter
     for u in graph.vertices:
         if u[0] <= cutoff:
@@ -209,6 +209,22 @@ def _letter_ceilings(graph: WeightedMemoryGraph, ambient: float) -> dict[int, fl
     return ceilings
 
 
+def _printable_letter_bound(pot: PotentialSpec, threshold: float, what: str) -> int:
+    """``coercive_letter_bound``, or ``TruncationError`` naming ``what`` when the bound
+    has more digits than Python writes as text.
+
+    A log tail's bound is floor(exp(-threshold / c)): its digit count comes from the
+    exponent, sparing an exponential that takes seconds at 10,000 digits.  A bound too
+    long to print would sink the whole command; a linear tail's stays in float range.
+    A limit of 0 (or none, before 3.10.7) means any.
+    """
+    if pot.tail_kind == TAIL_LOG:
+        digits = math.floor(-threshold / pot.tail_scale / math.log(10.0)) + 1
+        if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:
+            raise TruncationError(f"{what} has {digits} digits, too many to write as decimal text")
+    return coercive_letter_bound(pot, threshold)
+
+
 def _connect_len_to(core: FiniteShift, b: int) -> int:
     """Longest least walk i -> b of at least one edge, over letters i that all reach ``b``."""
     dist = bfs_distances(b, core.pred)
@@ -242,7 +258,9 @@ def letter_cutoff(
     floor = min(inf_bound_on_letter(pot, i) for i in finite.letters)
     ambient = ambient_total_variation(pot)
     threshold = min(local_len * floor - ambient, 0.0)
-    excursion_cutoff = coercive_letter_bound(pot, threshold)
+    excursion_cutoff = _printable_letter_bound(
+        pot, threshold, f"excursion cutoff for letter {letter}"
+    )
 
     target = excursion_cutoff + 1
     if target > WIDE_BUDGET:
@@ -265,18 +283,9 @@ def letter_cutoff(
         wide_len = max(_connect_len_to(core, b) for b in core.letters)
     wide_floor = min(inf_bound_on_letter(pot, i) for i in wide_letters)
     wide_threshold = wide_len * wide_floor - ambient
-    if pot.tail_kind == TAIL_LOG:
-        # The bound is floor(exp(-threshold / c)): its digit count comes from the
-        # exponent, sparing an exponential that takes seconds at 10,000 digits.
-        # A bound too long to print would sink the whole command; a linear tail's
-        # stays in float range.  A limit of 0 (or none, before 3.10.7) means any.
-        digits = math.floor(-wide_threshold / pot.tail_scale / math.log(10.0)) + 1
-        if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:
-            raise TruncationError(
-                f"confinement bound for letter {letter} has "
-                f"{digits} digits, too many to write as decimal text"
-            )
-    confinement = coercive_letter_bound(pot, wide_threshold) + 1
+    confinement = 1 + _printable_letter_bound(
+        pot, wide_threshold, f"confinement bound for letter {letter}"
+    )
     return CutoffReport(
         letter=letter,
         excursion_cutoff=excursion_cutoff,

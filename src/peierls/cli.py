@@ -196,15 +196,19 @@ def _cmd_barrier(args: SimpleNamespace) -> int:
     try:
         cutoff = _plain(letter_cutoff(spec, pot, graph.shift, base_letter))
     except TruncationError as exc:
-        # the cutoff is a diagnostic; its failure must not hide the barrier
+        # the cutoff and bounds are diagnostics; their failure must not hide the barrier
         cutoff = {"letter": base_letter, "error": str(exc)}
+    try:
+        bounds = _plain(result.bounds)
+    except TruncationError as exc:
+        bounds = {"error": str(exc)}
     _emit_json(
         args,
         {
             "m": graph.max_mean,
             "base": list(result.base_vertex),
             "values": {_word_key(v): x for v, x in result.values.items()},
-            "bounds": _plain(result.bounds),
+            "bounds": bounds,
             "cutoff": cutoff,
         },
     )

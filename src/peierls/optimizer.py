@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Collection, Mapping, NamedTuple, Sequence
 
 from .digraph import adjacency, least_word, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
@@ -63,31 +63,31 @@ class WeightedMemoryGraph(NamedTuple):
     def is_optimized(self) -> bool:
         return self.max_mean is not None
 
-    def with_optimum(
-        self,
-        cycle: tuple[Vertex, ...],
-        components: tuple[tuple[Vertex, ...], ...],
-        edges: frozenset,
-        tol: float,
-    ) -> WeightedMemoryGraph:
-        """A copy carrying this optimum, decided at ``tol``, with every field that follows
-        from it derived here.
+    def with_optimum(self, tight: Collection[Edge], tol: float) -> WeightedMemoryGraph:
+        """A copy carrying the optimum that the ``tight`` edges fix, decided at ``tol``.
 
-        m is the mean weight of ``cycle``, the critical class is the union of
-        ``components``, and the class is unique when it is one component whose
-        vertices each have exactly one critical out-edge.
+        The critical components are the strongly connected pieces of the tight edges
+        that hold a cycle, and the critical edges are the tight edges inside them.  The
+        canonical cycle is their shortest cycle, least on ties, and m is its mean weight.
+        The class is unique when it is one component whose vertices each have exactly
+        one critical out-edge.
         """
-        total = sum(
-            self.weights[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))
-        )
+        nodes = sorted({v for edge in tight for v in edge})  # few on a cache hit
+        succ, pred = adjacency(nodes, tight)
+        comps = strongly_connected_components(nodes, succ, pred)
+        critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in succ[comp[0]])
+        comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
+        edges = [(u, v) for u, idx in comp_of.items() for v in succ[u] if comp_of.get(v) == idx]
+        cycle = _canonical_cycle(*adjacency(comp_of, edges))
+        total = sum(self.weights[edge] for edge in zip(cycle, cycle[1:] + cycle[:1]))
         out_degree = Counter(u for u, _ in edges)
-        unique = len(components) == 1 and all(out_degree[v] == 1 for v in components[0])
+        unique = len(critical) == 1 and all(out_degree[v] == 1 for v in critical[0])
         return self._replace(
             max_mean=total / len(cycle),
             critical_cycle=cycle,
-            critical_class=frozenset(v for comp in components for v in comp),
-            critical_edges=edges,
-            critical_components=components,
+            critical_class=frozenset(comp_of),
+            critical_edges=frozenset(edges),
+            critical_components=tuple(map(tuple, critical)),
             critical_class_unique=unique,
             tol=tol,
         )
@@ -290,19 +290,7 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
     if excess:
         u, v = max(excess, key=excess.get)
         raise GraphError(f"m is not certified: edge {u!r} -> {v!r} beats it by {excess[(u, v)]!r}")
-    tight_succ, tight_pred = adjacency(graph.vertices, tight)
-    comps = strongly_connected_components(graph.vertices, tight_succ, tight_pred)
-    critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in tight_succ[comp[0]])
-    if not critical:
-        raise GraphError("no critical cycle found at the computed mean")
-    comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
-    edges = [(u, v) for u, idx in comp_of.items() for v in tight_succ[u] if comp_of.get(v) == idx]
-    return graph.with_optimum(
-        _canonical_cycle(*adjacency(comp_of, edges)),
-        tuple(tuple(comp) for comp in critical),
-        frozenset(edges),
-        tol,
-    )
+    return graph.with_optimum(tight, tol)
 
 
 def max_mean_cycle(

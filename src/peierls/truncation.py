@@ -10,13 +10,14 @@ values never decrease where comparable.
 
 Stage results are cached on disk keyed by the shift, the weights, the
 requested bound and the tolerance, so sweeps over stage lists can reuse
-earlier runs.  An entry holds only what needs Howard's policy iteration:
-the used bound, the canonical critical cycle, the critical components and
-the critical edges.
-A hit recomputes m from the cycle's weights, the uniqueness of the class,
-and the barrier, so it reproduces the freshly computed stage bit for bit.
-An entry whose barrier walk fails, as it does when its cycle is not maximal,
-is a miss, and so is one whose stored key is not the stage's own.
+earlier runs.  An entry holds only its key and the critical edges, the one
+result that needs Howard's policy iteration.  A hit derives everything else
+from those edges through ``with_optimum``, as ``optimize`` does from the
+tight ones: the critical components, the canonical cycle, m, the uniqueness
+of the class and the barrier, so it reproduces the fresh stage bit for bit.
+An entry whose edges hold no cycle, or whose barrier walk fails, as it does
+when their cycle is not maximal, is a miss, and so is one whose stored key
+is not the stage's own.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ BOUNDED = "BOUNDED"
 DIVERGENT = "DIVERGENT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 MIN_TREND_LETTERS = 5
 
 
@@ -120,34 +121,16 @@ def _word(obj) -> Word:
     return tuple(int(x) for x in obj)
 
 
-def _stage_payload(stage: Stage, key: str) -> dict:
-    graph = stage.graph
-    return {
-        "schema": CACHE_SCHEMA,
-        "key": key,
-        "used": stage.used,
-        "cycle": [list(v) for v in graph.critical_cycle],
-        "components": [[list(v) for v in comp] for comp in graph.critical_components],
-        "critical_edges": sorted([list(u), list(v)] for u, v in graph.critical_edges),
-    }
-
-
 def _restore_optimum(
-    payload: object, key: str, core: FiniteShift, graph: WeightedMemoryGraph, tol: float
+    payload: object, key: str, graph: WeightedMemoryGraph, tol: float
 ) -> WeightedMemoryGraph | None:
-    """The optimized graph an entry describes, or None when it does not fit this stage."""
+    """The optimized graph an entry's critical edges fix, or None when they do not fit."""
     if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
         return None
-    if payload.get("key") != key or int(payload["used"]) != max(core.letters):
-        return None
-    cycle = tuple(_word(v) for v in payload["cycle"])
-    if not cycle or any(
-        (u, v) not in graph.weights for u, v in zip(cycle, cycle[1:] + cycle[:1])
-    ):
-        return None
-    components = tuple(tuple(_word(v) for v in comp) for comp in payload["components"])
     edges = frozenset((_word(u), _word(v)) for u, v in payload["critical_edges"])
-    return graph.with_optimum(cycle, components, edges, tol)
+    if payload.get("key") != key or not edges or not edges <= graph.weights.keys():
+        return None
+    return graph.with_optimum(edges, tol)
 
 
 def _write_cache(path: str, payload: dict) -> None:
@@ -189,11 +172,11 @@ def build_stage(
     if path is not None and os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                optimum = _restore_optimum(json.load(handle), key, core, graph, tol)
+                optimum = _restore_optimum(json.load(handle), key, graph, tol)
             if optimum is not None:
                 barrier = compute_barrier(optimum)
-        except (OSError, ValueError, KeyError, TypeError, IndexError, PositiveCycleError):
-            pass  # a corrupt entry is a miss, and so is one whose barrier walk fails
+        except (OSError, ValueError, KeyError, TypeError, PositiveCycleError):
+            pass  # a corrupt entry is a miss, and so is one whose edges hold no maximal cycle
 
     from_cache = barrier is not None
     if not from_cache:
@@ -207,7 +190,8 @@ def build_stage(
         from_cache=from_cache,
     )
     if path is not None and not from_cache:
-        _write_cache(path, _stage_payload(stage, key))
+        edges = sorted([list(u), list(v)] for u, v in stage.graph.critical_edges)
+        _write_cache(path, {"schema": CACHE_SCHEMA, "key": key, "critical_edges": edges})
     return stage
 
 

@@ -161,6 +161,32 @@ def test_a_cutoff_far_past_the_digit_limit_is_reported_at_once(tmp_path):
     }
 
 
+def test_barrier_json_survives_bounds_too_long_to_print(renewal_files, tmp_path):
+    # the value -12000 at letter 0 puts the bound report's low-letter cutoff and the
+    # cutoff's stage-one bound near exp(12000), 5,212 digits; Python builds with no
+    # digit limit print them, the rest report both in place of the numbers
+    shift, _ = renewal_files
+    argv = ["barrier", "--shift", shift, "--potential", _log_tail_pot(tmp_path, -12000)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "peierls.cli", *argv, "--max-letter", "0"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["values"] == {"0": 0.0}
+    if 0 < getattr(sys, "get_int_max_str_digits", int)() < 5212:
+        tail = " has 5212 digits, too many to write as decimal text"
+        assert payload["bounds"] == {"error": "low-letter cutoff" + tail}
+        assert payload["cutoff"] == {"letter": 0, "error": "excursion cutoff for letter 0" + tail}
+    else:
+        assert len(str(payload["bounds"]["low_letter_cutoff"])) == 5212
+        assert "beyond the budget 4096" in payload["cutoff"]["error"]
+
+
 def test_a_linear_tail_past_float_resolution_is_reported_at_once(tmp_path):
     # at -1e30 the tail cannot tell neighbouring letters apart, so the
     # coercive bound must not step through them one at a time
@@ -578,6 +604,31 @@ def test_converge_prints_the_same_bytes_after_a_run_at_another_tolerance(
     for _ in range(2):  # a miss, then a hit on its own entry
         assert run(argv) == 0
         assert capsys.readouterr().out == expected
+
+
+def test_converge_on_tied_loops_prints_the_same_bytes_from_any_cache_state(
+    tmp_path, capsys
+):
+    # the loops at 0 and 1 tie at mean 0 and a fresh build prints base [0]; a hit
+    # must too, even from an entry that names the loop at 1 as its cycle
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(json.dumps(
+        {"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]}
+    ))
+    table = [{"word": [0], "value": 0.0}, {"word": [1], "value": 0.0}]
+    pot.write_text(json.dumps({"depth": 1, "tail": TAIL, "table": table}))
+    argv = ["converge", "--shift", str(shift), "--potential", str(pot), "--stages", "1"]
+    assert run(argv + ["--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["stages"][0]["base"] == [0]
+    assert run(argv) == 0  # cold
+    assert capsys.readouterr().out == expected
+    assert run(argv) == 0  # warm
+    assert capsys.readouterr().out == expected
+    (entry,) = Path(os.environ["PEIERLS_CACHE_DIR"]).iterdir()
+    entry.write_text(json.dumps({**json.loads(entry.read_text()), "cycle": [[1]]}))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_unwritable_out_path_is_an_input_error(renewal_files, tmp_path, capsys):

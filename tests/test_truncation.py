@@ -97,8 +97,8 @@ def test_a_stage_differing_in_any_input_misses_the_cache(renewal_spec, renewal_p
 def test_cache_entry_holds_only_the_critical_structure(renewal_spec, renewal_pot):
     build_stage(renewal_spec, renewal_pot, 6)
     entry = _read_entry(_cache_entry_path())
-    assert sorted(entry) == ["components", "critical_edges", "cycle", "key", "schema", "used"]
-    assert entry["schema"] == 3
+    assert sorted(entry) == ["critical_edges", "key", "schema"]
+    assert entry["schema"] == 4
     # the file is named by the key's CRC and length, and the entry holds the key itself
     key = repr((renewal_spec, renewal_pot, 6, DEFAULT_TOL))
     assert entry["key"] == key
@@ -124,20 +124,22 @@ def _stage_facts(stage):
 @pytest.mark.parametrize(
     "written",
     [
-        [], None, 3, {"cycle": []}, {"cycle": [[1]]}, {"cycle": [[2], [1], [0]]}, {"used": 7},
-        {"key": "(another stage)"},
+        [], None, 3, {"critical_edges": []}, {"critical_edges": [[[1], [1]]]},
+        {"critical_edges": [[[2], [1]], [[1], [0]], [[0], [2]]]},
+        {"critical_edges": [[[2], [1]]]}, {"key": "(another stage)"},
     ],
-    # renewal letter 1 only steps down to 0, so [[1]] is a loop through a non-edge;
-    # 2 -> 1 -> 0 -> 2 is a real cycle whose mean is below the loop at 0; an entry
-    # whose key is not the stage's own stands in for a CRC collision of file names
+    # renewal letter 1 only steps down to 0, so [[1], [1]] is a loop on a non-edge;
+    # 2 -> 1 -> 0 -> 2 is a real cycle whose mean is below the loop at 0; 2 -> 1 holds
+    # no cycle; an entry whose key is not the stage's own stands in for a CRC
+    # collision of file names
     ids=[
         "list",
         "null",
         "number",
-        "empty-cycle",
-        "cycle-through-non-edge",
+        "no-edges",
+        "loop-on-non-edge",
         "non-maximal-cycle",
-        "wrong-used",
+        "acyclic",
         "other-key",
     ],
 )
@@ -154,6 +156,33 @@ def test_unusable_cache_entry_is_a_miss_and_is_rewritten(renewal_spec, renewal_p
     again = build_stage(renewal_spec, renewal_pot, 6)
     assert again.from_cache
     assert again.barrier == fresh.barrier
+
+
+TWO_LOOPS = ShiftSpec(
+    kind="explicit-finite", alphabet_size=2, edges=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+)
+RENEWAL = ShiftSpec(kind="renewal", renewal_rule=(2, 0))
+
+
+@pytest.mark.parametrize(
+    "spec, table, requested, edited",
+    [
+        (TWO_LOOPS, {(0,): 0.0, (1,): 0.0}, 1, {"cycle": [[1]]}),
+        (RENEWAL, {(0,): 0.0}, 2, {"components": [[[0]], [[1]], [[2]]]}),
+    ],
+    ids=["cycle", "components"],
+)
+def test_a_stored_cycle_or_component_list_cannot_change_a_hit(spec, table, requested, edited):
+    # the loops at 0 and 1 tie at mean 0, and the loop at 0 is the canonical one;
+    # a hit derives cycle and components from the stored critical edges alone
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table=table)
+    fresh = build_stage(spec, pot, requested, use_cache=False)
+    build_stage(spec, pot, requested)
+    path = _cache_entry_path()
+    _write_entry(path, {**_read_entry(path), **edited})
+    stage = build_stage(spec, pot, requested)
+    assert stage.from_cache
+    assert _stage_facts(stage) == _stage_facts(fresh)
 
 
 def test_stage_ignores_corrupt_cache_entries(renewal_spec, renewal_pot):
