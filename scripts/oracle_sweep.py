@@ -34,9 +34,14 @@ plus uniform noise of at most 1e-8, a hundredth of the tolerance) are
 optimized at tolerance 1e-6; the barrier walk must return, and
 ``verify_subaction`` must find the barrier a calibrated subaction whose
 contact edges hold the critical cycle, both at the tolerance the graph
-carries.  Exits nonzero past --tol, on a ``GraphError`` at the 1e12
+carries.  Last, --count graphs of 2 to 8 vertices with weights k/7 + 1e12
+(one ulp there is 1.2e-4) test uniqueness: on each whose critical class is
+unique, ``uniqueness_comparison`` must find the barrier and the fixpoint
+subaction of ``consistent_seed`` equal up to a constant at the graph's
+tolerance.  Exits nonzero past --tol, on a ``GraphError`` at the 1e12
 offset, on any cycle, component, offset, stage-two or cache mismatch, on a
-slope difference above 1e-12, or on any tie-heavy graph that fails.
+slope difference above 1e-12, on any tie-heavy graph that fails, or on any
+unique-class graph whose two subactions disagree.
 """
 
 import argparse
@@ -53,15 +58,17 @@ from unittest import mock
 from peierls import (
     DEFAULT_TOL,
     GraphError,
-    PositiveCycleError,
     PotentialSpec,
     ShiftSpec,
     build_stage,
     compute_barrier,
+    consistent_seed,
     covering_core,
+    fixpoint_subaction,
     graph_from_weights,
     letter_cutoff,
     optimize,
+    uniqueness_comparison,
     verify_subaction,
 )
 from peierls.optimizer import _rounding_tol
@@ -208,11 +215,26 @@ def tie_heavy_failures(rng, count):
         try:
             g = optimize(graph_from_weights(weights), TIE_TOL)
             report = verify_subaction(g, compute_barrier(g).values)
-        except (GraphError, PositiveCycleError):
+        except GraphError:  # PositiveCycleError included
             failures += 1
             continue
         failures += not (report.is_subaction and report.is_calibrated and report.supp_in_contact)
     return failures
+
+
+def uniqueness_failures(rng, count):
+    """Of ``count`` graphs with weights k/7 + 1e12, those whose critical class is unique,
+    and how many of them hold two subactions that do not agree up to a constant."""
+    unique = inconsistent = 0
+    for _ in range(count):
+        weights = {e: k / 7 + 1e12 for e, k in random_graph(rng, rng.randint(2, 8)).items()}
+        g = optimize(graph_from_weights(weights))
+        if g.critical_class_unique:
+            barrier = compute_barrier(g).values
+            lifted = fixpoint_subaction(g, consistent_seed(g))
+            unique += 1
+            inconsistent += not uniqueness_comparison(g, barrier, lifted).consistent
+    return unique, inconsistent
 
 
 def main(argv=None):
@@ -264,6 +286,7 @@ def main(argv=None):
     slope_bits, worst_slope = slope_differences(rng, fits)
     tie_failures = tie_heavy_failures(rng, args.count)
     tie_cache_mismatches = tie_heavy_cache_mismatches(rng, args.count)
+    unique_graphs, inconsistent = uniqueness_failures(rng, args.count)
     elapsed = time.perf_counter() - started
 
     print(f"graphs checked        {args.count}")
@@ -281,6 +304,7 @@ def main(argv=None):
     print(f"worst probe slope difference {worst_slope:.3e}")
     print(f"tie-heavy graphs failing at tolerance {TIE_TOL:g} {tie_failures} of {args.count}")
     print(f"tie-heavy cache round-trip mismatches {tie_cache_mismatches} of {2 * args.count}")
+    print(f"unique classes at 1e12 with disagreeing subactions {inconsistent} of {unique_graphs}")
     print(f"elapsed               {elapsed:.2f}s")
     if max(worst_mean, worst_barrier, worst_large) > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
@@ -308,6 +332,9 @@ def main(argv=None):
         return 1
     if tie_failures:
         print("a tie-heavy graph failed its barrier walk or subaction check", file=sys.stderr)
+        return 1
+    if inconsistent:
+        print("a unique critical class holds two subactions that differ", file=sys.stderr)
         return 1
     return 0
 

@@ -32,6 +32,7 @@ from .shift_space import (
     covering_core,
     is_transitive,
     parse_shift_spec,
+    transitive_core,
     truncate,
 )
 
@@ -139,7 +140,8 @@ def _load_inputs(args: SimpleNamespace) -> tuple[ShiftSpec, PotentialSpec]:
 def _finite_for(args: SimpleNamespace, spec: ShiftSpec) -> FiniteShift:
     if spec.max_letter() is not None:
         bound = spec.max_letter() if args.max_letter is None else args.max_letter
-        return truncate(spec, bound)
+        finite = truncate(spec, bound)
+        return transitive_core(finite, finite.letters)  # a split names its letter groups
     if args.max_letter is None:
         raise ValueError("--max-letter is required for countable-alphabet shifts")
     return covering_core(spec, range(args.max_letter + 1))

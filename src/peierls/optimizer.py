@@ -34,16 +34,16 @@ class GraphError(ValueError):
     """The graph violates a structural precondition."""
 
 
-class PositiveCycleError(RuntimeError):
+class PositiveCycleError(GraphError):
     """A reduced cycle with positive weight survived; the mean value is inconsistent."""
 
 
 class WeightedMemoryGraph(NamedTuple):
     """Finite weighted digraph plus the optimization results, once computed.
 
-    ``optimize`` returns a copy with the ``max_mean`` / ``critical_*`` fields
-    set and ``tol``, the tolerance they were decided at, which every later
-    pass on the graph reads; the graph it was given stays unoptimized.
+    ``optimize`` returns a copy with the ``max_mean`` / ``critical_*`` fields set and
+    ``tol``, its ``tol`` raised to the float rounding of a |V|-edge walk sum: the one
+    tolerance every later pass on the graph reads.  The graph it was given stays as is.
     """
 
     vertices: tuple[Vertex, ...]
@@ -70,7 +70,7 @@ class WeightedMemoryGraph(NamedTuple):
         that hold a cycle, and the critical edges are the tight edges inside them.  The
         canonical cycle is their shortest cycle, least on ties, and m is its mean weight.
         The class is unique when it is one component whose vertices each have exactly
-        one critical out-edge.
+        one critical out-edge.  The copy's ``tol`` is ``_rounding_tol`` of ``tol``.
         """
         nodes = sorted({v for edge in tight for v in edge})  # few on a cache hit
         succ, pred = adjacency(nodes, tight)
@@ -89,7 +89,7 @@ class WeightedMemoryGraph(NamedTuple):
             critical_edges=frozenset(edges),
             critical_components=tuple(map(tuple, critical)),
             critical_class_unique=unique,
-            tol=tol,
+            tol=_rounding_tol(self, tol),
         )
 
 
@@ -144,11 +144,10 @@ def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
 
 
 def _require_optimized(graph: WeightedMemoryGraph) -> float:
-    """``_rounding_tol`` of the graph's own tolerance for a graph ``optimize`` returned;
-    GraphError for others."""
+    """The tolerance of a graph ``optimize`` returned; GraphError for others."""
     if not graph.is_optimized():
         raise GraphError("graph is not optimized; pass it through optimize first")
-    return _rounding_tol(graph, graph.tol)
+    return graph.tol
 
 
 def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex, float]]:
@@ -168,9 +167,9 @@ def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex,
     # Shifted to a top weight of 0, the weights set the tolerance by their spread, not
     # their size: at 1e12 a size-based one let the two phases undo each other forever.
     top = max(graph.weights.values())
-    weights = [[graph.weights[(v, verts[t])] - top for t in ts] for v, ts in zip(verts, targets)]
-    spread = -min(min(ws) for ws in weights)
-    tol = max(_checked_tol(tol), 4 * n * sys.float_info.epsilon * spread)
+    shifted = {edge: w - top for edge, w in graph.weights.items()}
+    weights = [[shifted[(v, verts[t])] for t in ts] for v, ts in zip(verts, targets)]
+    tol = _rounding_tol(graph._replace(weights=shifted), tol)
     policy = [ws.index(max(ws)) for ws in weights]  # the least target on ties
     seen: dict[tuple[int, ...], int] = {}  # each policy run so far -> its iteration, from 1
     while (key := tuple(policy)) not in seen:

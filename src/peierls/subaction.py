@@ -324,8 +324,7 @@ def uniqueness_comparison(
     critical class has a single component; with several components the
     anchor of each can move independently and disagreement is expected.
     """
-    _require_optimized(graph)
-    comparison = compare_up_to_constant(first, second, graph.tol)
+    comparison = compare_up_to_constant(first, second, _require_optimized(graph))
     unique = bool(graph.critical_class_unique)
     parts = len(graph.critical_components)
     if unique and comparison.is_constant_diff:

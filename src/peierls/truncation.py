@@ -30,9 +30,7 @@ import zlib
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
-from .optimizer import (
-    DEFAULT_TOL, PositiveCycleError, WeightedMemoryGraph, build_memory_graph, optimize
-)
+from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
 from .potential import PotentialSpec
 from .shift_space import (
     KIND_ORACLE,
@@ -175,7 +173,7 @@ def build_stage(
                 optimum = _restore_optimum(json.load(handle), key, graph, tol)
             if optimum is not None:
                 barrier = compute_barrier(optimum)
-        except (OSError, ValueError, KeyError, TypeError, PositiveCycleError):
+        except (OSError, ValueError, KeyError, TypeError):
             pass  # a corrupt entry is a miss, and so is one whose edges hold no maximal cycle
 
     from_cache = barrier is not None
@@ -217,7 +215,7 @@ def build_family(
             raise FamilyError(
                 f"stage {cur.requested} lost letters present at stage {prev.requested}"
             )
-        if cur.graph.max_mean < prev.graph.max_mean - tol:
+        if cur.graph.max_mean < prev.graph.max_mean - cur.graph.tol:
             raise FamilyError(
                 f"max mean dropped from {prev.graph.max_mean!r} at stage "
                 f"{prev.requested} to {cur.graph.max_mean!r} at stage {cur.requested}"
@@ -241,7 +239,7 @@ def stabilization_experiment(
     starting with that letter.  The prediction is the two-stage cutoff
     bound; observing stabilization at a larger bound than predicted
     falsifies the bound and fails the report.  Values compare at the final
-    stage's tolerance.
+    stage's ``graph.tol``, the tolerance its optimum was decided at.
     """
     if len(family.stages) < 2:
         raise FamilyError("stabilization needs at least two stages")
@@ -298,7 +296,7 @@ def bp_boundedness_probe(
     bounded incoming alphabet would have to miss, so the floor trend is
     fitted over those.  The divergence call needs an established trend:
     at least MIN_TREND_LETTERS fitted letters, floors non-increasing, and
-    fitted slope at most -tol, the final stage's tolerance.
+    fitted slope at most -tol, with tol the final stage's ``graph.tol``.
     """
     if scan_to < 0:
         raise ValueError("scan_to must be nonnegative")

@@ -237,6 +237,41 @@ def test_optimize_returns_on_a_table_near_1e12(tmp_path):
     assert payload["cycle"] == [[11]]
 
 
+def test_a_positive_cycle_in_the_barrier_walk_is_an_input_error(tmp_path, capsys):
+    # weights -1, 0 or 0 plus noise below the tolerance: the shortest tight cycle is
+    # canonical, and the barrier walk finds a longer one whose reduced weight passes it
+    rng = random.Random(7)
+    for _ in range(8):
+        n = rng.randint(2, 10)
+        drawn = random_graph(rng, n)
+        weights = {e: rng.choice((-1.0, 0.0, 0.0)) + rng.uniform(-3e-10, 3e-10) for e in drawn}
+    edges = sorted(weights)
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(json.dumps({"kind": "explicit-finite", "alphabet_size": n, "edges": edges}))
+    table = [{"word": list(e), "value": weights[e]} for e in edges]
+    pot.write_text(json.dumps({"depth": 2, "tail": TAIL, "table": table}))
+    argv = ["barrier", "--shift", str(shift), "--potential", str(pot), "--max-letter", "8"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: reduced cycle with positive weight through edge (0,) -> (1,)\n"
+
+
+def test_a_cut_of_a_finite_shift_that_is_not_transitive_names_its_groups(tmp_path, capsys):
+    # cut at 2, the edge 3 -> 0 is gone, so no walk from 1 or 2 comes back to 0
+    edges = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 0], [0, 2], [0, 3], [1, 1], [1, 3], [2, 1], [3, 3]]
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(json.dumps({"kind": "explicit-finite", "alphabet_size": 4, "edges": edges}))
+    table = [{"word": [i], "value": -i} for i in range(4)]
+    pot.write_text(json.dumps({"depth": 1, "tail": TAIL, "table": table}))
+    argv = ["barrier", "--shift", str(shift), "--potential", str(pot), "--max-letter"]
+    assert run(argv + ["2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: required letters split across 2 components: [0], [1, 2]\n"
+    assert run(argv + ["3"]) == 0
+
+
 def test_barrier_countable_shift_requires_max_letter(renewal_files, capsys):
     shift, pot = renewal_files
     assert run(["barrier", "--shift", shift, "--potential", pot]) == 2

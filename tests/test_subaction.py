@@ -22,6 +22,7 @@ from peierls import (
     variation_of_subaction,
     verify_subaction,
 )
+from peierls.optimizer import _rounding_tol
 
 from oracles import random_graph
 
@@ -199,6 +200,11 @@ def test_subaction_checks_use_the_rounding_tolerance_of_large_weights():
             assert calibrated_preorbit(graph, barrier, v, steps).tail_in_critical_class
         lifted = fixpoint_subaction(graph, consistent_seed(graph))
         assert minimality_check(graph, lifted, barrier).ok
+        if graph.critical_class_unique:
+            assert uniqueness_comparison(graph, barrier, lifted).consistent
+    # the graph carries the one tolerance every check above read
+    graph = optimize(graph_from_weights(tables[0]))
+    assert graph.tol == _rounding_tol(graph_from_weights(tables[0]), 1e-9) > 1e-9
 
 
 def test_checks_after_optimize_run_at_the_tolerance_it_was_given():
