@@ -13,17 +13,19 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+DEFAULT_TOL = 1e-9  # here, not in optimizer, so the command line reads it without a layer
+
 # layer module -> the public names it defines
 _LAYERS = {
     "barrier": """BarrierResult CutoffReport UpperBoundReport barrier_length_profile
         compute_barrier letter_cutoff""",
-    "optimizer": """DEFAULT_TOL GraphError PeriodicMeasure PositiveCycleError
+    "optimizer": """GraphError PeriodicMeasure PositiveCycleError
         WeightedMemoryGraph birkhoff_sum build_memory_graph graph_from_weights
         max_mean_cycle optimize periodic_measure""",
-    "potential": """PotentialError PotentialSpec ambient_total_variation
+    "potential": """PotentialError PotentialSpec TAIL_LINEAR ambient_total_variation
         coercive_letter_bound evaluate parse_potential tail_value validate_table
         var_j""",
-    "shift_space": """ConditionVerdict FiniteShift ShiftSpec ShiftSpecError
+    "shift_space": """ConditionVerdict FiniteShift KIND_RENEWAL ShiftSpec ShiftSpecError
         TransitivityError TruncationError admissible check_bi check_bp
         connecting_word covering_core is_admissible_word is_transitive
         parse_shift_spec transitive_core truncate""",
@@ -38,7 +40,7 @@ _LAYERS = {
 }
 _OWNER = {name: module for module, names in _LAYERS.items() for name in names.split()}
 
-__all__ = sorted(_OWNER)
+__all__ = sorted([*_OWNER, "DEFAULT_TOL"])
 
 
 def __getattr__(name: str):

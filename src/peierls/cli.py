@@ -10,7 +10,6 @@ Exit codes: 0 on success, 1 when --assert is set and a verdict fails,
 from __future__ import annotations
 
 import gc
-import json
 import math
 import sys
 from collections.abc import Mapping
@@ -18,33 +17,20 @@ from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import _LAYERS, _OWNER
-from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
-from .potential import PotentialSpec, TAIL_LINEAR, parse_potential, validate_table
-from .shift_space import (
-    KIND_RENEWAL,
-    FiniteShift,
-    ShiftSpec,
-    TruncationError,
-    Word,
-    check_bi,
-    check_bp,
-    covering_core,
-    is_transitive,
-    parse_shift_spec,
-    transitive_core,
-    truncate,
-)
+from . import DEFAULT_TOL, _LAYERS, _OWNER
 
 if TYPE_CHECKING:
     import argparse
 
+    from .optimizer import WeightedMemoryGraph
+    from .potential import PotentialSpec
+    from .shift_space import FiniteShift, ShiftSpec, Word
     from .truncation import Stage
 
 
-# A handler binds the names of a layer only some commands run with ``_load``
-# before calling them through this module's globals; a value already bound
-# here (a wrapper installed with setattr, say) is kept.
+# ``import peierls.cli`` loads no layer: a handler binds the names of each layer it
+# runs with ``_load`` before calling them through this module's globals; a value
+# already bound here (a wrapper installed with setattr, say) is kept.
 def __getattr__(name: str):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -52,9 +38,10 @@ def __getattr__(name: str):
     return globals().setdefault(name, getattr(module, name))
 
 
-def _load(layer: str) -> None:
-    for name in _LAYERS[layer].split():
-        __getattr__(name)
+def _load(*layers: str) -> None:
+    for layer in layers:
+        for name in _LAYERS[layer].split():
+            __getattr__(name)
 
 
 SCHEMA = 1
@@ -127,10 +114,13 @@ def _emit(args: SimpleNamespace, text: str) -> None:
 
 
 def _emit_json(args: SimpleNamespace, payload: dict) -> None:
+    import json  # here, like argparse, so that `import peierls.cli` loads neither
+
     _emit(args, json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, indent=2) + "\n")
 
 
 def _load_inputs(args: SimpleNamespace) -> tuple[ShiftSpec, PotentialSpec]:
+    _load("shift_space", "potential")
     spec = parse_shift_spec(_read_text(args.shift))
     pot = parse_potential(_read_text(args.potential))
     validate_table(pot, spec)
@@ -151,11 +141,13 @@ def _optimized_graph(
     args: SimpleNamespace,
 ) -> tuple[ShiftSpec, PotentialSpec, WeightedMemoryGraph]:
     spec, pot = _load_inputs(args)
+    _load("optimizer")
     finite = _finite_for(args, spec)
     return spec, pot, optimize(build_memory_graph(finite, pot), args.tol)
 
 
 def _cmd_shift_check(args: SimpleNamespace) -> int:
+    _load("shift_space")
     spec = parse_shift_spec(_read_text(args.shift))
     transitive = None
     if spec.max_letter() is not None:
@@ -302,7 +294,7 @@ def _cmd_converge(args: SimpleNamespace) -> int:
 
 
 def _cmd_demo_renewal(args: SimpleNamespace) -> int:
-    _load("truncation")
+    _load("truncation", "shift_space", "potential")
     spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
     pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)

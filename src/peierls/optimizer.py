@@ -20,14 +20,13 @@ import sys
 from collections import Counter
 from typing import Any, Collection, Mapping, NamedTuple, Sequence
 
+from . import DEFAULT_TOL
 from .digraph import adjacency, least_word, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
 from .shift_space import FiniteShift
 
 Vertex = Any
 Edge = tuple[Vertex, Vertex]
-
-DEFAULT_TOL = 1e-9
 
 
 class GraphError(ValueError):
@@ -70,7 +69,8 @@ class WeightedMemoryGraph(NamedTuple):
         that hold a cycle, and the critical edges are the tight edges inside them.  The
         canonical cycle is their shortest cycle, least on ties, and m is its mean weight.
         The class is unique when it is one component whose vertices each have exactly
-        one critical out-edge.  The copy's ``tol`` is ``_rounding_tol`` of ``tol``.
+        one critical out-edge.  ``tol`` is the effective tolerance, ``_rounding_tol`` of
+        the caller's, and the copy carries it as its ``tol``.
         """
         nodes = sorted({v for edge in tight for v in edge})  # few on a cache hit
         succ, pred = adjacency(nodes, tight)
@@ -89,7 +89,7 @@ class WeightedMemoryGraph(NamedTuple):
             critical_edges=frozenset(edges),
             critical_components=tuple(map(tuple, critical)),
             critical_class_unique=unique,
-            tol=_rounding_tol(self, tol),
+            tol=tol,
         )
 
 
@@ -289,7 +289,7 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
     if excess:
         u, v = max(excess, key=excess.get)
         raise GraphError(f"m is not certified: edge {u!r} -> {v!r} beats it by {excess[(u, v)]!r}")
-    return graph.with_optimum(tight, tol)
+    return graph.with_optimum(tight, rounding)
 
 
 def max_mean_cycle(

@@ -30,7 +30,7 @@ import zlib
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
-from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, build_memory_graph, optimize
+from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, _rounding_tol, build_memory_graph, optimize
 from .potential import PotentialSpec
 from .shift_space import (
     KIND_ORACLE,
@@ -128,7 +128,7 @@ def _restore_optimum(
     edges = frozenset((_word(u), _word(v)) for u, v in payload["critical_edges"])
     if payload.get("key") != key or not edges or not edges <= graph.weights.keys():
         return None
-    return graph.with_optimum(edges, tol)
+    return graph.with_optimum(edges, _rounding_tol(graph, tol))
 
 
 def _write_cache(path: str, payload: dict) -> None:

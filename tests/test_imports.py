@@ -58,6 +58,33 @@ def test_import_peierls_loads_no_layer(tmp_path):
     assert _loaded_after("import peierls", tmp_path) == {"peierls"}
 
 
+def test_import_peierls_cli_loads_no_layer(tmp_path):
+    roots = ("peierls", "json", "argparse")  # the last two load only for what they print
+    assert _loaded_after("import peierls.cli", tmp_path, root=roots) == {"peierls", "peierls.cli"}
+
+
+def test_shift_check_loads_only_the_shift_layer(inputs, tmp_path):
+    argv = ["shift", "check", "--shift", "shift.json", "--out", "report.out"]
+    code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
+    expected = {"peierls", "peierls.cli", "peierls.digraph", "peierls.shift_space"}
+    assert _loaded_after(code, tmp_path) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code", [(["--help"], 0), (["barrier", "--help"], 0), (["barrier"], 2)]
+)
+def test_help_and_usage_errors_load_no_layer(tmp_path, argv, exit_code):
+    code = (
+        "import io, peierls.cli\n"
+        "sys.stdout = io.StringIO()  # help text must not mix with the module list\n"
+        f"try: peierls.cli.run({argv!r})\n"
+        f"except SystemExit as exc: assert exc.code == {exit_code}\n"
+        "else: raise AssertionError('run returned')\n"
+        "sys.stdout = sys.__stdout__"
+    )
+    assert _loaded_after(code, tmp_path) == {"peierls", "peierls.cli"}
+
+
 @pytest.mark.parametrize(
     "command, layers",
     [
@@ -141,7 +168,13 @@ def test_unknown_names_raise_attribute_error():
 
 @pytest.mark.parametrize(
     "name, command",
-    [("compute_barrier", BARRIER), ("verify_subaction", VERIFY), ("build_family", CONVERGE)],
+    [
+        ("compute_barrier", BARRIER),
+        ("verify_subaction", VERIFY),
+        ("build_family", CONVERGE),
+        ("optimize", ["optimize", "--max-letter", "6"]),
+        ("parse_potential", CONVERGE),
+    ],
 )
 def test_a_layer_replaced_on_cli_is_the_one_that_runs(inputs, monkeypatch, capsys, name, command):
     # perfbench/spans.py traces a layer by replacing cli's attribute this way
