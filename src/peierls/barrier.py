@@ -72,8 +72,7 @@ class BarrierResult(NamedTuple):
     """Barrier values of an optimized graph, pinned to zero at the base vertex.
 
     ``bounds`` is built from ``graph`` each time it is read, None without a shift and a
-    potential.  Results are equal when base, values and bounds are, as truncations
-    compare by identity."""
+    potential."""
 
     base_vertex: Vertex
     values: Mapping[Vertex, float]
@@ -83,13 +82,6 @@ class BarrierResult(NamedTuple):
     def bounds(self) -> UpperBoundReport | None:
         graph = self.graph
         return None if graph.shift is None or graph.pot is None else _bound_report(graph, self.values)
-
-    def __eq__(self, other):
-        same = isinstance(other, BarrierResult) and self[:2] == other[:2]
-        return same and (self.graph is other.graph or self.bounds == other.bounds)
-
-    def __ne__(self, other):
-        return not self == other
 
 
 class CutoffReport(NamedTuple):

@@ -34,14 +34,15 @@ if TYPE_CHECKING:
 def __getattr__(name: str):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_OWNER[name]}", __package__)
-    return globals().setdefault(name, getattr(module, name))
+    _load(_OWNER[name])
+    return globals()[name]
 
 
 def _load(*layers: str) -> None:
     for layer in layers:
+        module = import_module(f".{layer}", __package__)
         for name in _LAYERS[layer].split():
-            __getattr__(name)
+            globals().setdefault(name, getattr(module, name))
 
 
 SCHEMA = 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .shift_space import FiniteShift, ShiftSpec, Word, is_admissible_word
 
@@ -66,6 +66,14 @@ class PotentialSpec(_PotentialSpecFields):
         return cls(*iterable)
 
 
+def _float(number: int | float) -> float:
+    """A JSON number as a float; an integer past the float range is infinite, like 1e400."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
 def parse_potential(document: str) -> PotentialSpec:
     """Parse the JSON wire format for potentials."""
     try:
@@ -102,8 +110,8 @@ def parse_potential(document: str) -> PotentialSpec:
         word = tuple(word_raw)
         if word in table:
             raise PotentialError(f"duplicate table word {list(word)}")
-        table[word] = float(value)
-    return PotentialSpec(depth=depth, tail_kind=str(kind), tail_scale=float(c), table=table)
+        table[word] = _float(value)
+    return PotentialSpec(depth=depth, tail_kind=str(kind), tail_scale=_float(c), table=table)
 
 
 def validate_table(pot: PotentialSpec, spec: ShiftSpec) -> None:
@@ -134,20 +142,17 @@ def evaluate(pot: PotentialSpec, word: Word) -> float:
     return tail_value(pot, word[0])
 
 
-def admissible_words(finite: FiniteShift, length: int) -> Iterator[Word]:
-    """All admissible words of the given length, in lexicographic order."""
+def admissible_words(finite: FiniteShift, length: int) -> list[Word]:
+    """All admissible words of the given length, in lexicographic order.
+
+    Built one letter at a time over the whole level, so no depth meets the recursion
+    limit; each level stays sorted because the letters and successor lists are."""
     if length < 1:
         raise ValueError("word length must be positive")
-
-    def extend(prefix: tuple[int, ...]) -> Iterator[Word]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for nxt in finite.succ[prefix[-1]]:
-            yield from extend(prefix + (nxt,))
-
-    for first in finite.letters:
-        yield from extend((first,))
+    words = [(first,) for first in finite.letters]
+    for _ in range(length - 1):
+        words = [word + (nxt,) for word in words for nxt in finite.succ[word[-1]]]
+    return words
 
 
 # ---------------------------------------------------------------------------

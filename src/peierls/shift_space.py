@@ -53,10 +53,6 @@ class TruncationError(ValueError):
 class TransitivityError(ValueError):
     """Required letters do not sit in a single strongly connected piece."""
 
-    def __init__(self, message: str, components: tuple[tuple[int, ...], ...] = ()):
-        super().__init__(message)
-        self.components = components
-
 
 class _ShiftSpecFields(NamedTuple):
     kind: str
@@ -223,20 +219,17 @@ class FiniteShift(NamedTuple):
     letters: tuple[int, ...]
     succ: Mapping[int, tuple[int, ...]]
     pred: Mapping[int, tuple[int, ...]]
-    truncation_bound: int | None = None
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-def _make_finite(
-    bound: int | None, letters: Iterable[int], succ: Mapping[int, Iterable[int]]
-) -> FiniteShift:
+def _make_finite(letters: Iterable[int], succ: Mapping[int, Iterable[int]]) -> FiniteShift:
     letters_t = tuple(sorted(letters))
     keep = set(letters_t)
     succ_t, pred_t = adjacency(
         letters_t, [(i, j) for i in letters_t for j in sorted(succ.get(i, ())) if j in keep]
     )
-    return FiniteShift(letters=letters_t, succ=succ_t, pred=pred_t, truncation_bound=bound)
+    return FiniteShift(letters=letters_t, succ=succ_t, pred=pred_t)
 
 
 def _raw_truncation_edges(spec: ShiftSpec, letters: list[int]) -> dict[int, list[int]]:
@@ -278,7 +271,7 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
         raise TruncationError(
             f"no admissible cycle among letters 0..{max_letter}; truncation is empty"
         )
-    return _make_finite(max_letter, alive, succ)
+    return _make_finite(alive, succ)
 
 
 def is_transitive(finite: FiniteShift) -> bool:
@@ -297,9 +290,7 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
     req = sorted(set(required))
     missing = [l for l in req if l not in finite.pred]
     if missing:
-        raise TransitivityError(
-            f"letters {missing} are not present in the truncation", tuple()
-        )
+        raise TransitivityError(f"letters {missing} are not present in the truncation")
     comps = strongly_connected_components(finite.letters, finite.succ, finite.pred)
     comp_of: dict[int, int] = {}
     for ci, comp in enumerate(comps):
@@ -309,16 +300,13 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
         req = [finite.letters[0]]
     hit = sorted({comp_of[l] for l in req})
     if len(hit) > 1:
-        groups = tuple(
-            sorted(tuple(l for l in req if comp_of[l] == ci) for ci in hit)
-        )
+        groups = sorted([l for l in req if comp_of[l] == ci] for ci in hit)
         raise TransitivityError(
             f"required letters split across {len(hit)} components: "
-            + ", ".join(str(list(g)) for g in groups),
-            groups,
+            + ", ".join(map(str, groups))
         )
     core = comps[hit[0]]
-    return _make_finite(finite.truncation_bound, core, {i: finite.succ[i] for i in core})
+    return _make_finite(core, {i: finite.succ[i] for i in core})
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +445,7 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     if spec.kind == KIND_RENEWAL:
         top = least_entry_letter(spec, wanted[-1])
         alive = list(range(top + 1))
-        return _make_finite(top, alive, _raw_truncation_edges(spec, alive))
+        return _make_finite(alive, _raw_truncation_edges(spec, alive))
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     last = wanted[-1] + CORE_ATTEMPTS - 1 if cap is None else cap

@@ -37,7 +37,6 @@ from .shift_space import (
     SATISFIED,
     REFUTED,
     ConditionVerdict,
-    FiniteShift,
     ShiftSpec,
     Word,
     check_bp,
@@ -61,7 +60,6 @@ class Stage(NamedTuple):
 
     requested: int
     used: int
-    shift: FiniteShift
     graph: WeightedMemoryGraph
     barrier: BarrierResult
     from_cache: bool
@@ -71,7 +69,6 @@ class TruncationFamily(NamedTuple):
     """Stages at increasing bounds, with whether the base and cycle stay put."""
 
     spec: ShiftSpec
-    pot: PotentialSpec
     stages: tuple[Stage, ...]
     base_stable: bool
     cycle_stable: bool
@@ -126,7 +123,7 @@ def _restore_optimum(
     if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
         return None
     edges = frozenset((_word(u), _word(v)) for u, v in payload["critical_edges"])
-    if payload.get("key") != key or not edges or not edges <= graph.weights.keys():
+    if payload.get("key") != key or not edges <= graph.weights.keys():
         return None
     return graph.with_optimum(edges, _rounding_tol(graph, tol))
 
@@ -167,14 +164,14 @@ def build_stage(
     path = _cache_path(key) if use_cache and spec.kind != KIND_ORACLE else None
 
     barrier = None
-    if path is not None and os.path.exists(path):
+    if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 optimum = _restore_optimum(json.load(handle), key, graph, tol)
             if optimum is not None:
                 barrier = compute_barrier(optimum)
         except (OSError, ValueError, KeyError, TypeError):
-            pass  # a corrupt entry is a miss, and so is one whose edges hold no maximal cycle
+            pass  # a missing or corrupt entry is a miss, as is one with no maximal cycle
 
     from_cache = barrier is not None
     if not from_cache:
@@ -182,7 +179,6 @@ def build_stage(
     stage = Stage(
         requested=requested,
         used=max(core.letters),
-        shift=core,
         graph=barrier.graph,
         barrier=barrier,
         from_cache=from_cache,
@@ -211,7 +207,7 @@ def build_family(
         build_stage(spec, pot, n, tol=tol, use_cache=use_cache) for n in requested
     )
     for prev, cur in zip(stages, stages[1:]):
-        if not set(prev.shift.letters) <= set(cur.shift.letters):
+        if not set(prev.graph.shift.letters) <= set(cur.graph.shift.letters):
             raise FamilyError(
                 f"stage {cur.requested} lost letters present at stage {prev.requested}"
             )
@@ -222,7 +218,6 @@ def build_family(
             )
     return TruncationFamily(
         spec=spec,
-        pot=pot,
         stages=stages,
         base_stable=len({s.barrier.base_vertex for s in stages}) == 1,
         cycle_stable=len({s.graph.critical_cycle for s in stages}) == 1,
@@ -251,9 +246,9 @@ def stabilization_experiment(
         predicted = None
         ok: bool | None = None
         note = "letter is missing from the widest stage"
-        if letter in final.shift.pred:
+        if letter in final.graph.shift.pred:
             for idx, stage in enumerate(family.stages):
-                if letter not in stage.shift.pred:
+                if letter not in stage.graph.shift.pred:
                     continue
                 mine = {v: stage.barrier.values[v] for v in stage.graph.vertices if v[0] == letter}
                 stable = all(
@@ -265,7 +260,7 @@ def stabilization_experiment(
                     observed = (idx, stage.requested, stage.used)
                     break
             try:
-                predicted = letter_cutoff(family.spec, family.pot, final.shift, letter)
+                predicted = letter_cutoff(family.spec, final.graph.pot, final.graph.shift, letter)
                 note = ""
             except ValueError as exc:
                 note = f"prediction unavailable: {exc}"
@@ -302,10 +297,8 @@ def bp_boundedness_probe(
         raise ValueError("scan_to must be nonnegative")
     final = family.stages[-1]
     tol = final.graph.tol
-    if max(final.shift.letters) < scan_to:
-        raise FamilyError(
-            f"final stage tops out at {max(final.shift.letters)}, below scan_to={scan_to}"
-        )
+    if final.used < scan_to:
+        raise FamilyError(f"final stage tops out at {final.used}, below scan_to={scan_to}")
 
     values = final.barrier.values
     floors: dict[int, float] = {}  # in one pass: vertices come in the order of their letters
@@ -318,7 +311,7 @@ def bp_boundedness_probe(
     fit = tuple(
         j
         for j in sorted(floors)
-        if j >= 1 and final.shift.pred[j] and min(final.shift.pred[j]) > j
+        if j >= 1 and final.graph.shift.pred[j] and min(final.graph.shift.pred[j]) > j
     )
     slope = _slope(fit, [floors[j] for j in fit]) if len(fit) >= 2 else None
     monotone = all(

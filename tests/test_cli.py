@@ -272,6 +272,34 @@ def test_a_cut_of_a_finite_shift_that_is_not_transitive_names_its_groups(tmp_pat
     assert run(argv + ["3"]) == 0
 
 
+def test_a_potential_deeper_than_the_recursion_limit_optimizes(tmp_path, capsys):
+    # one letter with a loop: the single vertex is the word of 1,499 zeros
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(RENEWAL_SHIFT)
+    pot.write_text(json.dumps({"depth": 1500, "tail": TAIL}))
+    argv = ["optimize", "--shift", str(shift), "--potential", str(pot), "--max-letter", "0"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 0.0
+
+
+@pytest.mark.parametrize("where", ["c", "value", "-value"])
+def test_an_integer_too_large_for_a_float_is_an_input_error(tmp_path, capsys, where):
+    huge = int("9" * 401)
+    tail = {"kind": "linear", "c": huge if where == "c" else 1}
+    value = {"c": 0.0, "value": huge, "-value": -huge}[where]
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(RENEWAL_SHIFT)
+    pot.write_text(json.dumps({"depth": 1, "tail": tail, "table": [{"word": [0], "value": value}]}))
+    argv = ["barrier", "--shift", str(shift), "--potential", str(pot), "--max-letter", "4"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if where == "c":
+        assert err == "error: tail scale c must be a positive finite number\n"
+    else:
+        assert err == "error: table value for (0,) must be finite\n"
+
+
 def test_barrier_countable_shift_requires_max_letter(renewal_files, capsys):
     shift, pot = renewal_files
     assert run(["barrier", "--shift", shift, "--potential", pot]) == 2

@@ -2,9 +2,10 @@
 ``SystemExit`` escapes it, and a barrier it prints is a calibrated subaction.
 
 Shifts are renewal, full or explicit-finite; potentials have depth 1 to 3 and
-values that are clean, tie-heavy (-1, 0 or 0 plus noise below the tolerance) or
-large; every command path runs.  Alphabets, letters and stage lists stay small
-so the property takes seconds.
+values that are clean, tie-heavy (-1, 0 or 0 plus noise below the tolerance),
+large, or JSON integers of up to 400 digits, as tail scales can be; every
+command path runs.  Alphabets, letters and stage lists stay small so the
+property takes seconds.
 """
 
 import contextlib
@@ -29,6 +30,8 @@ from peierls import (
 
 LETTERS = 6  # table words use letters below this
 FILES = ("shift.json", "pot.json", "values.csv", "shifted.csv")
+# JSON integers of up to 400 digits: past 308 digits none fits a float
+HUGE = st.integers(0, 400).flatmap(lambda digits: st.integers(1 - 10**digits, 10**digits - 1))
 VALUES = {
     "clean": st.sampled_from([0.0, -1.0, 1.0, 0.5, -0.5, 2.0, -2.25]),
     # ROADMAP item 1's tie-heavy family: -1, 0 or 0 plus noise below the 1e-9 tolerance
@@ -36,6 +39,7 @@ VALUES = {
         float.__add__, st.sampled_from([-1.0, 0.0, 0.0]), st.floats(-3e-10, 3e-10)
     ),
     "large": st.integers(-7, 7).map(lambda k: k / 7 + 1e12) | st.floats(-1e14, 1e14),
+    "huge": HUGE,
 }
 PATHS = ("shift", "optimize", "barrier", "verify", "compare", "converge", "demo")
 
@@ -75,7 +79,7 @@ def potentials(draw, shift: dict) -> dict:
             word.append(draw(st.sampled_from(_next_letters(shift, word[-1]) or [0])))
         table[tuple(word)] = draw(values)
     tail = {"kind": draw(st.sampled_from(["linear", "log"]))}
-    tail["c"] = draw(st.sampled_from([0.5, 1, 3]))
+    tail["c"] = draw(st.sampled_from([0.5, 1, 3]) if draw(st.integers(0, 3)) else HUGE)
     rows = [{"word": list(word), "value": value} for word, value in table.items()]
     return {"depth": depth, "tail": tail, "table": rows}
 

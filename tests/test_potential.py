@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -97,6 +98,13 @@ def test_evaluate_table_hit_and_tail_fallback(depth2_pot):
 def test_admissible_word_enumeration(gm_finite):
     assert list(admissible_words(gm_finite, 2)) == [(0, 0), (0, 1), (1, 0)]
     assert list(admissible_words(gm_finite, 1)) == [(0,), (1,)]
+    for length in range(3, 7):  # every walk, in lexicographic order
+        walks = [
+            word
+            for word in itertools.product(gm_finite.letters, repeat=length)
+            if all(b in gm_finite.succ[a] for a, b in zip(word, word[1:]))
+        ]
+        assert list(admissible_words(gm_finite, length)) == walks
 
 
 def test_var_and_total_variation(gm_finite, depth2_pot):
