@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from typing import Any, Collection, Mapping, NamedTuple, Sequence
 
 from . import DEFAULT_TOL
 from .digraph import adjacency, least_word, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
-from .shift_space import FiniteShift
+from .shift_space import FiniteShift, _within_limit
 
 Vertex = Any
 Edge = tuple[Vertex, Vertex]
@@ -80,8 +79,7 @@ class WeightedMemoryGraph(NamedTuple):
         edges = [(u, v) for u, idx in comp_of.items() for v in succ[u] if comp_of.get(v) == idx]
         cycle = _canonical_cycle(*adjacency(comp_of, edges))
         total = sum(self.weights[edge] for edge in zip(cycle, cycle[1:] + cycle[:1]))
-        out_degree = Counter(u for u, _ in edges)
-        unique = len(critical) == 1 and all(out_degree[v] == 1 for v in critical[0])
+        unique = len(critical) == 1 and len(edges) == len(critical[0])  # each has >= 1
         return self._replace(
             max_mean=total / len(cycle),
             critical_cycle=cycle,
@@ -111,6 +109,13 @@ def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemor
     """Depth-k encoding of a finite shift: walk weights are Birkhoff sums."""
     k = pot.depth
     vlen = max(k - 1, 1)
+    # admissible_words holds each length up to vlen in turn and the edges are one longer,
+    # so count the words of each length by their last letter before building any
+    ends = {j: len(finite.pred[j]) for j in finite.letters}
+    for length in range(2, vlen + 2):
+        if length > 2:
+            ends = {j: sum(map(ends.__getitem__, finite.pred[j])) for j in finite.letters}
+        _within_limit(sum(ends.values()), f"memory-graph words of length {length}", GraphError)
     verts = tuple(admissible_words(finite, vlen))
     if not verts:
         raise GraphError("the truncation admits no words of the memory length")

@@ -15,12 +15,12 @@ are what the cutoff and barrier-bound formulas consume.
 
 from __future__ import annotations
 
-import json
 import math
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .shift_space import FiniteShift, ShiftSpec, Word, is_admissible_word
+from .shift_space import _is_int, _is_number, _json_object
 
 TAIL_LINEAR = "linear"
 TAIL_LOG = "log"
@@ -76,21 +76,16 @@ def _float(number: int | float) -> float:
 
 def parse_potential(document: str) -> PotentialSpec:
     """Parse the JSON wire format for potentials."""
-    try:
-        raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise PotentialError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise PotentialError("potential document must be a JSON object")
+    raw = _json_object(document, PotentialError, "potential")
     depth = raw.get("depth")
-    if not isinstance(depth, int) or isinstance(depth, bool):
+    if not _is_int(depth):
         raise PotentialError("depth must be an integer")
     tail = raw.get("tail")
     if not isinstance(tail, dict) or "kind" not in tail or "c" not in tail:
         raise PotentialError('potentials need {"tail": {"kind": ..., "c": ...}}')
     kind = tail["kind"]
     c = tail["c"]
-    if not isinstance(c, (int, float)) or isinstance(c, bool):
+    if not _is_number(c):
         raise PotentialError("tail scale c must be a number")
     entries = raw.get("table", [])
     if not isinstance(entries, list):
@@ -100,12 +95,10 @@ def parse_potential(document: str) -> PotentialSpec:
         if not isinstance(item, dict) or "word" not in item or "value" not in item:
             raise PotentialError(f"table entries must be {{word, value}} objects, got {item!r}")
         word_raw = item["word"]
-        if not isinstance(word_raw, list) or not all(
-            isinstance(l, int) and not isinstance(l, bool) for l in word_raw
-        ):
+        if not isinstance(word_raw, list) or not all(map(_is_int, word_raw)):
             raise PotentialError(f"table word must be a list of integers, got {word_raw!r}")
         value = item["value"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise PotentialError(f"table value must be a number, got {value!r}")
         word = tuple(word_raw)
         if word in table:
@@ -159,11 +152,15 @@ def admissible_words(finite: FiniteShift, length: int) -> list[Word]:
 # truncation-exact oscillation
 
 
-def _prefix_spread(pairs: Iterable[tuple[Word, float]], j: int) -> float:
-    """Largest hi - lo of the values over the words sharing each length-j prefix."""
+def _prefix_spread(pot: PotentialSpec, j: int, pairs: Callable[[], Iterable]) -> float:
+    """Largest hi - lo of ``pairs()`` over words sharing a length-j prefix; 0.0 for j >= depth."""
+    if j < 1:
+        raise PotentialError("variation index j must be at least 1")
+    if j >= pot.depth:
+        return 0.0
     lo: dict[Word, float] = {}
     hi: dict[Word, float] = {}
-    for word, value in pairs:
+    for word, value in pairs():
         prefix = word[:j]
         if prefix not in lo:
             lo[prefix] = hi[prefix] = value
@@ -176,12 +173,8 @@ def _prefix_spread(pairs: Iterable[tuple[Word, float]], j: int) -> float:
 
 def var_j(pot: PotentialSpec, finite: FiniteShift, j: int) -> float:
     """Largest |f(w) - f(w')| over admissible depth words sharing j letters."""
-    if j < 1:
-        raise PotentialError("variation index j must be at least 1")
-    if j >= pot.depth:
-        return 0.0
     return _prefix_spread(
-        ((word, evaluate(pot, word)) for word in admissible_words(finite, pot.depth)), j
+        pot, j, lambda: ((w, evaluate(pot, w)) for w in admissible_words(finite, pot.depth))
     )
 
 
@@ -213,13 +206,10 @@ def ambient_var_j(pot: PotentialSpec, j: int) -> float:
     so only table prefixes can open a spread; the tail value joins every
     group because some continuation always escapes the finite table.
     """
-    if j < 1:
-        raise PotentialError("variation index j must be at least 1")
-    if j >= pot.depth:
-        return 0.0
     # j >= 1, so every word under one prefix shares its first letter and its fallback
-    fallbacks = [(word, tail_value(pot, word[0])) for word in pot.table]
-    return _prefix_spread([*pot.table.items(), *fallbacks], j)
+    return _prefix_spread(
+        pot, j, lambda: [*pot.table.items(), *((w, tail_value(pot, w[0])) for w in pot.table)]
+    )
 
 
 def ambient_total_variation(pot: PotentialSpec) -> float:

@@ -20,6 +20,7 @@ agreement length, which orders cylinders the same way for every lambda in
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .digraph import adjacency, least_word, strongly_connected_components
@@ -40,6 +41,10 @@ UNDECIDED = "UNDECIDED"
 MAX_WITNESSES = 24
 # Cap on the truncation bounds covering_core tries on the oracle kind, one letter apart.
 CORE_ATTEMPTS = 64
+# Most letters (and, on a full shift, edges) a truncation may hold, and most words of one
+# length a memory graph may build: `optimize` on renewal a = 2*10^5, about that many letters,
+# vertices and edges, peaked at 295 MB (6.9 s on a 2-core machine); memory grows linearly.
+_SIZE_LIMIT = 250_000
 
 
 class ShiftSpecError(ValueError):
@@ -52,6 +57,12 @@ class TruncationError(ValueError):
 
 class TransitivityError(ValueError):
     """Required letters do not sit in a single strongly connected piece."""
+
+
+def _within_limit(count: int, what: str, error: type[ValueError] = TruncationError) -> None:
+    """Raise ``error`` naming ``count`` and the limit when ``count`` passes ``_SIZE_LIMIT``."""
+    if count > _SIZE_LIMIT:
+        raise error(f"{count} {what} exceed the size limit of {_SIZE_LIMIT}")
 
 
 class _ShiftSpecFields(NamedTuple):
@@ -81,6 +92,7 @@ class ShiftSpec(_ShiftSpecFields):
             if not self.edges:
                 raise ShiftSpecError("explicit-finite shifts need a nonempty edge list")
             n = self.alphabet_size
+            _within_limit(n, "letters of the alphabet")  # before the stranded-letter set
             for i, j in self.edges:
                 if not (0 <= i < n and 0 <= j < n):
                     raise ShiftSpecError(f"edge ({i}, {j}) uses a letter outside 0..{n - 1}")
@@ -112,25 +124,39 @@ class ShiftSpec(_ShiftSpecFields):
         return None
 
 
+def _json_object(document: str, error: type[ValueError], noun: str) -> dict:
+    """The JSON object ``document`` holds; ``error`` when it is not JSON or not an object."""
+    try:
+        raw = json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{noun} document must be a JSON object")
+    return raw
+
+
+def _is_int(value: object) -> bool:  # a JSON integer
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:  # a JSON number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_shift_spec(document: str) -> ShiftSpec:
     """Parse the JSON wire format for shifts.
 
     The oracle kind has no serial form (the predicate is a Python callable)
     and is rejected here; construct ``ShiftSpec`` directly for that case.
     """
-    try:
-        raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ShiftSpecError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ShiftSpecError("shift document must be a JSON object")
+    raw = _json_object(document, ShiftSpecError, "shift")
     kind = raw.get("kind")
     if kind == KIND_ORACLE:
         raise ShiftSpecError("oracle shifts are library-only and have no JSON form")
     if kind not in (KIND_EXPLICIT, KIND_FULL, KIND_RENEWAL):
         raise ShiftSpecError(f"unknown shift kind {kind!r}")
     lam = raw.get("lambda", 0.5)
-    if not isinstance(lam, (int, float)) or isinstance(lam, bool):
+    if not _is_number(lam):
         raise ShiftSpecError("lambda must be a number in (0, 1)")
 
     if kind == KIND_RENEWAL:
@@ -138,12 +164,12 @@ def parse_shift_spec(document: str) -> ShiftSpec:
         if not isinstance(rule, dict) or "a" not in rule or "b" not in rule:
             raise ShiftSpecError('renewal shifts need {"renewal": {"a": int, "b": int}}')
         a, b = rule["a"], rule["b"]
-        if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
+        if not (_is_int(a) and _is_int(b)):
             raise ShiftSpecError("renewal parameters a, b must be integers")
         fields: dict = {"renewal_rule": (a, b)}
     else:
         size = raw.get("alphabet_size")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        if not _is_int(size) or size < 1:
             raise ShiftSpecError("alphabet_size must be a positive integer")
         fields = {"alphabet_size": size}
     if kind == KIND_EXPLICIT:
@@ -152,11 +178,7 @@ def parse_shift_spec(document: str) -> ShiftSpec:
             raise ShiftSpecError("explicit-finite shifts need a nonempty edges list")
         edges: set[tuple[int, int]] = set()
         for item in edges_raw:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-            ):
+            if not isinstance(item, list) or len(item) != 2 or not all(map(_is_int, item)):
                 raise ShiftSpecError(f"edge entries must be [i, j] integer pairs, got {item!r}")
             edges.add((item[0], item[1]))
         fields["edges"] = frozenset(edges)
@@ -195,14 +217,11 @@ def admissible(spec: ShiftSpec, i: int, j: int) -> bool:
 
 
 def is_admissible_word(spec: ShiftSpec, word: Word) -> bool:
-    if not word:
-        return False
-    maxl = spec.max_letter()
-    if any(l < 0 for l in word):
-        return False
-    if maxl is not None and any(l > maxl for l in word):
-        return False
-    return all(admissible(spec, word[t], word[t + 1]) for t in range(len(word) - 1))
+    """Nonempty, each neighbour pair ``admissible``; a lone letter need only be on the alphabet."""
+    if len(word) == 1:
+        top = spec.max_letter()
+        return word[0] >= 0 and (top is None or word[0] <= top)
+    return bool(word) and all(admissible(spec, i, j) for i, j in zip(word, word[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +277,9 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     cap = spec.max_letter()
     if cap is not None:
         top = min(top, cap)
+    _within_limit(top + 1, f"letters in 0..{top}")
+    if spec.kind == KIND_FULL:  # the one kind whose edges outgrow its input
+        _within_limit((top + 1) ** 2, f"edges among letters 0..{top}")
     letters = list(range(top + 1))
     succ = _raw_truncation_edges(spec, letters)
 
@@ -265,8 +287,8 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     kept = set(letters)
     while kept != alive:
         alive = kept
-        entered = {j for i in alive for j in succ[i] if j in alive}
-        kept = {i for i in entered if any(j in alive for j in succ[i])}
+        entered = set().union(*[succ[i] for i in alive]) & alive
+        kept = {i for i in entered if not alive.isdisjoint(succ[i])}
     if not alive:
         raise TruncationError(
             f"no admissible cycle among letters 0..{max_letter}; truncation is empty"
@@ -321,10 +343,6 @@ class ConditionVerdict(NamedTuple):
     bound: int | None
     witnesses: tuple[int, ...]
     detail: str
-
-
-def _renewal_non_entries(spec: ShiftSpec, horizon: int) -> list[int]:
-    return [j for j in range(1, horizon + 1) if not renewal_is_entry(spec, j)]
 
 
 def _oracle_scan(
@@ -386,7 +404,8 @@ def check_bp(spec: ShiftSpec, horizon: int = 100) -> ConditionVerdict:
                 (),
                 f"entries cover every letter above {b}; letters 1..{b} enter from one step up",
             )
-        wit = tuple(_renewal_non_entries(spec, horizon)[:MAX_WITNESSES])
+        missed = (j for j in range(1, horizon + 1) if not renewal_is_entry(spec, j))
+        wit = tuple(islice(missed, MAX_WITNESSES))
         return ConditionVerdict(
             "BP",
             REFUTED,
@@ -439,13 +458,14 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     or above the requested letters.
     """
     cap = spec.max_letter()
-    wanted = sorted(set(letters))
+    wanted = list(islice(letters, _SIZE_LIMIT + 1))  # a huge range stops here, unbuilt
+    if len(wanted) > _SIZE_LIMIT:
+        raise TruncationError(f"letters to cover number more than the size limit of {_SIZE_LIMIT}")
+    wanted = sorted(set(wanted))
     if not wanted or wanted[0] < 0:
         raise ValueError("letters to cover must be a nonempty set of nonnegative ints")
     if spec.kind == KIND_RENEWAL:
-        top = least_entry_letter(spec, wanted[-1])
-        alive = list(range(top + 1))
-        return _make_finite(alive, _raw_truncation_edges(spec, alive))
+        return truncate(spec, least_entry_letter(spec, wanted[-1]))
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     last = wanted[-1] + CORE_ATTEMPTS - 1 if cap is None else cap

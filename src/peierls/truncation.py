@@ -321,6 +321,7 @@ def bp_boundedness_probe(
         len(fit) >= MIN_TREND_LETTERS and monotone and slope is not None and slope <= -tol
     )
 
+    floor = None
     if bp.status == SATISFIED and not trending_down:
         verdict = BOUNDED
         floor = min(floors.values())
@@ -330,28 +331,24 @@ def bp_boundedness_probe(
         )
     elif bp.status == SATISFIED:
         verdict = INCONCLUSIVE
-        floor = None
         note = (
             "the exact check says every letter is entered from a bounded set, yet the "
             "scanned floors trend downward; widen the scan to resolve the tension"
         )
     elif bp.status == REFUTED and trending_down:
         verdict = DIVERGENT
-        floor = None
         note = (
             f"floors over letters {fit[0]}..{fit[-1]} fall with slope {slope!r}; "
             "no bounded calibrated subaction can exist"
         )
     elif bp.status == REFUTED:
         verdict = INCONCLUSIVE
-        floor = None
         note = (
             "unbounded entry sets were found, but the scanned floors do not yet show "
             "an established downward trend"
         )
     else:
         verdict = INCONCLUSIVE
-        floor = None
         note = "the entry-set check was undecided within its horizon"
 
     consistent = not (

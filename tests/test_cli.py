@@ -300,6 +300,81 @@ def test_an_integer_too_large_for_a_float_is_an_input_error(tmp_path, capsys, wh
         assert err == "error: table value for (0,) must be finite\n"
 
 
+def _capped_cli(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``python -m peierls.cli`` in a child whose address space is capped at 400 MB, so a
+    run that keeps allocating ends in a MemoryError there rather than in the test runner."""
+    import resource
+
+    cap = 400 * 2**20
+    return subprocess.run(
+        [sys.executable, "-m", "peierls.cli", *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+HUGE = 10**12
+LIMIT = "exceed the size limit of 250000"
+HUGE_FULL = {"kind": "full", "alphabet_size": HUGE}
+
+
+@pytest.mark.parametrize(
+    "shift, argv, message",
+    [
+        (HUGE_FULL, ["optimize"], f"{HUGE} letters in 0..{HUGE - 1} {LIMIT}"),
+        (HUGE_FULL, ["shift", "check"], f"{HUGE} letters in 0..{HUGE - 1} {LIMIT}"),
+        # few enough letters, but every pair of them is an edge
+        (
+            {"kind": "full", "alphabet_size": 10**5},
+            ["shift", "check"],
+            f"{10**10} edges among letters 0..99999 {LIMIT}",
+        ),
+        (
+            {"kind": "explicit-finite", "alphabet_size": HUGE, "edges": [[0, 0]]},
+            ["shift", "check"],
+            f"{HUGE} letters of the alphabet {LIMIT}",
+        ),
+        (
+            {"kind": "renewal", "renewal": {"a": HUGE, "b": 0}},
+            ["optimize", "--max-letter", "1"],
+            f"{HUGE + 1} letters in 0..{HUGE} {LIMIT}",
+        ),
+        (
+            {"kind": "renewal", "renewal": {"a": 2, "b": 0}},
+            ["optimize", "--max-letter", str(HUGE)],
+            "letters to cover number more than the size limit of 250000",
+        ),
+    ],
+    ids=[
+        "optimize-full",
+        "check-full",
+        "check-full-edges",
+        "check-explicit",
+        "renewal-entry",
+        "renewal-max-letter",
+    ],
+)
+def test_a_huge_alphabet_is_an_input_error_not_a_memory_error(tmp_path, shift, argv, message):
+    (tmp_path / "shift.json").write_text(json.dumps(shift), encoding="utf-8")
+    (tmp_path / "pot.json").write_text(RENEWAL_POT, encoding="utf-8")
+    argv = [*argv, "--shift", "shift.json"]
+    if argv[0] == "optimize":
+        argv += ["--potential", "pot.json"]
+    done = _capped_cli(argv, tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_shift_check_at_a_huge_horizon_builds_only_its_witnesses(renewal_files, tmp_path):
+    shift, _ = renewal_files
+    done = _capped_cli(["shift", "check", "--shift", shift, "--horizon", "1000000000"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["bp"]["witnesses"] == list(range(1, 48, 2))
+
+
 def test_barrier_countable_shift_requires_max_letter(renewal_files, capsys):
     shift, pot = renewal_files
     assert run(["barrier", "--shift", shift, "--potential", pot]) == 2

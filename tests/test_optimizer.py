@@ -24,6 +24,7 @@ from peierls.optimizer import DEFAULT_TOL, _howard, _longest_walk, _rounding_tol
 
 from oracles import (
     oracle_canonical_cycle,
+    oracle_components,
     oracle_critical_edges,
     oracle_karp_max_mean,
     oracle_max_mean,
@@ -80,6 +81,19 @@ def test_memory_graph_depth_three_vertices_are_two_letter_words(gm_finite):
     assert g.vertices == ((0, 0), (0, 1), (1, 0))
     assert set(g.succ[(1, 0)]) == {(0, 0), (0, 1)}
     assert g.succ[(0, 1)] == ((1, 0),)
+
+
+@pytest.mark.parametrize("n, depth, length", [(4, 10, 9), (2, 18, 18)], ids=["vertices", "edges"])
+def test_a_memory_graph_past_the_size_limit_is_refused_before_it_is_built(n, depth, length):
+    # 4^9 vertices, or 2^18 edges on 2^17 vertices: the first word count past 250,000
+    finite = covering_core(ShiftSpec(kind="full", alphabet_size=n), range(n))
+    pot = PotentialSpec(depth=depth, tail_kind="linear", tail_scale=1.0)
+    with pytest.raises(GraphError) as info:
+        build_memory_graph(finite, pot)
+    words = n**length
+    assert str(info.value) == (
+        f"{words} memory-graph words of length {length} exceed the size limit of 250000"
+    )
 
 
 def test_optimize_golden_mean(gm_graph):
@@ -147,6 +161,20 @@ def test_unique_class_needs_single_tight_successor():
     g = optimize(g)
     assert g.critical_class == frozenset({0, 1})
     assert g.critical_class_unique is False
+
+
+def test_unique_class_is_one_component_with_one_critical_out_edge_per_vertex():
+    # weights from {-1, 0, 0} tie many cycles, so both answers occur often
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        weights = {e: rng.choice((-1, 0, 0)) for e in random_graph(rng, rng.randint(1, 7))}
+        edges = oracle_critical_edges(weights, oracle_max_mean(weights))
+        succ = {v: {t for u, t in edges if u == v} for edge in edges for v in edge}
+        unique = len(oracle_components(succ)) == 1 and all(len(t) == 1 for t in succ.values())
+        assert optimize(graph_from_weights(weights)).critical_class_unique is unique
+        seen.add(unique)
+    assert seen == {True, False}
 
 
 def test_max_mean_matches_cycle_enumeration_on_seeded_graphs():

@@ -76,6 +76,24 @@ def test_renewal_adjacency_rules():
     assert not is_admissible_word(spec, (0, 3))
 
 
+@pytest.mark.parametrize(
+    "spec, admitted, refused",
+    [
+        (ShiftSpec("full", alphabet_size=3), [(0,), (2,), (0, 2, 1)], [(3,), (0, 3), (3, 0)]),
+        (parse_shift_spec(GM_JSON), [(0,), (1,), (0, 1, 0)], [(2,), (1, 1), (1, 2), (2, 0)]),
+        (ShiftSpec("renewal", renewal_rule=(2, 0)), [(0,), (7,), (1, 0, 2)], [(0, 3), (0, -2)]),
+        # a predicate that grants every pair leaves only the alphabet's own range to refuse
+        (ShiftSpec("oracle", membership=lambda i, j: True), [(0,), (9,), (9, 0, 5)], [(0, -1)]),
+    ],
+    ids=["full", "explicit-finite", "renewal", "oracle"],
+)
+def test_admissible_words_of_each_kind(spec, admitted, refused):
+    for word in admitted:
+        assert is_admissible_word(spec, word), word
+    for word in [(), (-1,), (-1, 0), *refused]:
+        assert not is_admissible_word(spec, word), word
+
+
 def test_full_shift_admits_everything():
     spec = ShiftSpec(kind="full", alphabet_size=3)
     assert all(admissible(spec, i, j) for i in range(3) for j in range(3))
