@@ -109,16 +109,10 @@ def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemor
     """Depth-k encoding of a finite shift: walk weights are Birkhoff sums."""
     k = pot.depth
     vlen = max(k - 1, 1)
-    # admissible_words holds each length up to vlen in turn and the edges are one longer,
-    # so count the words of each length by their last letter before building any
-    ends = {j: len(finite.pred[j]) for j in finite.letters}
-    for length in range(2, vlen + 2):
-        if length > 2:
-            ends = {j: sum(map(ends.__getitem__, finite.pred[j])) for j in finite.letters}
-        _within_limit(sum(ends.values()), f"memory-graph words of length {length}", GraphError)
     verts = tuple(admissible_words(finite, vlen))
     if not verts:
         raise GraphError("the truncation admits no words of the memory length")
+    _within_limit(sum(len(finite.succ[u[-1]]) for u in verts), "memory-graph edges", GraphError)
     weights: dict[Edge, float] = {}
     for u in verts:
         for letter in finite.succ[u[-1]]:

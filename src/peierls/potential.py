@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .shift_space import FiniteShift, ShiftSpec, Word, is_admissible_word
-from .shift_space import _is_int, _is_number, _json_object
+from .shift_space import _is_int, _is_number, _json_object, _within_limit
 
 TAIL_LINEAR = "linear"
 TAIL_LOG = "log"
@@ -139,11 +139,14 @@ def admissible_words(finite: FiniteShift, length: int) -> list[Word]:
     """All admissible words of the given length, in lexicographic order.
 
     Built one letter at a time over the whole level, so no depth meets the recursion
-    limit; each level stays sorted because the letters and successor lists are."""
+    limit; each level stays sorted because the letters and successor lists are.  Each
+    level is counted before it is built, and a count past the size limit raises."""
     if length < 1:
         raise ValueError("word length must be positive")
     words = [(first,) for first in finite.letters]
-    for _ in range(length - 1):
+    for size in range(2, length + 1):
+        count = sum(len(finite.succ[word[-1]]) for word in words)
+        _within_limit(count, f"words of length {size}", ValueError)
         words = [word + (nxt,) for word in words for nxt in finite.succ[word[-1]]]
     return words
 

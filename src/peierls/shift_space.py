@@ -92,7 +92,7 @@ class ShiftSpec(_ShiftSpecFields):
             if not self.edges:
                 raise ShiftSpecError("explicit-finite shifts need a nonempty edge list")
             n = self.alphabet_size
-            _within_limit(n, "letters of the alphabet")  # before the stranded-letter set
+            _within_limit(n, "letters of the alphabet", ShiftSpecError)  # before set(range(n))
             for i, j in self.edges:
                 if not (0 <= i < n and 0 <= j < n):
                     raise ShiftSpecError(f"edge ({i}, {j}) uses a letter outside 0..{n - 1}")
@@ -264,6 +264,13 @@ def _raw_truncation_edges(spec: ShiftSpec, letters: list[int]) -> dict[int, list
     return {i: [j for j in letters if admissible(spec, i, j)] for i in letters}
 
 
+def _truncation_within_limit(spec: ShiftSpec, top: int) -> None:
+    """TruncationError when letters 0..top, or on a full shift their edges, pass the limit."""
+    _within_limit(top + 1, f"letters in 0..{top}")
+    if spec.kind == KIND_FULL:  # the one kind whose edges outgrow its input
+        _within_limit((top + 1) ** 2, f"edges among letters 0..{top}")
+
+
 def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     """Induced structure on letters 0..max_letter, stranded letters pruned.
 
@@ -277,9 +284,7 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     cap = spec.max_letter()
     if cap is not None:
         top = min(top, cap)
-    _within_limit(top + 1, f"letters in 0..{top}")
-    if spec.kind == KIND_FULL:  # the one kind whose edges outgrow its input
-        _within_limit((top + 1) ** 2, f"edges among letters 0..{top}")
+    _truncation_within_limit(spec, top)
     letters = list(range(top + 1))
     succ = _raw_truncation_edges(spec, letters)
 
@@ -470,6 +475,7 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
         wanted = [l for l in wanted if l <= cap] or [0]
     last = wanted[-1] + CORE_ATTEMPTS - 1 if cap is None else cap
     for bound in range(wanted[-1], last + 1):
+        _truncation_within_limit(spec, bound)  # sizes only grow with the bound: no retry helps
         try:
             fin = truncate(spec, bound)
             core = transitive_core(fin, [l for l in wanted if l in fin.pred])

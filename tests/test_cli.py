@@ -327,6 +327,8 @@ HUGE_FULL = {"kind": "full", "alphabet_size": HUGE}
     [
         (HUGE_FULL, ["optimize"], f"{HUGE} letters in 0..{HUGE - 1} {LIMIT}"),
         (HUGE_FULL, ["shift", "check"], f"{HUGE} letters in 0..{HUGE - 1} {LIMIT}"),
+        # the covering-core search stops at its first bound, which passes the limit
+        (HUGE_FULL, ["converge", "--stages", "600"], f"361201 edges among letters 0..600 {LIMIT}"),
         # few enough letters, but every pair of them is an edge
         (
             {"kind": "full", "alphabet_size": 10**5},
@@ -352,6 +354,7 @@ HUGE_FULL = {"kind": "full", "alphabet_size": HUGE}
     ids=[
         "optimize-full",
         "check-full",
+        "converge-full",
         "check-full-edges",
         "check-explicit",
         "renewal-entry",
@@ -362,7 +365,7 @@ def test_a_huge_alphabet_is_an_input_error_not_a_memory_error(tmp_path, shift, a
     (tmp_path / "shift.json").write_text(json.dumps(shift), encoding="utf-8")
     (tmp_path / "pot.json").write_text(RENEWAL_POT, encoding="utf-8")
     argv = [*argv, "--shift", "shift.json"]
-    if argv[0] == "optimize":
+    if argv[0] != "shift":
         argv += ["--potential", "pot.json"]
     done = _capped_cli(argv, tmp_path)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")

@@ -18,6 +18,7 @@ from peierls import (
     max_mean_cycle,
     optimize,
     periodic_measure,
+    var_j,
 )
 from peierls import optimizer
 from peierls.optimizer import DEFAULT_TOL, _howard, _longest_walk, _rounding_tol
@@ -83,17 +84,18 @@ def test_memory_graph_depth_three_vertices_are_two_letter_words(gm_finite):
     assert g.succ[(0, 1)] == ((1, 0),)
 
 
-@pytest.mark.parametrize("n, depth, length", [(4, 10, 9), (2, 18, 18)], ids=["vertices", "edges"])
-def test_a_memory_graph_past_the_size_limit_is_refused_before_it_is_built(n, depth, length):
-    # 4^9 vertices, or 2^18 edges on 2^17 vertices: the first word count past 250,000
-    finite = covering_core(ShiftSpec(kind="full", alphabet_size=n), range(n))
-    pot = PotentialSpec(depth=depth, tail_kind="linear", tail_scale=1.0)
-    with pytest.raises(GraphError) as info:
-        build_memory_graph(finite, pot)
-    words = n**length
-    assert str(info.value) == (
-        f"{words} memory-graph words of length {length} exceed the size limit of 250000"
-    )
+def test_words_past_the_size_limit_are_refused_before_they_are_built():
+    # on a 2-letter full shift, 2^18 is the first count past 250,000: the edges of a
+    # depth-18 graph on its 2^17 vertices, and the depth words var_j reads
+    two = covering_core(ShiftSpec(kind="full", alphabet_size=2), range(2))
+    deep = PotentialSpec(depth=18, tail_kind="linear", tail_scale=1.0)
+    limit = "exceed the size limit of 250000"
+    with pytest.raises(GraphError, match=f"^262144 memory-graph edges {limit}$"):
+        build_memory_graph(two, deep)
+    with pytest.raises(ValueError, match=f"^262144 words of length 18 {limit}$"):
+        var_j(deep, two, 1)
+    with pytest.raises(ValueError, match=f"^262144 words of length 18 {limit}$"):
+        build_memory_graph(two, deep._replace(depth=19))
 
 
 def test_optimize_golden_mean(gm_graph):

@@ -203,6 +203,20 @@ def test_covering_core_searches_a_finite_alphabet_to_its_top():
     assert core.letters == (0, 1, 2, 3, 4, 5, 99)
 
 
+def test_covering_core_stops_at_the_size_limit():
+    # every bound from 600 up passes the limit, so the search must not try the next one
+    spec = ShiftSpec(kind="full", alphabet_size=1000)
+    with pytest.raises(TruncationError) as info:
+        covering_core(spec, range(601))
+    assert str(info.value) == "361201 edges among letters 0..600 exceed the size limit of 250000"
+
+
+def test_an_explicit_alphabet_past_the_size_limit_is_a_spec_error():
+    with pytest.raises(ShiftSpecError) as info:
+        ShiftSpec(kind="explicit-finite", alphabet_size=250_001, edges=frozenset({(0, 0)}))
+    assert str(info.value) == "250001 letters of the alphabet exceed the size limit of 250000"
+
+
 def test_connecting_word_gm(gm_finite):
     assert connecting_word(gm_finite, 1, 0) == ()
     assert connecting_word(gm_finite, 0, 1) == ()
