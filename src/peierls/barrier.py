@@ -29,7 +29,7 @@ import math
 import sys
 from typing import Mapping, NamedTuple
 
-from .digraph import bfs_distances
+from .digraph import least_exits
 from .optimizer import GraphError, WeightedMemoryGraph, _longest_walk, _require_optimized
 from .potential import (
     TAIL_LOG,
@@ -176,28 +176,23 @@ def _letter_ceilings(graph: WeightedMemoryGraph, ambient: float) -> dict[int, fl
     word through a shortest connecting word back to the base letter; the
     closed lap has mean at most the maximum, which caps the open part by
     the connector's length times (mean - cheapest letter value) plus the
-    variation correction.  One reverse BFS to the base letter serves every
-    letter: a least connecting word leaves ``a`` through its exit letter and
-    goes on as that letter's word, so its cheapest letter value is a running
-    minimum in order of distance.
+    variation correction.  One table of least exits to the base letter serves
+    every letter: a least connecting word leaves ``a`` through its exit letter
+    and goes on as that letter's word, so its cheapest letter value is a
+    running minimum in order of distance.
     """
     finite, pot = graph.shift, graph.pot
     base = graph.critical_cycle[0][0]
-    dist = bfs_distances(base, finite.pred) if base in finite.pred else {}
-    low = {a: inf_bound_on_letter(pot, a) for a in dist}
-    exits: dict[int, tuple[int, int]] = {}  # connector length to the base, least successor closest
-    floor: dict[int, float] = {}
-    for a in dist:  # in order of distance, the base letter first
-        step = min((dist[t] for t in finite.succ[a] if t in dist), default=None)
-        if step is not None:
-            exits[a] = step + 1, min(t for t in finite.succ[a] if dist.get(t) == step)
-        floor[a] = low[a] if a == base else min(low[a], floor[exits[a][1]])
-    ceilings = {}
+    exits = least_exits(base, finite.pred) if base in finite.pred else {}
     for a in finite.letters:
         if a not in exits:
             connecting_word(finite, a, base)  # raises the connector's own error
-        length, nxt = exits[a]
-        ceilings[a] = length * (graph.max_mean - min(low[a], floor[nxt])) + ambient
+    floor = {base: inf_bound_on_letter(pot, base)}  # cheapest letter value on the way to base
+    ceilings = {}
+    for a, (length, nxt) in exits.items():  # nearest first, so floor[nxt] is known
+        low = min(inf_bound_on_letter(pot, a), floor[nxt])
+        floor.setdefault(a, low)  # floor[base] stays its own value: a connector stops there
+        ceilings[a] = length * (graph.max_mean - low) + ambient
     return ceilings
 
 
@@ -215,12 +210,6 @@ def _printable_letter_bound(pot: PotentialSpec, threshold: float, what: str) -> 
         if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:
             raise TruncationError(f"{what} has {digits} digits, too many to write as decimal text")
     return coercive_letter_bound(pot, threshold)
-
-
-def _connect_len_to(core: FiniteShift, b: int) -> int:
-    """Longest least walk i -> b of at least one edge, over letters i that all reach ``b``."""
-    dist = bfs_distances(b, core.pred)
-    return max(max(dist.values()), 1 + min(dist[s] for s in core.succ[b]))
 
 
 def letter_cutoff(
@@ -246,7 +235,7 @@ def letter_cutoff(
     if not is_transitive(finite):
         raise TransitivityError("the truncation handed to letter_cutoff must be transitive")
 
-    local_len = _connect_len_to(finite, letter)
+    local_len = max(n for n, _ in least_exits(letter, finite.pred).values())
     floor = min(inf_bound_on_letter(pot, i) for i in finite.letters)
     ambient = ambient_total_variation(pot)
     threshold = min(local_len * floor - ambient, 0.0)
@@ -272,7 +261,7 @@ def letter_cutoff(
     else:
         core = covering_core(spec, set(range(target + 1)) | set(finite.letters))
         wide_bound, wide_letters = max(core.letters), core.letters
-        wide_len = max(_connect_len_to(core, b) for b in core.letters)
+        wide_len = max(n for b in core.letters for n, _ in least_exits(b, core.pred).values())
     wide_floor = min(inf_bound_on_letter(pot, i) for i in wide_letters)
     wide_threshold = wide_len * wide_floor - ambient
     confinement = 1 + _printable_letter_bound(

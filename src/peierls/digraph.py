@@ -1,8 +1,8 @@
 """Deterministic digraph helpers shared by the shift and optimizer layers.
 
 Strong connectivity is Kosaraju's two-pass algorithm (Sharir 1981) over the
-successor and predecessor maps its caller holds, and ``adjacency`` is the one
-builder of those maps.
+successor and predecessor maps its caller holds, ``adjacency`` is the one
+builder of those maps, and ``least_exits`` the one statement of least walks.
 """
 
 from __future__ import annotations
@@ -66,42 +66,37 @@ def strongly_connected_components(
     return comps
 
 
-def bfs_distances(start: N, neighbours: Mapping[N, Iterable[N]]) -> dict[N, int]:
-    """Least edge counts from ``start`` to every node it reaches.
+def least_exits(b: N, pred: Mapping[N, Iterable[N]]) -> dict[N, tuple[int, N]]:
+    """Length and first step of the least walk of at least one edge to ``b``, nearest first.
 
-    Pass the predecessor map as ``neighbours`` to get counts to ``start``.
+    A least walk is a shortest one, and of those the one with the least next node.  Every
+    node that reaches ``b`` has one, ``b`` itself when it lies on a cycle.  One breadth-first
+    pass over ``pred`` finds them all: a node keeps the least node one step nearer to ``b``.
     """
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for node in frontier:
-            for child in neighbours[node]:
-                if child not in dist:
-                    dist[child] = d
-                    nxt.append(child)
-        frontier = nxt
-    return dist
+    dist, order, exits = {b: 0}, [b], {}
+    for node in order:  # grows while it is read
+        d = dist[node] + 1
+        for v in pred[node]:
+            if v not in exits or (exits[v][0] == d and node < exits[v][1]):
+                exits[v] = d, node
+            if v not in dist:
+                dist[v] = d
+                order.append(v)
+    return exits
 
 
-def least_word(
-    a: N, b: N, succ: Mapping[N, Sequence[N]], pred: Mapping[N, Iterable[N]]
-) -> tuple[N, ...] | None:
-    """Interior of the shortest walk a -> b of at least one edge, least on ties.
+def least_word(a: N, b: N, pred: Mapping[N, Iterable[N]]) -> tuple[N, ...] | None:
+    """Interior of the least walk a -> b of at least one edge, None when ``b`` is unreachable.
 
-    Ties between walks of the same length go to the lexicographically least
-    interior; ``a == b`` asks for a shortest cycle through ``a``.  Returns
-    None when ``b`` is unreachable from ``a``.
+    Following least first steps gives the lexicographically least interior of the shortest
+    walks; ``a == b`` asks for a shortest cycle through ``a``.
     """
-    dist = bfs_distances(b, pred)
-    steps = [dist[s] for s in succ[a] if s in dist]
-    if not steps:
+    exits = least_exits(b, pred)
+    if a not in exits:
         return None
     word = []
-    node = a
-    for remaining in range(min(steps), 0, -1):
-        node = min(t for t in succ[node] if dist.get(t) == remaining)
+    node = exits[a][1]
+    while node != b:
         word.append(node)
+        node = exits[node][1]
     return tuple(word)

@@ -254,17 +254,33 @@ def _canonical_cycle(
     intra_succ: Mapping[Vertex, tuple[Vertex, ...]],
     intra_pred: Mapping[Vertex, tuple[Vertex, ...]],
 ) -> tuple[Vertex, ...]:
-    """Minimal-length critical cycle, lexicographically least sequence on ties."""
-    best: tuple[Vertex, ...] | None = None
-    for v in sorted(intra_succ):
-        word = least_word(v, v, intra_succ, intra_pred)
-        if word is not None and (best is None or len(word) + 1 < len(best)):
-            best = (v,) + word
-            if not word:  # a loop: no cycle is shorter, and the rest sort after v
-                break
-    if best is None:
+    """Minimal-length critical cycle, lexicographically least sequence on ties.
+
+    No cycle is shorter than a loop, so the least looped vertex answers when there is one.
+    When every vertex has one critical out-edge, the class is disjoint simple cycles, each
+    read from its least vertex; otherwise each vertex's least walk back to itself is one.
+    """
+    verts = sorted(intra_succ)
+    loops = [v for v in verts if v in intra_succ[v]]
+    if loops:
+        return (loops[0],)
+    cycles = []
+    if all(len(intra_succ[v]) == 1 for v in verts):
+        seen: set[Vertex] = set()
+        for v in verts:
+            if v not in seen:
+                cycles.append([v])
+                while (nxt := intra_succ[cycles[-1][-1]][0]) != v:
+                    cycles[-1].append(nxt)
+                seen.update(cycles[-1])
+    else:
+        for v in verts:
+            word = least_word(v, v, intra_pred)
+            if word is not None:
+                cycles.append([v, *word])
+    if not cycles:
         raise GraphError("critical class contains no cycle")
-    return best
+    return tuple(min(cycles, key=len))  # the least start on ties
 
 
 def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMemoryGraph:

@@ -246,22 +246,25 @@ def _make_finite(letters: Iterable[int], succ: Mapping[int, Iterable[int]]) -> F
     letters_t = tuple(sorted(letters))
     keep = set(letters_t)
     succ_t, pred_t = adjacency(
-        letters_t, [(i, j) for i in letters_t for j in sorted(succ.get(i, ())) if j in keep]
+        letters_t, [(i, j) for i in letters_t for j in succ.get(i, ()) if j in keep]
     )
     return FiniteShift(letters=letters_t, succ=succ_t, pred=pred_t)
 
 
-def _raw_truncation_edges(spec: ShiftSpec, letters: list[int]) -> dict[int, list[int]]:
+def _raw_truncation_edges(spec: ShiftSpec, top: int) -> dict[int, list[int]]:
+    """Sorted successors of each letter of 0..top among those letters."""
+    letters = range(top + 1)
     if spec.kind == KIND_RENEWAL:
-        succ: dict[int, list[int]] = {}
-        for j in letters:
-            succ[j] = [j - 1] if j >= 1 else []
-        if 0 in succ:
-            entries = [j for j in letters if j == 0 or renewal_is_entry(spec, j)]
-            succ[0] = sorted(set(entries))
-        return succ
-    # explicit, full and oracle kinds go through the pair predicate
-    return {i: [j for j in letters if admissible(spec, i, j)] for i in letters}
+        succ = {j: [j - 1] for j in letters}
+        succ[0] = [j for j in letters if j == 0 or renewal_is_entry(spec, j)]
+    elif spec.kind == KIND_EXPLICIT:  # its edges are given
+        succ = {i: [] for i in letters}
+        for i, j in sorted(spec.edges):
+            if i <= top and j <= top:
+                succ[i].append(j)
+    else:  # full and oracle kinds go through the pair predicate
+        succ = {i: [j for j in letters if admissible(spec, i, j)] for i in letters}
+    return succ
 
 
 def _truncation_within_limit(spec: ShiftSpec, top: int) -> None:
@@ -276,7 +279,9 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
 
     Pruning runs to a fixpoint: a letter with no in-edge or no out-edge
     inside the retained set can never occur in a point of the truncated
-    shift, and removing it may strand further letters.
+    shift, and removing it may strand further letters.  A queue of stranded
+    letters updates the in- and out-edge counts of their neighbours, so each
+    edge is read a bounded number of times.
     """
     if max_letter < 0:
         raise TruncationError("max_letter must be nonnegative")
@@ -285,15 +290,24 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     if cap is not None:
         top = min(top, cap)
     _truncation_within_limit(spec, top)
-    letters = list(range(top + 1))
-    succ = _raw_truncation_edges(spec, letters)
+    succ = _raw_truncation_edges(spec, top)
 
-    alive: set[int] = set()
-    kept = set(letters)
-    while kept != alive:
-        alive = kept
-        entered = set().union(*[succ[i] for i in alive]) & alive
-        kept = {i for i in entered if not alive.isdisjoint(succ[i])}
+    ins = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for j in targets:
+            ins[j] += 1
+    outs = {i: len(targets) for i, targets in succ.items()}
+    dead = {i for i in succ if not (ins[i] and outs[i])}
+    queue = list(dead)  # a renewal truncation strands nothing and needs no predecessor map
+    pred = adjacency(succ, [(i, j) for i, ts in succ.items() for j in ts])[1] if queue else {}
+    for i in queue:  # grows while it is read
+        for counts, near in ((ins, succ[i]), (outs, pred[i])):
+            for j in near:
+                counts[j] -= 1
+                if not counts[j] and j not in dead:
+                    dead.add(j)
+                    queue.append(j)
+    alive = [i for i in succ if i not in dead]
     if not alive:
         raise TruncationError(
             f"no admissible cycle among letters 0..{max_letter}; truncation is empty"
@@ -452,10 +466,13 @@ def check_bi(spec: ShiftSpec, horizon: int = 100) -> ConditionVerdict:
 def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     """Smallest-by-search transitive core containing the requested letters.
 
-    Raises the bound one letter at a time until the truncation's strongly
-    connected component through the requested letters covers them all; a
-    truncation can strand its top letters and need such an advance.  A
-    finite alphabet is searched up to its top letter, an oracle shift for
+    Finds the least bound whose truncation's strongly connected component
+    through the requested letters covers them all; a truncation can strand
+    its top letters and need a larger bound.  A larger bound keeps every
+    letter on a cycle and only merges components, so covering is monotone:
+    the search doubles its step, then bisects, and ends where a scan one
+    letter at a time would, at a cover or at the size limit.  A finite
+    alphabet is searched up to its top letter, an oracle shift for
     ``CORE_ATTEMPTS`` bounds.  A renewal core needs no search.  For K an
     entry letter or 0, every letter of 0..K steps down to 0 and is reached
     from 0 through the jump to K, while a truncation between entry letters
@@ -474,16 +491,31 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     last = wanted[-1] + CORE_ATTEMPTS - 1 if cap is None else cap
-    for bound in range(wanted[-1], last + 1):
-        _truncation_within_limit(spec, bound)  # sizes only grow with the bound: no retry helps
+
+    def attempt(bound: int) -> FiniteShift | TruncationError | None:
+        """The covering core at ``bound``, the size error past the limit, else None."""
+        try:
+            _truncation_within_limit(spec, bound)  # sizes only grow with the bound
+        except TruncationError as exc:
+            return exc
         try:
             fin = truncate(spec, bound)
             core = transitive_core(fin, [l for l in wanted if l in fin.pred])
         except (TruncationError, TransitivityError):
-            continue
-        if all(l in core.pred for l in wanted):
-            return core
-    raise TruncationError(
+            return None
+        return core if all(l in core.pred for l in wanted) else None
+
+    low, high, step, found = wanted[-1], last + 1, 1, None  # no attempt below low ends it
+    while low < high:  # the step doubles until an attempt ends the search at high, then bisects
+        probe = min(low + step - 1, high - 1) if found is None else (low + high) // 2
+        result = attempt(probe)
+        if result is None:
+            low, step = probe + 1, 2 * step
+        else:
+            high, found = probe, result
+    if isinstance(found, FiniteShift):
+        return found
+    raise found or TruncationError(
         f"no transitive truncation covering letters {wanted} found up to bound {last}"
     )
 
@@ -498,7 +530,7 @@ def connecting_word(finite: FiniteShift, a: int, b: int) -> Word:
         raise ValueError(f"letters {a}, {b} must both lie in the truncation")
     if not finite.succ[a]:
         raise ValueError(f"letter {a} has no outgoing edge")
-    word = least_word(a, b, finite.succ, finite.pred)
+    word = least_word(a, b, finite.pred)
     if word is None:
         raise ValueError(f"letter {b} is not reachable from letter {a}")
     return word

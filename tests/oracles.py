@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration of simple
 cycles and simple paths, reachability, components by mutual reachability,
-a trim that removes one stranded letter at a time, a covering-core search
-that raises the truncation bound one letter at a time, and a seeded random
+a trim that removes one stranded letter at a time, two covering-core searches
+that raise the truncation bound one letter at a time, and a seeded random
 graph generator.  Exponential blowup is acceptable at the sizes used in
 the suite (graphs of at most 8 vertices).  Larger graphs are checked
 against two polynomial references instead: Karp's maximum cycle mean and
@@ -19,7 +19,7 @@ import argparse
 import random
 from fractions import Fraction
 
-from peierls import TransitivityError, TruncationError, transitive_core, truncate
+from peierls import TransitivityError, TruncationError, shift_space, transitive_core, truncate
 from peierls.cli import (
     _cmd_barrier,
     _cmd_converge,
@@ -204,6 +204,32 @@ def oracle_covering_core(spec, letters):
             if cap is not None and bound >= cap:
                 break
     raise ValueError(f"no transitive truncation covers letters {wanted}")
+
+
+def oracle_scan_covering_core(spec, letters):
+    """``covering_core`` of a finite or oracle shift as it was written before its search
+    doubled and bisected: one bound at a time, each checked against the size limit first.
+
+    It reads the module's ``CORE_ATTEMPTS`` and size limit when called, so a test that
+    patches them patches both searches.
+    """
+    cap = spec.max_letter()
+    wanted = sorted(set(letters))
+    if cap is not None:
+        wanted = [l for l in wanted if l <= cap] or [0]
+    last = wanted[-1] + shift_space.CORE_ATTEMPTS - 1 if cap is None else cap
+    for bound in range(wanted[-1], last + 1):
+        shift_space._truncation_within_limit(spec, bound)
+        try:
+            fin = truncate(spec, bound)
+            core = transitive_core(fin, [l for l in wanted if l in fin.pred])
+        except (TruncationError, TransitivityError):
+            continue
+        if all(l in core.pred for l in wanted):
+            return core
+    raise TruncationError(
+        f"no transitive truncation covering letters {wanted} found up to bound {last}"
+    )
 
 
 def oracle_connecting_word(succ, a, b):

@@ -371,6 +371,20 @@ def test_a_huge_alphabet_is_an_input_error_not_a_memory_error(tmp_path, shift, a
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
+def test_a_4000_letter_ring_converges_within_a_minute(tmp_path):
+    # each layer once took time quadratic or worse in the alphabet: hours for this ladder
+    n = 4000
+    edges = [[i, (i + 1) % n] for i in range(n)]
+    ring = {"kind": "explicit-finite", "alphabet_size": n, "edges": edges}
+    (tmp_path / "ring.json").write_text(json.dumps(ring), encoding="utf-8")
+    (tmp_path / "pot.json").write_text(RENEWAL_POT, encoding="utf-8")
+    argv = ["converge", "--shift", "ring.json", "--potential", "pot.json", "--stages", "0,1"]
+    done = _capped_cli([*argv, "--no-cache"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    stages = json.loads(done.stdout)["stages"]
+    assert [(s["used"], s["cycle"]) for s in stages] == [(n - 1, [[l] for l in range(n)])] * 2
+
+
 def test_shift_check_at_a_huge_horizon_builds_only_its_witnesses(renewal_files, tmp_path):
     shift, _ = renewal_files
     done = _capped_cli(["shift", "check", "--shift", shift, "--horizon", "1000000000"], tmp_path)

@@ -30,6 +30,7 @@ from oracles import (
     oracle_karp_max_mean,
     oracle_max_mean,
     random_graph,
+    simple_cycles,
 )
 
 
@@ -138,6 +139,49 @@ def test_canonical_cycle_matches_cycle_enumeration_on_tie_heavy_graphs():
         assert (len(cycle), cycle) == oracle_canonical_cycle(g.critical_edges)
         wide += len(g.critical_class) > 2
     assert wide >= 100
+
+
+@st.composite
+def tight_edge_sets(draw):
+    """Edges on up to 8 vertices: any set, or one out-edge per vertex, with or without loops."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    vertex = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        return draw(st.sets(st.tuples(vertex, vertex), min_size=1, max_size=3 * n))
+    loops = draw(st.booleans())
+    targets = [draw(vertex) for _ in range(n)]
+    return {(v, t if loops or t != v else (v + 1) % n) for v, t in enumerate(targets)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(edges=tight_edge_sets())
+def test_canonical_cycle_is_the_shortest_least_cycle_of_the_tight_edges(edges):
+    graph = graph_from_weights(dict.fromkeys(edges, 0.0))
+    if not any(True for _ in simple_cycles(edges)):
+        with pytest.raises(GraphError, match="contains no cycle"):
+            graph.with_optimum(edges, 0.0)
+        return
+    cycle = graph.with_optimum(edges, 0.0).critical_cycle
+    assert (len(cycle), cycle) == oracle_canonical_cycle(edges)
+
+
+@pytest.mark.parametrize(
+    "weights, cycle",
+    [
+        ({(i, (i + 1) % 200): 0.0 for i in range(200)} | {(5, 0): -1.0}, tuple(range(200))),
+        # two disjoint critical cycles: the shorter one wins, read from its least vertex
+        (
+            {(0, 1): 0.0, (1, 2): 0.0, (2, 0): 0.0, (3, 4): 0.0, (4, 3): 0.0}
+            | {(2, 3): -1.0, (3, 0): -1.0},
+            (3, 4),
+        ),
+        ({(0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0, (2, 2): 0.0, (2, 0): -1.0, (0, 2): -1.0}, (1,)),
+    ],
+    ids=["200-ring", "disjoint-cycles", "looped-class"],
+)
+def test_optimize_finds_these_canonical_cycles_without_a_walk_search(monkeypatch, weights, cycle):
+    monkeypatch.setattr(optimizer, "least_word", None)  # a call would raise TypeError
+    assert optimize(graph_from_weights(weights)).critical_cycle == cycle
 
 
 def test_optimize_returns_a_new_frozen_graph():

@@ -1,7 +1,9 @@
 import json
+import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from peierls import (
     ShiftSpec,
@@ -17,10 +19,11 @@ from peierls import (
     is_transitive,
     parse_shift_spec,
     transitive_core,
+    shift_space,
     truncate,
 )
 
-from oracles import oracle_covering_core, oracle_trimmed_letters
+from oracles import oracle_covering_core, oracle_scan_covering_core, oracle_trimmed_letters
 
 GM_JSON = json.dumps(
     {"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 0], [0, 1], [1, 0]]}
@@ -143,6 +146,93 @@ def test_truncate_keeps_what_one_letter_at_a_time_removal_keeps(spec, max_letter
     for i in fin.letters:
         assert fin.succ[i] == tuple(j for j in fin.letters if (i, j) in spec.edges)
         assert fin.pred[i] == tuple(j for j in fin.letters if (j, i) in spec.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.sets(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=40),
+    path=st.integers(min_value=0, max_value=24),
+    max_letter=st.integers(min_value=0, max_value=24),
+)
+def test_truncate_keeps_what_one_letter_at_a_time_removal_keeps_on_oracle_shifts(
+    edges, path, max_letter
+):
+    # a path 0 -> 1 -> ... -> path strands from both ends, one letter per removal
+    edges = frozenset(edges | {(i, i + 1) for i in range(path)})
+    spec = ShiftSpec(kind="oracle", membership=lambda i, j: (i, j) in edges)
+    kept = oracle_trimmed_letters(edges, range(max_letter + 1))
+    if not kept:
+        with pytest.raises(TruncationError):
+            truncate(spec, max_letter)
+        return
+    fin = truncate(spec, max_letter)
+    assert fin.letters == tuple(sorted(kept))
+    assert all(fin.succ[i] == tuple(j for j in fin.letters if (i, j) in edges) for i in kept)
+
+
+def ring(n):
+    edges = frozenset((i, (i + 1) % n) for i in range(n))
+    return ShiftSpec(kind="explicit-finite", alphabet_size=n, edges=edges)
+
+
+def test_explicit_truncations_read_their_edge_list_not_the_pair_rule():
+    # the cut strands 44, then 43, ..., down to the loop at 0; asking the pair rule would
+    # take 45 * 45 calls
+    spec = ring(50)._replace(edges=ring(50).edges | {(0, 0)})
+    with mock.patch.object(shift_space, "admissible", side_effect=AssertionError("asked")):
+        fin = truncate(spec, 44)
+        whole = truncate(spec, 49)
+    assert (fin.letters, fin.succ, fin.pred) == ((0,), {0: (0,)}, {0: (0,)})
+    assert whole.letters == tuple(range(50))
+    assert (whole.succ[0], whole.pred[0]) == ((0, 1), (0, 49))
+
+
+def test_covering_core_on_a_ring_doubles_then_bisects():
+    # a ring's cut holds no cycle below its top letter, so a scan tried all 800 bounds
+    with mock.patch.object(shift_space, "truncate", wraps=truncate) as spy:
+        core = covering_core(ring(800), [0])
+    assert core.letters == tuple(range(800))
+    assert spy.call_count <= 2 * math.ceil(math.log2(800)) + 2
+
+
+@st.composite
+def searched_shifts(draw):
+    """An explicit-finite or oracle shift on letters 0..n-1, some of whose cycles close
+    only at high letters, with letters to cover, a size limit and an oracle budget."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    letter = st.integers(0, n - 1)
+    edges = set(draw(st.sets(st.tuples(letter, letter), max_size=n)))
+    for _ in range(draw(st.integers(0, 3))):  # climb through some letters, then drop back
+        cycle = sorted(draw(st.sets(letter, min_size=1, max_size=6)))
+        edges |= set(zip(cycle, cycle[1:] + cycle[:1]))
+    if draw(st.booleans()):
+        spec = ShiftSpec(kind="oracle", membership=lambda i, j: (i, j) in edges)
+    else:  # every letter needs an in- and an out-edge: a loop where one is missing
+        edges |= {(i, i) for i in range(n) if not any(i in e for e in edges)}
+        edges |= {(i, i) for i in range(n) if not any(e[0] == i for e in edges)}
+        edges |= {(i, i) for i in range(n) if not any(e[1] == i for e in edges)}
+        spec = ShiftSpec(kind="explicit-finite", alphabet_size=n, edges=frozenset(edges))
+    wanted = draw(st.sets(st.integers(0, n + 2), min_size=1, max_size=4))
+    limit = draw(st.none() | st.integers(min_value=1, max_value=40))
+    return spec, wanted, limit, draw(st.integers(min_value=1, max_value=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=searched_shifts())
+def test_covering_core_ends_where_the_one_letter_scan_ends(case):
+    spec, wanted, limit, attempts = case
+    assume(limit is None or len(wanted) <= limit)
+
+    def outcome(search):
+        try:
+            core = search(spec, wanted)
+        except TruncationError as exc:
+            return str(exc)
+        return core.letters, core.succ, core.pred
+
+    with mock.patch.object(shift_space, "CORE_ATTEMPTS", attempts):
+        with mock.patch.object(shift_space, "_SIZE_LIMIT", limit or shift_space._SIZE_LIMIT):
+            assert outcome(covering_core) == outcome(oracle_scan_covering_core)
 
 
 def test_transitive_core_splits_components():
