@@ -243,12 +243,15 @@ def letter_cutoff(
         pot, threshold, f"excursion cutoff for letter {letter}"
     )
 
+    def within_budget(top: int) -> None:
+        if top > WIDE_BUDGET:
+            raise TruncationError(
+                f"stage-two alphabet for letter {letter} needs letters up to {top}, "
+                f"beyond the budget {WIDE_BUDGET}"
+            )
+
     target = excursion_cutoff + 1
-    if target > WIDE_BUDGET:
-        raise TruncationError(
-            f"stage-two alphabet for letter {letter} needs letters up to {target}, "
-            f"beyond the budget {WIDE_BUDGET}"
-        )
+    within_budget(target)
     if spec.kind == KIND_RENEWAL:
         # The renewal core is exactly 0..K (see covering_core), and its
         # longest least walk i -> b has K + 1 edges without search.  The only
@@ -261,6 +264,7 @@ def letter_cutoff(
     else:
         core = covering_core(spec, set(range(target + 1)) | set(finite.letters))
         wide_bound, wide_letters = max(core.letters), core.letters
+        within_budget(wide_bound)  # before one least-walk table per core letter
         wide_len = max(n for b in core.letters for n, _ in least_exits(b, core.pred).values())
     wide_floor = min(inf_bound_on_letter(pot, i) for i in wide_letters)
     wide_threshold = wide_len * wide_floor - ambient

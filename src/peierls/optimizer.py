@@ -226,21 +226,15 @@ def _longest_walk(graph: WeightedMemoryGraph, seeds: Mapping[Vertex, float]) -> 
     edges, m, tol = sorted(graph.weights.items()), graph.max_mean, _require_optimized(graph)
     for _ in range(len(graph.vertices) - 1):
         changed = False
-        for (u, v), w in edges:
-            base = values[u]
-            if base == -math.inf:
-                continue
-            cand = base + (w - m)
+        for (u, v), w in edges:  # an unreached u gives -inf, or nan for w = inf: both lose
+            cand = values[u] + (w - m)
             if cand > values[v]:
                 values[v] = cand
                 changed = True
         if not changed:
             break
     for (u, v), w in edges:
-        base = values[u]
-        if base == -math.inf:
-            continue
-        if base + (w - m) > values[v] + tol:
+        if values[u] + (w - m) > values[v] + tol:
             raise PositiveCycleError(
                 f"reduced cycle with positive weight through edge {u!r} -> {v!r}"
             )

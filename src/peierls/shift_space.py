@@ -280,39 +280,35 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     Pruning runs to a fixpoint: a letter with no in-edge or no out-edge
     inside the retained set can never occur in a point of the truncated
     shift, and removing it may strand further letters.  A queue of stranded
-    letters updates the in- and out-edge counts of their neighbours, so each
-    edge is read a bounded number of times.
+    letters lowers the in- and out-edge counts of their neighbours in the
+    cut's own lists, so each edge is read a bounded number of times; a cut
+    that strands nothing is returned as built.
     """
     if max_letter < 0:
         raise TruncationError("max_letter must be nonnegative")
-    top = max_letter
     cap = spec.max_letter()
-    if cap is not None:
-        top = min(top, cap)
+    top = max_letter if cap is None else min(max_letter, cap)
     _truncation_within_limit(spec, top)
-    succ = _raw_truncation_edges(spec, top)
-
-    ins = dict.fromkeys(succ, 0)
-    for targets in succ.values():
-        for j in targets:
-            ins[j] += 1
-    outs = {i: len(targets) for i, targets in succ.items()}
-    dead = {i for i in succ if not (ins[i] and outs[i])}
-    queue = list(dead)  # a renewal truncation strands nothing and needs no predecessor map
-    pred = adjacency(succ, [(i, j) for i, ts in succ.items() for j in ts])[1] if queue else {}
+    cut = _make_finite(range(top + 1), _raw_truncation_edges(spec, top))
+    ins = {i: len(near) for i, near in cut.pred.items()}
+    outs = {i: len(near) for i, near in cut.succ.items()}
+    dead = {i for i in cut.letters if not (ins[i] and outs[i])}
+    queue = list(dead)
     for i in queue:  # grows while it is read
-        for counts, near in ((ins, succ[i]), (outs, pred[i])):
+        for counts, near in ((ins, cut.succ[i]), (outs, cut.pred[i])):
             for j in near:
                 counts[j] -= 1
                 if not counts[j] and j not in dead:
                     dead.add(j)
                     queue.append(j)
-    alive = [i for i in succ if i not in dead]
+    if not dead:  # a renewal truncation strands nothing
+        return cut
+    alive = [i for i in cut.letters if i not in dead]
     if not alive:
         raise TruncationError(
             f"no admissible cycle among letters 0..{max_letter}; truncation is empty"
         )
-    return _make_finite(alive, succ)
+    return _make_finite(alive, cut.succ)
 
 
 def is_transitive(finite: FiniteShift) -> bool:
@@ -322,7 +318,7 @@ def is_transitive(finite: FiniteShift) -> bool:
 
 
 def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift:
-    """The strongly connected component through the required letters.
+    """The strongly connected component through the required letters, ``finite`` if whole.
 
     Raises ``TransitivityError`` naming the separating groups when the
     required letters spread over several components; the caller should
@@ -333,6 +329,8 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
     if missing:
         raise TransitivityError(f"letters {missing} are not present in the truncation")
     comps = strongly_connected_components(finite.letters, finite.succ, finite.pred)
+    if len(comps) == 1:
+        return finite
     comp_of: dict[int, int] = {}
     for ci, comp in enumerate(comps):
         for l in comp:
@@ -491,6 +489,11 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
     last = wanted[-1] + CORE_ATTEMPTS - 1 if cap is None else cap
+    floor = 0  # on an explicit shift, a cut below a requested letter's least neighbour prunes it
+    if spec.kind == KIND_EXPLICIT and wanted[-1] < last:  # else the one probe is at the top
+        edges = sorted(spec.edges, reverse=True)  # a letter's least neighbour is written last
+        succ, pred = {i: j for i, j in edges}, {j: i for i, j in edges}
+        floor = max(max(succ[l], pred[l]) for l in wanted)
 
     def attempt(bound: int) -> FiniteShift | TruncationError | None:
         """The covering core at ``bound``, the size error past the limit, else None."""
@@ -498,12 +501,13 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
             _truncation_within_limit(spec, bound)  # sizes only grow with the bound
         except TruncationError as exc:
             return exc
+        if bound < floor:
+            return None
         try:
-            fin = truncate(spec, bound)
-            core = transitive_core(fin, [l for l in wanted if l in fin.pred])
+            fin = truncate(spec, bound)  # a letter pruned or a split leaves them uncovered
+            return transitive_core(fin, wanted) if all(l in fin.pred for l in wanted) else None
         except (TruncationError, TransitivityError):
             return None
-        return core if all(l in core.pred for l in wanted) else None
 
     low, high, step, found = wanted[-1], last + 1, 1, None  # no attempt below low ends it
     while low < high:  # the step doubles until an attempt ends the search at high, then bisects

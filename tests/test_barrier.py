@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -11,6 +12,7 @@ from peierls import (
     ShiftSpec,
     TransitivityError,
     TruncationError,
+    barrier,
     barrier_length_profile,
     build_memory_graph,
     compute_barrier,
@@ -160,6 +162,21 @@ def test_letter_cutoff_guards(gm_spec, gm_pot, gm_finite):
     )
     with pytest.raises(TransitivityError):
         letter_cutoff(one_way, gm_pot, truncate(one_way, 1), 0)
+
+
+def test_wide_budget_caps_the_core_stage_two_builds():
+    # the cycle 0 -> 1 -> ... -> 10 -> 0 and the chain 10 -> 11 -> ... -> 299 -> 0: stage one
+    # asks for letters up to 111, but only the whole alphabet covers them
+    n = 300
+    edges = {(i, i + 1) for i in range(n - 1)} | {(10, 0), (n - 1, 0)}
+    spec = ShiftSpec(kind="explicit-finite", alphabet_size=n, edges=frozenset(edges))
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): 0.0})
+    finite = truncate(spec, 10)
+    report = letter_cutoff(spec, pot, finite, 0)
+    assert (report.excursion_cutoff, report.wide_bound) == (110, n - 1)
+    with mock.patch.object(barrier, "WIDE_BUDGET", 200):
+        with pytest.raises(TruncationError, match="up to 299, beyond the budget 200$"):
+            letter_cutoff(spec, pot, finite, 0)
 
 
 def random_shift(rng):

@@ -195,6 +195,15 @@ def test_covering_core_on_a_ring_doubles_then_bisects():
     assert spy.call_count <= 2 * math.ceil(math.log2(800)) + 2
 
 
+def test_covering_probes_skip_explicit_cuts_that_strand_a_requested_letter():
+    # 0's least predecessor is 19,999, so every cut below it strands 0 and goes unbuilt;
+    # truncating each probed bound took 26 cuts
+    with mock.patch.object(shift_space, "truncate", wraps=truncate) as spy:
+        core = covering_core(ring(20_000), [0])
+    assert core.letters == tuple(range(20_000))
+    assert spy.call_count == 1
+
+
 @st.composite
 def searched_shifts(draw):
     """An explicit-finite or oracle shift on letters 0..n-1, some of whose cycles close
@@ -247,6 +256,12 @@ def test_transitive_core_splits_components():
         transitive_core(fin, [0, 1])
     assert transitive_core(fin, [0]).letters == (0,)
     assert transitive_core(fin, [1]).letters == (1,)
+
+
+def test_a_one_component_truncation_is_its_own_core(renewal_spec):
+    for fin in (truncate(ring(6), 5), truncate(renewal_spec, 8)):
+        assert transitive_core(fin, fin.letters) is fin
+        assert transitive_core(fin, [0]) is fin
 
 
 def test_covering_core_advances_past_stranded_bound(renewal_spec):
