@@ -13,9 +13,11 @@ on another.
 
 ``tests/stdout_corpus.txt`` holds one line per case: the case id, the exit
 code of its last command, and the CRC-32 and length of the stdout of all its
-commands.  Stderr is not pinned: its messages carry file paths.  Regenerate
-the file only in a change that means to change bytes, and name each case
-that changed.
+commands.  Stderr is not pinned: its messages carry file paths.  Every case
+is pinned, and the file holds on each Python of CI's matrix (3.10 to 3.13):
+the library adds floats in one left-to-right order, never with the built-in
+``sum``, which is compensated from 3.12 on.  Regenerate the file only in a
+change that means to change bytes, and name each case that changed.
 
     PYTHONPATH=src python scripts/stdout_corpus.py           # compare, exit 1 on a mismatch
     PYTHONPATH=src python scripts/stdout_corpus.py --write   # regenerate the file
@@ -40,22 +42,6 @@ import peierls.cli as cli
 PINNED = Path(__file__).resolve().parent.parent / "tests" / "stdout_corpus.txt"
 SEED = 27
 COUNT = 1000
-# Cases whose stdout differs between the Python versions of CI's matrix (3.10 to 3.13):
-# from 3.12 on, ``sum`` of floats is compensated (the cycle sums of ``optimizer``), so noisy
-# and 1e12-offset values can print other last bits.
-UNPINNED = frozenset(
-    {
-        "0095-renewal-verify",
-        "0125-renewal-converge-csv",
-        "0190-explicit-finite-optimize",
-        "0232-renewal-converge-csv",
-        "0304-explicit-finite-converge",
-        "0635-explicit-finite-verify",
-        "0638-renewal-barrier-csv",
-        "0682-renewal-barrier",
-    }
-)
-
 COMMANDS = (
     "shift", "optimize", "barrier", "barrier-csv", "converge", "converge-csv", "verify", "compare"
 )
@@ -226,16 +212,12 @@ def pin(case: Case) -> str:
     return f"{case.id} {code} {zlib.crc32(data):08x} {len(data)}"
 
 
-def pinned_cases() -> list[Case]:
-    return [case for case in cases() if case.id not in UNPINNED]
-
-
 def mismatches() -> list[str]:
     """A report for each case whose line differs from the pinned file."""
     lines = PINNED.read_text(encoding="utf-8").splitlines()
     expected = dict(line.split(" ", 1) for line in lines)
     found = []
-    for case in pinned_cases():
+    for case in cases():
         line = pin(case)
         if expected.get(case.id) != line.split(" ", 1)[1]:
             report = f"{case.id}: pinned {expected.get(case.id)}, got {line}"
@@ -248,10 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--write", action="store_true", help="regenerate the pinned file")
     args = parser.parse_args(argv)
     if args.write:
-        PINNED.write_text("".join(pin(case) + "\n" for case in pinned_cases()), encoding="utf-8")
+        PINNED.write_text("".join(pin(case) + "\n" for case in cases()), encoding="utf-8")
         return 0
     found = mismatches()
-    print("\n\n".join(found) or f"all {len(pinned_cases())} cases match {PINNED.name}")
+    print("\n\n".join(found) or f"all {COUNT} cases match {PINNED.name}")
     return 1 if found else 0
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import reduce
+from operator import add
 from typing import Any, Collection, Mapping, NamedTuple, Sequence
 
 from . import DEFAULT_TOL
@@ -78,7 +80,7 @@ class WeightedMemoryGraph(NamedTuple):
         comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
         edges = [(u, v) for u, idx in comp_of.items() for v in succ[u] if comp_of.get(v) == idx]
         cycle = _canonical_cycle(*adjacency(comp_of, edges))
-        total = sum(self.weights[edge] for edge in zip(cycle, cycle[1:] + cycle[:1]))
+        total = birkhoff_sum(self, cycle + cycle[:1])
         unique = len(critical) == 1 and len(edges) == len(critical[0])  # each has >= 1
         return self._replace(
             max_mean=total / len(cycle),
@@ -185,7 +187,7 @@ def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex,
             if math.isnan(eta[v]):  # the walk closed a new policy cycle at v
                 cycle = path[path.index(v) :]
                 first = cycle.index(min(cycle))
-                eta[cycle[first]] = sum(step[u] for u in cycle) / len(cycle)
+                eta[cycle[first]] = reduce(add, (step[u] for u in cycle), 0.0) / len(cycle)
                 # the rest of the cycle, so the reverse pass starts just behind its least vertex
                 path[path.index(v) :] = cycle[first + 1 :] + cycle[:first]
             for u in reversed(path):
@@ -309,7 +311,7 @@ def max_mean_cycle(
 
 
 def birkhoff_sum(graph: WeightedMemoryGraph, walk: Sequence[Vertex]) -> float:
-    """Weight of a vertex walk; Birkhoff sum of the spelled orbit segment."""
+    """Weight of a vertex walk, added left to right: the Birkhoff sum of its orbit segment."""
     total = 0.0
     for u, v in zip(walk, walk[1:]):
         w = graph.weights.get((u, v))
@@ -328,7 +330,7 @@ class PeriodicMeasure(NamedTuple):
 
     def expect(self, fn) -> float:
         """Average of a vertex function over the orbit points."""
-        return sum(w * fn(v) for v, w in zip(self.cycle, self.weights))
+        return reduce(add, (w * fn(v) for v, w in zip(self.cycle, self.weights)), 0.0)
 
 
 def periodic_measure(

@@ -16,6 +16,8 @@ are what the cutoff and barrier-bound formulas consume.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -216,7 +218,7 @@ def ambient_var_j(pot: PotentialSpec, j: int) -> float:
 
 
 def ambient_total_variation(pot: PotentialSpec) -> float:
-    return float(sum(ambient_var_j(pot, j) for j in range(1, pot.depth)))
+    return reduce(add, (ambient_var_j(pot, j) for j in range(1, pot.depth)), 0.0)
 
 
 def coercive_letter_bound(pot: PotentialSpec, threshold: float) -> int:

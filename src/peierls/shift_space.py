@@ -39,9 +39,7 @@ UNDECIDED = "UNDECIDED"
 
 # Cap on the number of refutation witnesses carried in a verdict.
 MAX_WITNESSES = 24
-# Cap on the truncation bounds covering_core tries on the oracle kind, one letter apart.
-CORE_ATTEMPTS = 64
-# Most letters (and, on a full shift, edges) a truncation may hold, and most words of one
+# Most letters (on a full or oracle shift, also edges) a truncation may hold, and most words of one
 # length a memory graph may build: `optimize` on renewal a = 2*10^5, about that many letters,
 # vertices and edges, peaked at 295 MB (6.9 s on a 2-core machine); memory grows linearly.
 _SIZE_LIMIT = 250_000
@@ -268,9 +266,9 @@ def _raw_truncation_edges(spec: ShiftSpec, top: int) -> dict[int, list[int]]:
 
 
 def _truncation_within_limit(spec: ShiftSpec, top: int) -> None:
-    """TruncationError when letters 0..top, or on a full shift their edges, pass the limit."""
+    """TruncationError when letters 0..top, or on a full or oracle shift their pairs, pass it."""
     _within_limit(top + 1, f"letters in 0..{top}")
-    if spec.kind == KIND_FULL:  # the one kind whose edges outgrow its input
+    if spec.kind in (KIND_FULL, KIND_ORACLE):  # the kinds that ask the pair rule about every pair
         _within_limit((top + 1) ** 2, f"edges among letters 0..{top}")
 
 
@@ -470,8 +468,8 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     letter on a cycle and only merges components, so covering is monotone:
     the search doubles its step, then bisects, and ends where a scan one
     letter at a time would, at a cover or at the size limit.  A finite
-    alphabet is searched up to its top letter, an oracle shift for
-    ``CORE_ATTEMPTS`` bounds.  A renewal core needs no search.  For K an
+    alphabet is searched up to its top letter, an oracle shift up to the
+    size limit.  A renewal core needs no search.  For K an
     entry letter or 0, every letter of 0..K steps down to 0 and is reached
     from 0 through the jump to K, while a truncation between entry letters
     strands its top.  So the core is the truncation at the least such K at
@@ -488,7 +486,7 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
         return truncate(spec, least_entry_letter(spec, wanted[-1]))
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
-    last = wanted[-1] + CORE_ATTEMPTS - 1 if cap is None else cap
+    last = max(wanted[-1], _SIZE_LIMIT) if cap is None else cap  # an oracle cut passes it first
     floor = 0  # on an explicit shift, a cut below a requested letter's least neighbour prunes it
     if spec.kind == KIND_EXPLICIT and wanted[-1] < last:  # else the one probe is at the top
         edges = sorted(spec.edges, reverse=True)  # a letter's least neighbour is written last

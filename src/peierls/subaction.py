@@ -17,6 +17,8 @@ the one-step transfer operator.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Mapping, NamedTuple
 
 from .digraph import adjacency
@@ -379,7 +381,7 @@ def variation_of_subaction(
         for v, x in values.items():
             groups.setdefault(v[:n], []).append(x)
         spread = max(max(g) - min(g) for g in groups.values())
-        bound = float(sum(var_j(pot, finite, j) for j in range(n, pot.depth)))
+        bound = reduce(add, (var_j(pot, finite, j) for j in range(n, pot.depth)), 0.0)
         entries.append((n, spread, bound))
         if spread > bound + tol:
             ok = False

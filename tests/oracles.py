@@ -210,14 +210,14 @@ def oracle_scan_covering_core(spec, letters):
     """``covering_core`` of a finite or oracle shift as it was written before its search
     doubled and bisected: one bound at a time, each checked against the size limit first.
 
-    It reads the module's ``CORE_ATTEMPTS`` and size limit when called, so a test that
-    patches them patches both searches.
+    It reads the module's size limit when called, so a test that patches it patches
+    both searches.
     """
     cap = spec.max_letter()
     wanted = sorted(set(letters))
     if cap is not None:
         wanted = [l for l in wanted if l <= cap] or [0]
-    last = wanted[-1] + shift_space.CORE_ATTEMPTS - 1 if cap is None else cap
+    last = max(wanted[-1], shift_space._SIZE_LIMIT) if cap is None else cap
     for bound in range(wanted[-1], last + 1):
         shift_space._truncation_within_limit(spec, bound)
         try:

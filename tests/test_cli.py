@@ -669,7 +669,7 @@ def test_converge_json_with_probe_and_assert(renewal_files, capsys):
 
 
 def test_converge_covers_a_finite_alphabet_past_the_oracle_budget(tmp_path, capsys):
-    # a search held to the oracle kind's 64 bounds gave up here at bound 67
+    # a search held to 64 bounds past the top requested letter gave up here at bound 67
     edges = [[i, i + 1] for i in range(5)] + [[5, 99], [99, 0]] + [[i, i] for i in range(6, 99)]
     shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
     shift.write_text(json.dumps({"kind": "explicit-finite", "alphabet_size": 100, "edges": edges}))

@@ -323,6 +323,14 @@ def test_periodic_measure_averages_cycle():
         periodic_measure(g, [])
 
 
+def test_the_cycle_mean_adds_its_weights_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the left-to-right Birkhoff sum is 0.0; the
+    # compensated built-in sum of Python 3.12 and later made m 1/3 and left f_integral 0.0
+    g = optimize(graph_from_weights({(0, 1): 1e16, (1, 2): 1.0, (2, 0): -1e16}))
+    assert g.max_mean == 0.0
+    assert g.max_mean == periodic_measure(g, g.critical_cycle).f_integral
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_optimize_invariants_on_random_graphs(seed):

@@ -207,7 +207,9 @@ def test_covering_probes_skip_explicit_cuts_that_strand_a_requested_letter():
 @st.composite
 def searched_shifts(draw):
     """An explicit-finite or oracle shift on letters 0..n-1, some of whose cycles close
-    only at high letters, with letters to cover, a size limit and an oracle budget."""
+    only at high letters, with letters to cover and a size limit.  An oracle shift always
+    gets a limit of at most 1,000, its cut's pairs: the one-letter scan up to the default
+    limit would ask the predicate about some 4*10^7 pairs."""
     n = draw(st.integers(min_value=2, max_value=30))
     letter = st.integers(0, n - 1)
     edges = set(draw(st.sets(st.tuples(letter, letter), max_size=n)))
@@ -216,20 +218,21 @@ def searched_shifts(draw):
         edges |= set(zip(cycle, cycle[1:] + cycle[:1]))
     if draw(st.booleans()):
         spec = ShiftSpec(kind="oracle", membership=lambda i, j: (i, j) in edges)
+        limit = draw(st.integers(min_value=1, max_value=1000))
     else:  # every letter needs an in- and an out-edge: a loop where one is missing
         edges |= {(i, i) for i in range(n) if not any(i in e for e in edges)}
         edges |= {(i, i) for i in range(n) if not any(e[0] == i for e in edges)}
         edges |= {(i, i) for i in range(n) if not any(e[1] == i for e in edges)}
         spec = ShiftSpec(kind="explicit-finite", alphabet_size=n, edges=frozenset(edges))
+        limit = draw(st.none() | st.integers(min_value=1, max_value=40))
     wanted = draw(st.sets(st.integers(0, n + 2), min_size=1, max_size=4))
-    limit = draw(st.none() | st.integers(min_value=1, max_value=40))
-    return spec, wanted, limit, draw(st.integers(min_value=1, max_value=40))
+    return spec, wanted, limit
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=searched_shifts())
 def test_covering_core_ends_where_the_one_letter_scan_ends(case):
-    spec, wanted, limit, attempts = case
+    spec, wanted, limit = case
     assume(limit is None or len(wanted) <= limit)
 
     def outcome(search):
@@ -239,9 +242,8 @@ def test_covering_core_ends_where_the_one_letter_scan_ends(case):
             return str(exc)
         return core.letters, core.succ, core.pred
 
-    with mock.patch.object(shift_space, "CORE_ATTEMPTS", attempts):
-        with mock.patch.object(shift_space, "_SIZE_LIMIT", limit or shift_space._SIZE_LIMIT):
-            assert outcome(covering_core) == outcome(oracle_scan_covering_core)
+    with mock.patch.object(shift_space, "_SIZE_LIMIT", limit or shift_space._SIZE_LIMIT):
+        assert outcome(covering_core) == outcome(oracle_scan_covering_core)
 
 
 def test_transitive_core_splits_components():
@@ -290,18 +292,24 @@ def test_renewal_covering_cores_match_the_search_oracle():
 
 
 def test_covering_core_budget_exhausted():
-    # letter 1 is entered only down the chain 1000 -> 999 -> ... -> 1
-    spec = ShiftSpec(
-        kind="oracle",
-        membership=lambda i, j: (i == j == 0) or j == i - 1 or (i == 0 and j == 1000),
-    )
-    with pytest.raises(TruncationError, match=r"covering letters \[0, 1\] found up to bound 64$"):
-        covering_core(spec, range(2))
+    # letter 1 is entered only down the chain 1000 -> 999 -> ... -> 1, and a cut of an
+    # oracle shift asks about every pair, so the search ends at the size limit, as a
+    # 1,000-letter full shift's does; with the chain from 300 it covers
+    def chain_from(top):
+        return ShiftSpec(
+            kind="oracle",
+            membership=lambda i, j: (i == j == 0) or j == i - 1 or (i == 0 and j == top),
+        )
+
+    with pytest.raises(TruncationError) as info:
+        covering_core(chain_from(1000), range(2))
+    assert str(info.value) == "251001 edges among letters 0..500 exceed the size limit of 250000"
+    assert covering_core(chain_from(300), range(2)).letters == tuple(range(301))
 
 
 def test_covering_core_searches_a_finite_alphabet_to_its_top():
     # letters 0..3 lie on the cycle 0 -> 1 -> ... -> 5 -> 99 -> 0, which closes only
-    # at bound 99, past the 64 bounds an oracle shift is allowed
+    # at bound 99
     edges = {(i, i + 1) for i in range(5)} | {(5, 99), (99, 0)} | {(i, i) for i in range(6, 99)}
     spec = ShiftSpec(kind="explicit-finite", alphabet_size=100, edges=frozenset(edges))
     core = covering_core(spec, range(4))
