@@ -17,23 +17,22 @@ DEFAULT_TOL = 1e-9  # here, not in optimizer, so the command line reads it witho
 
 # layer module -> the public names it defines
 _LAYERS = {
-    "barrier": """BarrierResult CutoffReport UpperBoundReport barrier_length_profile
-        compute_barrier letter_cutoff""",
-    "optimizer": """GraphError PeriodicMeasure PositiveCycleError
-        WeightedMemoryGraph birkhoff_sum build_memory_graph graph_from_weights
-        max_mean_cycle optimize periodic_measure""",
-    "potential": """PotentialError PotentialSpec TAIL_LINEAR ambient_total_variation
-        coercive_letter_bound evaluate parse_potential tail_value validate_table
-        var_j""",
-    "shift_space": """ConditionVerdict FiniteShift KIND_RENEWAL ShiftSpec ShiftSpecError
-        TransitivityError TruncationError admissible check_bi check_bp
-        connecting_word covering_core is_admissible_word is_transitive
-        parse_shift_spec transitive_core truncate""",
-    "subaction": """ComparisonReport MinimalityReport PreorbitReport
-        SeedConsistencyError SubactionReport UniquenessReport VariationReport
-        calibrated_preorbit compare_up_to_constant consistent_seed
-        fixpoint_subaction minimality_check one_step_image uniqueness_comparison
-        variation_of_subaction verify_subaction""",
+    "barrier": """CutoffReport UpperBoundReport ambient_total_variation barrier_length_profile
+        coercive_letter_bound letter_cutoff""",
+    "calibration": """MinimalityReport PreorbitReport SeedConsistencyError VariationReport
+        calibrated_preorbit consistent_seed fixpoint_subaction minimality_check
+        one_step_image variation_of_subaction""",
+    "countable": "ConditionVerdict check_bi check_bp connecting_word covering_core",
+    "optimizer": """BarrierResult GraphError PeriodicMeasure PositiveCycleError
+        WeightedMemoryGraph birkhoff_sum build_memory_graph compute_barrier
+        graph_from_weights max_mean_cycle optimize periodic_measure""",
+    "potential": """PotentialError PotentialSpec TAIL_LINEAR evaluate parse_potential
+        tail_value validate_table var_j""",
+    "shift_space": """FiniteShift KIND_RENEWAL ShiftSpec ShiftSpecError TransitivityError
+        TruncationError admissible is_admissible_word is_transitive parse_shift_spec
+        transitive_core truncate""",
+    "subaction": """ComparisonReport SubactionReport UniquenessReport
+        compare_up_to_constant uniqueness_comparison verify_subaction""",
     "truncation": """BOUNDED DIVERGENT INCONCLUSIVE BoundednessProbe FamilyError
         LetterStabilization Stage StabilizationReport TruncationFamily
         bp_boundedness_probe build_family build_stage stabilization_experiment""",

@@ -1,43 +1,26 @@
-"""Transition-cost function of a maximizing cycle, with a priori bounds.
+"""A priori bounds on barrier values across a countable alphabet.
 
-The barrier value at a vertex is the supremum, over all finite walks from
-the base vertex, of the walk's weight after subtracting the maximum cycle
-mean from every edge.  On a strongly connected graph the supremum is
-attained by a simple path: any walk that revisits a vertex contains a
-cycle, the cycle's reduced weight is at most zero, and cutting it out
-never lowers the total.  Removing cycles until none remain leaves a
-simple path with at least the original reduced weight, so a longest-walk
-sweep over |V| - 1 rounds computes the barrier exactly and a positive
-cycle is the only way the iteration could fail to settle.
-
-The base vertex is the canonical maximizing cycle's starting phase.  Its
-own barrier value is zero: the empty walk contributes weight zero, and no
-reduced walk from the base back to itself can be positive.
-
-Beyond the exact values on a finite truncation, this module bounds how
-the values would extend across a countable alphabet: a per-letter ceiling
-from the cost of connecting the letter to the base, a global ceiling from
-one-step excursions off low letters and from partial laps of the
-maximizing cycle, and the two-stage cutoff estimate that predicts which
-truncation bound is large enough for the values near a given letter to
-stop moving.
+``optimizer.compute_barrier`` gives the exact barrier on a finite truncation.
+This module bounds how those values would extend across the countable
+alphabet: a per-letter ceiling from the cost of connecting the letter to the
+base, a global ceiling from one-step excursions off low letters and from
+partial laps of the maximizing cycle, and the two-stage cutoff estimate that
+predicts which truncation bound is large enough for the values near a given
+letter to stop moving.  The potential bounds they read ignore adjacency, so
+they hold in every truncation.
 """
-
 from __future__ import annotations
 
 import math
 import sys
+from functools import reduce
+from operator import add
 from typing import Mapping, NamedTuple
 
+from .countable import connecting_word, covering_core, least_entry_letter
 from .digraph import least_exits
-from .optimizer import GraphError, WeightedMemoryGraph, _longest_walk, _require_optimized
-from .potential import (
-    TAIL_LOG,
-    PotentialSpec,
-    ambient_total_variation,
-    coercive_letter_bound,
-    inf_bound_on_letter,
-)
+from .optimizer import GraphError, WeightedMemoryGraph, _require_optimized
+from .potential import TAIL_LINEAR, TAIL_LOG, PotentialError, PotentialSpec, _prefix_spread, tail_value
 from .shift_space import (
     KIND_RENEWAL,
     FiniteShift,
@@ -45,10 +28,7 @@ from .shift_space import (
     TransitivityError,
     TruncationError,
     Word,
-    connecting_word,
-    covering_core,
     is_transitive,
-    least_entry_letter,
 )
 
 Vertex = Word
@@ -66,22 +46,6 @@ class UpperBoundReport(NamedTuple):
     low_letter_cutoff: int
     ambient_variation: float
     global_bound: float
-
-
-class BarrierResult(NamedTuple):
-    """Barrier values of an optimized graph, pinned to zero at the base vertex.
-
-    ``bounds`` is built from ``graph`` each time it is read, None without a shift and a
-    potential."""
-
-    base_vertex: Vertex
-    values: Mapping[Vertex, float]
-    graph: WeightedMemoryGraph
-
-    @property
-    def bounds(self) -> UpperBoundReport | None:
-        graph = self.graph
-        return None if graph.shift is None or graph.pot is None else _bound_report(graph, self.values)
 
 
 class CutoffReport(NamedTuple):
@@ -103,14 +67,88 @@ class CutoffReport(NamedTuple):
     wide_bound: int
 
 
-def compute_barrier(graph: WeightedMemoryGraph) -> BarrierResult:
-    """Barrier values from the canonical cycle's base vertex, base pinned to 0.0."""
-    _require_optimized(graph)
-    base = graph.critical_cycle[0]
-    raw = _longest_walk(graph, {base: 0.0})
-    shift = raw[base]
-    values = {v: (x - shift) + 0.0 for v, x in raw.items()}
-    return BarrierResult(base_vertex=base, values=values, graph=graph)
+# ---------------------------------------------------------------------------
+# adjacency-free bounds over the countable alphabet
+
+
+def sup_bound_on_letter(pot: PotentialSpec, j: int) -> float:
+    """Upper bound for f on the cylinder [j], valid in every truncation."""
+    best = tail_value(pot, j)
+    for word, value in pot.table.items():
+        if word[0] == j and value > best:
+            best = value
+    return best
+
+
+def inf_bound_on_letter(pot: PotentialSpec, j: int) -> float:
+    worst = tail_value(pot, j)
+    for word, value in pot.table.items():
+        if word[0] == j and value < worst:
+            worst = value
+    return worst
+
+
+def ambient_var_j(pot: PotentialSpec, j: int) -> float:
+    """Adjacency-free upper bound for Var_j(f).
+
+    Words sharing a first letter but off the table all take the tail value,
+    so only table prefixes can open a spread; the tail value joins every
+    group because some continuation always escapes the finite table.
+    """
+    # j >= 1, so every word under one prefix shares its first letter and its fallback
+    return _prefix_spread(
+        pot, j, lambda: [*pot.table.items(), *((w, tail_value(pot, w[0])) for w in pot.table)]
+    )
+
+
+def ambient_total_variation(pot: PotentialSpec) -> float:
+    return reduce(add, (ambient_var_j(pot, j) for j in range(1, pot.depth)), 0.0)
+
+
+def coercive_letter_bound(pot: PotentialSpec, threshold: float) -> int:
+    """Largest letter whose sup bound still reaches the threshold.
+
+    Every letter j strictly above the returned bound satisfies
+    sup f|[j] < threshold.  Log tails can place the bound astronomically
+    high, so the tail inversion runs in integer/decimal arithmetic rather
+    than floats.
+    """
+    if not math.isfinite(threshold):
+        raise PotentialError("threshold must be finite")
+    c = pot.tail_scale
+    if pot.tail_kind == TAIL_LINEAR:
+        # -c*j >= t  <=>  j <= -t/c
+        limit = -threshold / c
+        tail_best = math.floor(limit) if limit >= 0 else -1
+    else:
+        # -c*ln(1+j) >= t  <=>  j <= exp(-t/c) - 1
+        exponent = -threshold / c
+        if exponent < 0:
+            tail_best = -1
+        else:
+            from decimal import Decimal, localcontext  # only this branch needs it
+
+            digits = int(exponent / math.log(10.0)) + 25
+            with localcontext() as ctx:
+                ctx.prec = max(digits, 28)
+                bound = Decimal(exponent).exp() - 1
+                tail_best = int(bound.to_integral_value(rounding="ROUND_FLOOR"))
+    # guard against the inversion landing next to an integer; past 2**52 the
+    # float tail cannot tell neighbouring letters apart, so the steps would never end
+    if tail_best < 2**52:
+        while tail_value(pot, tail_best + 1) >= threshold:
+            tail_best += 1
+        while tail_best >= 0 and tail_value(pot, tail_best) < threshold:
+            tail_best -= 1
+    best = tail_best
+    for word, value in pot.table.items():
+        if value >= threshold and word[0] > best:
+            best = word[0]
+    return max(best, 0)
+
+
+# ---------------------------------------------------------------------------
+# bounds on barrier values and truncations
 
 
 def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> UpperBoundReport:

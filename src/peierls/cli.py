@@ -135,6 +135,7 @@ def _finite_for(args: SimpleNamespace, spec: ShiftSpec) -> FiniteShift:
         return transitive_core(finite, finite.letters)  # a split names its letter groups
     if args.max_letter is None:
         raise ValueError("--max-letter is required for countable-alphabet shifts")
+    _load("countable")
     return covering_core(spec, range(args.max_letter + 1))
 
 
@@ -148,7 +149,7 @@ def _optimized_graph(
 
 
 def _cmd_shift_check(args: SimpleNamespace) -> int:
-    _load("shift_space")
+    _load("shift_space", "countable")
     spec = parse_shift_spec(_read_text(args.shift))
     transitive = None
     if spec.max_letter() is not None:
@@ -179,7 +180,6 @@ def _cmd_optimize(args: SimpleNamespace) -> int:
 
 
 def _cmd_barrier(args: SimpleNamespace) -> int:
-    _load("barrier")
     spec, pot, graph = _optimized_graph(args)
     result = compute_barrier(graph)
     if args.format == "csv":
@@ -187,6 +187,7 @@ def _cmd_barrier(args: SimpleNamespace) -> int:
         _emit(args, "\n".join(rows) + "\n")
         return 0
 
+    _load("barrier")
     base_letter = result.base_vertex[0]
     try:
         cutoff = _plain(letter_cutoff(spec, pot, graph.shift, base_letter))
@@ -295,7 +296,7 @@ def _cmd_converge(args: SimpleNamespace) -> int:
 
 
 def _cmd_demo_renewal(args: SimpleNamespace) -> int:
-    _load("truncation", "shift_space", "potential")
+    _load("truncation", "shift_space", "potential", "countable")
     spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
     pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
     family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)

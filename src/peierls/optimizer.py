@@ -7,7 +7,8 @@ generate.  The ergodic maximum m is then the maximum cycle-mean weight,
 found by Howard's max-plus policy iteration (Cochet-Terrasson, Cohen,
 Gaubert, McGettrick and Quadrat 1998), and the critical class collects
 every vertex on a cycle whose mean attains m.  ``optimize`` returns a new
-graph carrying these results and leaves its argument unchanged.
+graph carrying these results and leaves its argument unchanged, and
+``compute_barrier`` walks it from the canonical cycle's base.
 
 Vertices only need to be hashable and mutually sortable; library callers
 use letter words, tests are free to use bare integers.
@@ -19,12 +20,15 @@ import math
 import sys
 from functools import reduce
 from operator import add
-from typing import Any, Collection, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Mapping, NamedTuple, Sequence
 
 from . import DEFAULT_TOL
 from .digraph import adjacency, least_word, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
 from .shift_space import FiniteShift, _within_limit
+
+if TYPE_CHECKING:
+    from .barrier import UpperBoundReport
 
 Vertex = Any
 Edge = tuple[Vertex, Vertex]
@@ -244,6 +248,44 @@ def _longest_walk(graph: WeightedMemoryGraph, seeds: Mapping[Vertex, float]) -> 
     if stuck:
         raise GraphError(f"vertices unreachable from the seeds: {stuck[:4]}")
     return values
+
+
+class BarrierResult(NamedTuple):
+    """Barrier values of an optimized graph, pinned to zero at the base vertex.
+
+    ``bounds`` is built from ``graph`` each time it is read, None without a shift and a
+    potential."""
+
+    base_vertex: Vertex
+    values: Mapping[Vertex, float]
+    graph: WeightedMemoryGraph
+
+    @property
+    def bounds(self) -> UpperBoundReport | None:
+        from .barrier import _bound_report  # the bounds' layer loads when they are read
+
+        graph = self.graph
+        return None if graph.shift is None or graph.pot is None else _bound_report(graph, self.values)
+
+
+def compute_barrier(graph: WeightedMemoryGraph) -> BarrierResult:
+    """Barrier values from the canonical cycle's base vertex, base pinned to 0.0.
+
+    The barrier value at a vertex is the supremum, over all finite walks from
+    the base vertex, of the walk's weight after subtracting the maximum cycle
+    mean from every edge.  On a strongly connected graph the supremum is
+    attained by a simple path: any walk that revisits a vertex contains a
+    cycle, the cycle's reduced weight is at most zero, and cutting it out
+    never lowers the total.  So ``_longest_walk`` computes the barrier exactly,
+    and the base, the canonical cycle's starting phase, gets zero: no reduced
+    walk from it back to itself is positive.
+    """
+    _require_optimized(graph)
+    base = graph.critical_cycle[0]
+    raw = _longest_walk(graph, {base: 0.0})
+    shift = raw[base]
+    values = {v: (x - shift) + 0.0 for v, x in raw.items()}
+    return BarrierResult(base_vertex=base, values=values, graph=graph)
 
 
 def _canonical_cycle(

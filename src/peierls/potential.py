@@ -5,19 +5,14 @@ come from a finite override table on depth-k words; every word off the
 table falls back to the tail u(first letter), which decays linearly or
 logarithmically and makes the potential coercive.
 
-Two families of oscillation/extremum helpers coexist on purpose.  The
-``var_j`` form enumerates admissible words inside a given finite
-truncation and is exact there.  The ``*_bound_on_letter``
-and ``ambient_*`` forms ignore adjacency and bound the potential over the
-full countable alphabet; they are safe (one-sided) for any truncation and
-are what the cutoff and barrier-bound formulas consume.
+``var_j`` enumerates admissible words inside a given finite truncation and
+is exact there; ``barrier`` holds the adjacency-free bounds over the full
+countable alphabet that its cutoff and bound formulas consume.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -181,83 +176,3 @@ def var_j(pot: PotentialSpec, finite: FiniteShift, j: int) -> float:
     return _prefix_spread(
         pot, j, lambda: ((w, evaluate(pot, w)) for w in admissible_words(finite, pot.depth))
     )
-
-
-# ---------------------------------------------------------------------------
-# adjacency-free bounds over the countable alphabet
-
-
-def sup_bound_on_letter(pot: PotentialSpec, j: int) -> float:
-    """Upper bound for f on the cylinder [j], valid in every truncation."""
-    best = tail_value(pot, j)
-    for word, value in pot.table.items():
-        if word[0] == j and value > best:
-            best = value
-    return best
-
-
-def inf_bound_on_letter(pot: PotentialSpec, j: int) -> float:
-    worst = tail_value(pot, j)
-    for word, value in pot.table.items():
-        if word[0] == j and value < worst:
-            worst = value
-    return worst
-
-
-def ambient_var_j(pot: PotentialSpec, j: int) -> float:
-    """Adjacency-free upper bound for Var_j(f).
-
-    Words sharing a first letter but off the table all take the tail value,
-    so only table prefixes can open a spread; the tail value joins every
-    group because some continuation always escapes the finite table.
-    """
-    # j >= 1, so every word under one prefix shares its first letter and its fallback
-    return _prefix_spread(
-        pot, j, lambda: [*pot.table.items(), *((w, tail_value(pot, w[0])) for w in pot.table)]
-    )
-
-
-def ambient_total_variation(pot: PotentialSpec) -> float:
-    return reduce(add, (ambient_var_j(pot, j) for j in range(1, pot.depth)), 0.0)
-
-
-def coercive_letter_bound(pot: PotentialSpec, threshold: float) -> int:
-    """Largest letter whose sup bound still reaches the threshold.
-
-    Every letter j strictly above the returned bound satisfies
-    sup f|[j] < threshold.  Log tails can place the bound astronomically
-    high, so the tail inversion runs in integer/decimal arithmetic rather
-    than floats.
-    """
-    if not math.isfinite(threshold):
-        raise PotentialError("threshold must be finite")
-    c = pot.tail_scale
-    if pot.tail_kind == TAIL_LINEAR:
-        # -c*j >= t  <=>  j <= -t/c
-        limit = -threshold / c
-        tail_best = math.floor(limit) if limit >= 0 else -1
-    else:
-        # -c*ln(1+j) >= t  <=>  j <= exp(-t/c) - 1
-        exponent = -threshold / c
-        if exponent < 0:
-            tail_best = -1
-        else:
-            from decimal import Decimal, localcontext  # only this branch needs it
-
-            digits = int(exponent / math.log(10.0)) + 25
-            with localcontext() as ctx:
-                ctx.prec = max(digits, 28)
-                bound = Decimal(exponent).exp() - 1
-                tail_best = int(bound.to_integral_value(rounding="ROUND_FLOOR"))
-    # guard against the inversion landing next to an integer; past 2**52 the
-    # float tail cannot tell neighbouring letters apart, so the steps would never end
-    if tail_best < 2**52:
-        while tail_value(pot, tail_best + 1) >= threshold:
-            tail_best += 1
-        while tail_best >= 0 and tail_value(pot, tail_best) < threshold:
-            tail_best -= 1
-    best = tail_best
-    for word, value in pot.table.items():
-        if value >= threshold and word[0] > best:
-            best = word[0]
-    return max(best, 0)

@@ -29,19 +29,14 @@ import tempfile
 import zlib
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .barrier import BarrierResult, CutoffReport, compute_barrier, letter_cutoff
-from .optimizer import DEFAULT_TOL, WeightedMemoryGraph, _rounding_tol, build_memory_graph, optimize
-from .potential import PotentialSpec
-from .shift_space import (
-    KIND_ORACLE,
-    SATISFIED,
-    REFUTED,
-    ConditionVerdict,
-    ShiftSpec,
-    Word,
-    check_bp,
-    covering_core,
+from .barrier import CutoffReport, letter_cutoff
+from .countable import REFUTED, SATISFIED, ConditionVerdict, check_bp, covering_core
+from .optimizer import (
+    DEFAULT_TOL, BarrierResult, WeightedMemoryGraph, _rounding_tol, build_memory_graph,
+    compute_barrier, optimize,
 )
+from .potential import PotentialSpec
+from .shift_space import KIND_ORACLE, ShiftSpec, Word
 
 BOUNDED = "BOUNDED"
 DIVERGENT = "DIVERGENT"

@@ -22,13 +22,13 @@ from peierls import (
     optimize,
     truncate,
 )
-from peierls.barrier import _bound_report
-from peierls.potential import (
-    admissible_words,
+from peierls.barrier import (
+    _bound_report,
     ambient_total_variation,
     coercive_letter_bound,
     inf_bound_on_letter,
 )
+from peierls.potential import admissible_words
 
 from oracles import (
     oracle_barrier,

@@ -67,6 +67,7 @@ def test_shift_check_loads_only_the_shift_layer(inputs, tmp_path):
     argv = ["shift", "check", "--shift", "shift.json", "--out", "report.out"]
     code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
     expected = {"peierls", "peierls.cli", "peierls.digraph", "peierls.shift_space"}
+    expected.add("peierls.countable")  # BP and BI are decided over the whole alphabet
     assert _loaded_after(code, tmp_path) == expected
 
 
@@ -85,20 +86,42 @@ def test_help_and_usage_errors_load_no_layer(tmp_path, argv, exit_code):
     assert _loaded_after(code, tmp_path) == {"peierls", "peierls.cli"}
 
 
+# renewal inputs: each command finds its core with countable's covering search
 @pytest.mark.parametrize(
     "command, layers",
     [
-        (["optimize", "--max-letter", "6"], set()),
-        (BARRIER, {"peierls.barrier"}),
-        (VERIFY, {"peierls.subaction"}),
-        (COMPARE, {"peierls.subaction"}),
-        (CONVERGE, {"peierls.barrier", "peierls.truncation"}),
-        (DEMO, {"peierls.barrier", "peierls.truncation"}),
+        (["optimize", "--max-letter", "6"], {"peierls.countable"}),
+        (BARRIER, {"peierls.barrier", "peierls.countable"}),
+        (VERIFY, {"peierls.subaction", "peierls.countable"}),
+        (COMPARE, {"peierls.subaction", "peierls.countable"}),
+        (CONVERGE, {"peierls.barrier", "peierls.countable", "peierls.truncation"}),
+        (DEMO, {"peierls.barrier", "peierls.countable", "peierls.truncation"}),
     ],
 )
 def test_each_command_loads_only_its_layers(inputs, tmp_path, command, layers):
     # demo builds its own renewal inputs and takes no --shift/--potential
     argv = command + (inputs if command is not DEMO else []) + ["--out", "report.out"]
+    code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
+    assert _loaded_after(code, tmp_path) == PIPELINE | layers
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        (["barrier", "--format", "csv"], set()),
+        (["subaction", "verify", "--values", "values.csv", "--assert"], {"peierls.subaction"}),
+        (["barrier"], {"peierls.barrier", "peierls.countable"}),
+    ],
+)
+def test_finite_shift_commands_load_no_countable_layer_they_skip(tmp_path, command, layers):
+    # the benchmark's pipeline: a barrier CSV on a finite shift compiles no bound report,
+    # covering search or calibration, and verifying it compiles neither of the last two
+    shift = {"kind": "full", "alphabet_size": 3}
+    pot = {"depth": 1, "tail": {"kind": "linear", "c": 1}, "table": [{"word": [0], "value": 0.0}]}
+    (tmp_path / "shift.json").write_text(json.dumps(shift))
+    (tmp_path / "pot.json").write_text(json.dumps(pot))
+    (tmp_path / "values.csv").write_text("0,0.0\n1,0.0\n2,0.0\n")  # its barrier
+    argv = command + ["--shift", "shift.json", "--potential", "pot.json", "--out", "report.out"]
     code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
     assert _loaded_after(code, tmp_path) == PIPELINE | layers
 

@@ -356,14 +356,14 @@ def test_optimize_invariants_on_random_graphs(seed):
         ("optimizer", "WeightedMemoryGraph"),
         ("optimizer", "PeriodicMeasure"),
         ("barrier", "UpperBoundReport"),
-        ("barrier", "BarrierResult"),
+        ("optimizer", "BarrierResult"),
         ("barrier", "CutoffReport"),
         ("subaction", "SubactionReport"),
-        ("subaction", "PreorbitReport"),
-        ("subaction", "MinimalityReport"),
+        ("calibration", "PreorbitReport"),
+        ("calibration", "MinimalityReport"),
         ("subaction", "ComparisonReport"),
         ("subaction", "UniquenessReport"),
-        ("subaction", "VariationReport"),
+        ("calibration", "VariationReport"),
         ("truncation", "Stage"),
         ("truncation", "TruncationFamily"),
         ("truncation", "LetterStabilization"),

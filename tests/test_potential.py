@@ -17,12 +17,8 @@ from peierls import (
     validate_table,
     var_j,
 )
-from peierls.potential import (
-    admissible_words,
-    ambient_var_j,
-    inf_bound_on_letter,
-    sup_bound_on_letter,
-)
+from peierls.barrier import ambient_var_j, inf_bound_on_letter, sup_bound_on_letter
+from peierls.potential import admissible_words
 
 
 @pytest.fixture

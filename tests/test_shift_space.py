@@ -14,6 +14,7 @@ from peierls import (
     check_bi,
     check_bp,
     connecting_word,
+    countable,
     covering_core,
     is_admissible_word,
     is_transitive,
@@ -189,7 +190,7 @@ def test_explicit_truncations_read_their_edge_list_not_the_pair_rule():
 
 def test_covering_core_on_a_ring_doubles_then_bisects():
     # a ring's cut holds no cycle below its top letter, so a scan tried all 800 bounds
-    with mock.patch.object(shift_space, "truncate", wraps=truncate) as spy:
+    with mock.patch.object(countable, "truncate", wraps=truncate) as spy:
         core = covering_core(ring(800), [0])
     assert core.letters == tuple(range(800))
     assert spy.call_count <= 2 * math.ceil(math.log2(800)) + 2
@@ -198,7 +199,7 @@ def test_covering_core_on_a_ring_doubles_then_bisects():
 def test_covering_probes_skip_explicit_cuts_that_strand_a_requested_letter():
     # 0's least predecessor is 19,999, so every cut below it strands 0 and goes unbuilt;
     # truncating each probed bound took 26 cuts
-    with mock.patch.object(shift_space, "truncate", wraps=truncate) as spy:
+    with mock.patch.object(countable, "truncate", wraps=truncate) as spy:
         core = covering_core(ring(20_000), [0])
     assert core.letters == tuple(range(20_000))
     assert spy.call_count == 1
@@ -242,7 +243,10 @@ def test_covering_core_ends_where_the_one_letter_scan_ends(case):
             return str(exc)
         return core.letters, core.succ, core.pred
 
-    with mock.patch.object(shift_space, "_SIZE_LIMIT", limit or shift_space._SIZE_LIMIT):
+    limit = limit or shift_space._SIZE_LIMIT
+    with mock.patch.object(shift_space, "_SIZE_LIMIT", limit), mock.patch.object(
+        countable, "_SIZE_LIMIT", limit
+    ):
         assert outcome(covering_core) == outcome(oracle_scan_covering_core)
 
 
