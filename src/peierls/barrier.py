@@ -15,19 +15,21 @@ import math
 import sys
 from functools import reduce
 from operator import add
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .countable import connecting_word, covering_core, least_entry_letter
 from .digraph import least_exits
 from .optimizer import GraphError, WeightedMemoryGraph, _require_optimized
 from .potential import TAIL_LINEAR, TAIL_LOG, PotentialError, PotentialSpec, _prefix_spread, tail_value
 from .shift_space import (
+    KIND_FULL,
     KIND_RENEWAL,
     FiniteShift,
     ShiftSpec,
     TransitivityError,
     TruncationError,
     Word,
+    _truncation_within_limit,
     is_transitive,
 )
 
@@ -86,6 +88,14 @@ def inf_bound_on_letter(pot: PotentialSpec, j: int) -> float:
         if word[0] == j and value < worst:
             worst = value
     return worst
+
+
+def _letter_floors(pot: PotentialSpec) -> Callable[[int], float]:
+    """``inf_bound_on_letter`` as a function of the letter, the table read once."""
+    lows: dict[int, float] = {}
+    for word, value in pot.table.items():
+        lows[word[0]] = min(value, lows.get(word[0], value))
+    return lambda j: min(tail_value(pot, j), lows.get(j, math.inf))
 
 
 def ambient_var_j(pot: PotentialSpec, j: int) -> float:
@@ -225,24 +235,28 @@ def _letter_ceilings(graph: WeightedMemoryGraph, ambient: float) -> dict[int, fl
     for a in finite.letters:
         if a not in exits:
             connecting_word(finite, a, base)  # raises the connector's own error
-    floor = {base: inf_bound_on_letter(pot, base)}  # cheapest letter value on the way to base
+    floor_of = _letter_floors(pot)
+    floor = {base: floor_of(base)}  # cheapest letter value on the way to base
     ceilings = {}
     for a, (length, nxt) in exits.items():  # nearest first, so floor[nxt] is known
-        low = min(inf_bound_on_letter(pot, a), floor[nxt])
+        low = min(floor_of(a), floor[nxt])
         floor.setdefault(a, low)  # floor[base] stays its own value: a connector stops there
         ceilings[a] = length * (graph.max_mean - low) + ambient
     return ceilings
 
 
 def _printable_letter_bound(pot: PotentialSpec, threshold: float, what: str) -> int:
-    """``coercive_letter_bound``, or ``TruncationError`` naming ``what`` when the bound
-    has more digits than Python writes as text.
+    """``coercive_letter_bound``, or ``TruncationError`` naming ``what`` when the threshold
+    is not finite or the bound has more digits than Python writes as text.
 
-    A log tail's bound is floor(exp(-threshold / c)): its digit count comes from the
-    exponent, sparing an exponential that takes seconds at 10,000 digits.  A bound too
-    long to print would sink the whole command; a linear tail's stays in float range.
-    A limit of 0 (or none, before 3.10.7) means any.
+    A threshold overflows to -inf when table values near the float limit enter it.  A log
+    tail's bound is floor(exp(-threshold / c)): its digit count comes from the exponent,
+    sparing an exponential that takes seconds at 10,000 digits.  A bound too long to
+    print would sink the whole command; a linear tail's stays in float range.  A limit
+    of 0 (or none, before 3.10.7) means any.
     """
+    if not math.isfinite(threshold):
+        raise TruncationError(f"{what} needs a finite threshold, got {threshold!r}")
     if pot.tail_kind == TAIL_LOG:
         digits = math.floor(-threshold / pot.tail_scale / math.log(10.0)) + 1
         if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:
@@ -262,8 +276,8 @@ def letter_cutoff(
     returning near ``letter``, using connecting words inside the given
     core.  Stage two replays the argument on a transitive core wide
     enough to contain all of stage one's letters, which confines every
-    maximizing walk below the reported bound; on a renewal shift that
-    core is known in closed form and none is built.  ``WIDE_BUDGET`` caps
+    maximizing walk below the reported bound; on a renewal or full shift
+    that core is known in closed form and none is built.  ``WIDE_BUDGET`` caps
     the stage-two alphabet; slowly decaying tails can push the first-stage
     cutoff beyond any practical truncation, or the bound past the digits
     Python writes as text, and either failure raises ``TruncationError``.
@@ -274,7 +288,8 @@ def letter_cutoff(
         raise TransitivityError("the truncation handed to letter_cutoff must be transitive")
 
     local_len = max(n for n, _ in least_exits(letter, finite.pred).values())
-    floor = min(inf_bound_on_letter(pot, i) for i in finite.letters)
+    floor_of = _letter_floors(pot)
+    floor = min(map(floor_of, finite.letters))
     ambient = ambient_total_variation(pot)
     threshold = min(local_len * floor - ambient, 0.0)
     excursion_cutoff = _printable_letter_bound(
@@ -299,12 +314,19 @@ def letter_cutoff(
         # and steps down to b, i + 1 + e(b) - b <= K + 1 edges in all.
         wide_bound = least_entry_letter(spec, max(target, max(finite.letters)))
         wide_len, wide_letters = wide_bound + 1, range(wide_bound + 1)
+    elif spec.kind == KIND_FULL:
+        # The full core is 0..K, K the top wanted letter inside the alphabet, after
+        # covering_core's size check; every pair is an edge, so every least walk is one.
+        wide_bound = min(max(target, max(finite.letters)), spec.max_letter())
+        _truncation_within_limit(spec, wide_bound)
+        within_budget(wide_bound)
+        wide_len, wide_letters = 1, range(wide_bound + 1)
     else:
         core = covering_core(spec, set(range(target + 1)) | set(finite.letters))
         wide_bound, wide_letters = max(core.letters), core.letters
         within_budget(wide_bound)  # before one least-walk table per core letter
         wide_len = max(n for b in core.letters for n, _ in least_exits(b, core.pred).values())
-    wide_floor = min(inf_bound_on_letter(pot, i) for i in wide_letters)
+    wide_floor = min(map(floor_of, wide_letters))
     wide_threshold = wide_len * wide_floor - ambient
     confinement = 1 + _printable_letter_bound(
         pot, wide_threshold, f"confinement bound for letter {letter}"

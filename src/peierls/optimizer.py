@@ -222,7 +222,8 @@ def _longest_walk(graph: WeightedMemoryGraph, seeds: Mapping[Vertex, float]) -> 
     with all reduced cycle weights nonpositive the optimum is attained on
     simple paths, so |V|-1 sweeps suffice.  A final check sweep turns any
     surviving improvement above the tolerance into ``PositiveCycleError``,
-    and a vertex no seed reaches into ``GraphError``.
+    and a vertex no seed reaches into ``GraphError``, which names float overflow
+    when an edge from a reached vertex still leaves it at -inf.
     """
     values: dict[Vertex, float] = {v: -math.inf for v in graph.vertices}
     for v, s in seeds.items():
@@ -246,7 +247,10 @@ def _longest_walk(graph: WeightedMemoryGraph, seeds: Mapping[Vertex, float]) -> 
             )
     stuck = sorted(v for v, x in values.items() if x == -math.inf)
     if stuck:
-        raise GraphError(f"vertices unreachable from the seeds: {stuck[:4]}")
+        # an edge from a reached vertex adds up to -inf only past the float range
+        overflow = any(values[u] > -math.inf for v in stuck for u in graph.pred[v])
+        why = " (their walk weights overflow the float range to -inf)" if overflow else ""
+        raise GraphError(f"vertices unreachable from the seeds: {stuck[:4]}{why}")
     return values
 
 

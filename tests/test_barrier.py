@@ -28,6 +28,7 @@ from peierls.barrier import (
     coercive_letter_bound,
     inf_bound_on_letter,
 )
+from peierls.digraph import least_exits
 from peierls.potential import admissible_words
 
 from oracles import (
@@ -251,6 +252,83 @@ def test_cutoff_connect_lens_match_all_pairs_bfs_on_finite_shifts():
         if spec.kind != "renewal":
             reports += sum(check_connect_lens(spec, pot, core, l) for l in core.letters)
     assert reports >= 100
+
+
+def test_full_shift_stage_two_builds_no_least_walk_table():
+    # the full core 0..K has an edge between every two letters, so its least walks are
+    # all one edge long; only stage one's table is built
+    rng = random.Random(40)
+    reports = 0
+    for n in range(1, 41):
+        spec = ShiftSpec(kind="full", alphabet_size=n)
+        for top in {0, rng.randrange(n), n - 1}:
+            core = truncate(spec, top)
+            depth = rng.randint(1, 2)
+            words = [tuple(rng.randrange(n) for _ in range(depth)) for _ in range(3)]
+            table = {w: rng.uniform(-3.0, 1.0) for w in words}
+            scale = rng.uniform(0.3, 4.0)
+            pot = PotentialSpec(depth=depth, tail_kind="linear", tail_scale=scale, table=table)
+            for letter in {0, top}:
+                with mock.patch.object(barrier, "least_exits", wraps=least_exits) as spy:
+                    reports += check_connect_lens(spec, pot, core, letter)
+                assert spy.call_count == 1
+    assert reports >= 100
+
+
+def test_full_shift_stage_two_keeps_the_core_size_check():
+    # stage one asks for letters up to 601 of 1,000, inside the budget, but the core's
+    # edges pass the size limit
+    spec = ShiftSpec(kind="full", alphabet_size=1000)
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): -600.0})
+    with pytest.raises(TruncationError) as info:
+        letter_cutoff(spec, pot, truncate(spec, 3), 0)
+    assert str(info.value) == "362404 edges among letters 0..601 exceed the size limit of 250000"
+
+
+class CountingTable(dict):
+    """A potential table that counts how often it is read whole."""
+
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_letter_floors_read_the_table_once_per_call():
+    # one floor per letter of a stage-two core of hundreds of letters, from one read;
+    # each report still equals its per-letter definition
+    rng = random.Random(29)
+    for rule in ((2, 0), (1, 1), (3, 2)):
+        spec = ShiftSpec(kind="renewal", renewal_rule=rule)
+        core = covering_core(spec, range(12))
+        letters = rng.sample(range(40), 20)
+        table = CountingTable({(j,): rng.uniform(-3.0, 0.0) for j in letters})
+        pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table=table)
+        graph = optimize(build_memory_graph(core, pot))
+        table.reads = 0
+        report = letter_cutoff(spec, pot, core, 0)
+        assert table.reads <= 3  # the floors, then coercive_letter_bound twice
+        table.reads = 0
+        bounds = compute_barrier(graph).bounds
+        assert table.reads <= 2  # the floors, then the low-letter cutoff
+
+        local = max(n for n, _ in least_exits(0, core.pred).values())
+        floor = min(inf_bound_on_letter(pot, i) for i in core.letters)
+        assert report.excursion_cutoff == coercive_letter_bound(pot, min(local * floor, 0.0))
+        assert report.wide_bound > 100
+        assert check_connect_lens(spec, pot, core, 0)
+        base = graph.critical_cycle[0][0]
+        expected = {}
+        for a in core.letters:
+            word = oracle_connecting_word(core.succ, a, base)
+            low = min(inf_bound_on_letter(pot, x) for x in {a, base, *word})
+            expected[a] = (len(word) + 1) * (graph.max_mean - low)
+        assert bounds.per_letter == expected
 
 
 def test_per_letter_bounds_match_a_connecting_word_per_letter():

@@ -257,6 +257,54 @@ def test_a_positive_cycle_in_the_barrier_walk_is_an_input_error(tmp_path, capsys
     assert err == "error: reduced cycle with positive weight through edge (0,) -> (1,)\n"
 
 
+def _barrier_on(tmp_path, shift, table, depth, *extra):
+    """``peierls barrier`` on the given shift and linear-tail table, in-process."""
+    paths = tmp_path / "shift.json", tmp_path / "pot.json"
+    paths[0].write_text(json.dumps(shift))
+    rows = [{"word": list(word), "value": value} for word, value in table.items()]
+    paths[1].write_text(json.dumps({"depth": depth, "tail": TAIL, "table": rows}))
+    return run(["barrier", "--shift", str(paths[0]), "--potential", str(paths[1]), *extra])
+
+
+def test_a_cutoff_threshold_that_overflows_is_reported_in_place(tmp_path, capsys):
+    # local_len * floor = 5 * -1e308 overflows to -inf; the barrier still prints
+    shift = {"kind": "renewal", "renewal": {"a": 2, "b": 0}}
+    assert _barrier_on(tmp_path, shift, {(0,): -1e308}, 1, "--max-letter", "4") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["values"]["4"] == -8.000000000000001e307
+    assert payload["cutoff"] == {
+        "letter": 0,
+        "error": "excursion cutoff for letter 0 needs a finite threshold, got -inf",
+    }
+    assert payload["bounds"]["low_letter_peak"] == 0.0
+
+
+def test_an_ambient_variation_that_overflows_is_reported_in_place(tmp_path, capsys):
+    # the spread 1e308 - (-1e308) under prefix [1] is inf, and so is every threshold
+    table = {(0, 0): 0.0, (0, 1): -1e308, (1, 0): 1e308, (1, 1): -1e308}
+    assert _barrier_on(tmp_path, {"kind": "full", "alphabet_size": 2}, table, 2) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["values"] == {"0": 0.0, "1": -1e308}
+    assert payload["bounds"] == {"error": "low-letter cutoff needs a finite threshold, got -inf"}
+    assert payload["cutoff"] == {
+        "letter": 0,
+        "error": "excursion cutoff for letter 0 needs a finite threshold, got -inf",
+    }
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "csv"]])
+def test_a_barrier_walk_whose_weights_overflow_says_so(tmp_path, capsys, extra):
+    # m = 1e308 from the loop at 0, so the edge 0 -> 1 reduces to -1e308 - 1e308 = -inf
+    table = {(0, 0): 1e308, (0, 1): -1e308, (1, 0): 0.0, (1, 1): 0.0}
+    assert _barrier_on(tmp_path, {"kind": "full", "alphabet_size": 2}, table, 2, *extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: vertices unreachable from the seeds: [(1,)] "
+        "(their walk weights overflow the float range to -inf)\n"
+    )
+
+
 def test_a_cut_of_a_finite_shift_that_is_not_transitive_names_its_groups(tmp_path, capsys):
     # cut at 2, the edge 3 -> 0 is gone, so no walk from 1 or 2 comes back to 0
     edges = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 0], [0, 2], [0, 3], [1, 1], [1, 3], [2, 1], [3, 3]]
