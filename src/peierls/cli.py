@@ -13,7 +13,6 @@ import gc
 import math
 import sys
 from collections.abc import Mapping
-from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -40,8 +39,10 @@ def __getattr__(name: str):
 
 def _load(*layers: str) -> None:
     for layer in layers:
-        module = import_module(f".{layer}", __package__)
-        for name in _LAYERS[layer].split():
+        names = _LAYERS[layer].split()
+        # as `from .layer import names` does, so -X importtime lists it; import_module hides it
+        module = __import__(f"{__package__}.{layer}", fromlist=names)
+        for name in names:
             globals().setdefault(name, getattr(module, name))
 
 
