@@ -9,6 +9,7 @@ predicts which truncation bound is large enough for the values near a given
 letter to stop moving.  The potential bounds they read ignore adjacency, so
 they hold in every truncation.
 """
+
 from __future__ import annotations
 
 import math
@@ -20,7 +21,8 @@ from typing import Callable, Mapping, NamedTuple
 from .countable import connecting_word, covering_core, least_entry_letter
 from .digraph import least_exits
 from .optimizer import GraphError, WeightedMemoryGraph, _require_optimized
-from .potential import TAIL_LINEAR, TAIL_LOG, PotentialError, PotentialSpec, _prefix_spread, tail_value
+from .potential import TAIL_LINEAR, TAIL_LOG, PotentialError, PotentialSpec, tail_value
+from .potential import _prefix_spread
 from .shift_space import (
     KIND_FULL,
     KIND_RENEWAL,

@@ -3,8 +3,8 @@
 Each finite truncation is exact on its own letters; this layer carries it across the
 alphabet.  ``covering_core`` searches for the least truncation bound whose transitive core
 covers given letters, ``connecting_word`` reads least connecting words inside a core, and
-``check_bp`` / ``check_bi`` decide whether a finite set of letters enters (BP) or is the
-exit of (BI) every letter of the spec.
+``check_bp`` / ``check_bi`` decide whether some finite set of letters steps into every
+letter (BP) or is stepped into from every letter (BI).
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple
 
-from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph, _checked_tol, _require_optimized
+from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph
+from .optimizer import _checked_tol, _require_optimized
 from .shift_space import Word
 
 Vertex = Word
