@@ -9,8 +9,6 @@ truncation-convergence diagnostics on top.
 that defines it on first access (PEP 562) and is then bound here.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 DEFAULT_TOL = 1e-9  # here, not in optimizer, so the command line reads it without a layer
@@ -45,8 +43,9 @@ __all__ = sorted([*_OWNER, "DEFAULT_TOL"])
 def __getattr__(name: str):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
-    globals()[name] = value
+    # as `from .layer import name` does, so -X importtime lists the layer; import_module hides it
+    layer = __import__(f"{__name__}.{_OWNER[name]}", fromlist=[name])
+    value = globals()[name] = getattr(layer, name)
     return value
 
 

@@ -182,14 +182,21 @@ def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) ->
         if u[0] <= cutoff:
             firsts.setdefault(u[0], set()).update(graph.succ[u])
     low_peak = max((values[min(t)] for t in firsts.values()), default=float("-inf"))
+    global_bound = max(low_peak, cycle_peak) + ambient
 
+    # a ceiling past the float range bounds nothing, and JSON has no number for it
+    named = [(f"ceiling on letter {a}", c) for a, c in per_letter.items() if not math.isfinite(c)]
+    named += [("low-letter peak", low_peak), ("base-cycle peak", cycle_peak)]
+    for what, ceiling in named + [("global bound", global_bound)]:
+        if not math.isfinite(ceiling):
+            raise TruncationError(f"{what} is not finite, got {ceiling!r}")
     return UpperBoundReport(
         per_letter=per_letter,
         low_letter_peak=low_peak,
         base_cycle_peak=cycle_peak,
         low_letter_cutoff=cutoff,
         ambient_variation=ambient,
-        global_bound=max(low_peak, cycle_peak) + ambient,
+        global_bound=global_bound,
     )
 
 

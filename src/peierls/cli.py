@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_TOL, _LAYERS, _OWNER
+from . import DEFAULT_TOL, _OWNER
 
 if TYPE_CHECKING:
     import argparse
@@ -24,26 +24,21 @@ if TYPE_CHECKING:
     from .optimizer import WeightedMemoryGraph
     from .potential import PotentialSpec
     from .shift_space import FiniteShift, ShiftSpec, Word
-    from .truncation import Stage
+    from .truncation import BoundednessProbe, TruncationFamily
 
 
-# ``import peierls.cli`` loads no layer: a handler binds the names of each layer it
-# runs with ``_load`` before calling them through this module's globals; a value
-# already bound here (a wrapper installed with setattr, say) is kept.
+# ``import peierls.cli`` loads no layer: handlers read each layer's names as attributes of
+# this module (``_layers.optimize``), so the first read loads the layer through the
+# package's lazy namespace and binds the name here, and a value already bound here (a
+# wrapper installed with setattr, say) is the one that runs.
 def __getattr__(name: str):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_OWNER[name])
-    return globals()[name]
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
-def _load(*layers: str) -> None:
-    for layer in layers:
-        names = _LAYERS[layer].split()
-        # as `from .layer import names` does, so -X importtime lists it; import_module hides it
-        module = __import__(f"{__package__}.{layer}", fromlist=names)
-        for name in names:
-            globals().setdefault(name, getattr(module, name))
+_layers = sys.modules[__name__]
 
 
 SCHEMA = 1
@@ -118,49 +113,53 @@ def _emit(args: SimpleNamespace, text: str) -> None:
 def _emit_json(args: SimpleNamespace, payload: dict) -> None:
     import json  # here, like argparse, so that `import peierls.cli` loads neither
 
-    _emit(args, json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, indent=2) + "\n")
+    report = {"schema": SCHEMA, **payload}
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # JSON has no inf or nan: name the first field that holds one
+        for field in sorted(report):
+            try:
+                json.dumps(report[field], allow_nan=False)
+            except ValueError:
+                raise ValueError(f"report field {field!r} holds a non-finite number") from None
+        raise
+    _emit(args, text + "\n")
 
 
 def _load_inputs(args: SimpleNamespace) -> tuple[ShiftSpec, PotentialSpec]:
-    _load("shift_space", "potential")
-    spec = parse_shift_spec(_read_text(args.shift))
-    pot = parse_potential(_read_text(args.potential))
-    validate_table(pot, spec)
+    spec = _layers.parse_shift_spec(_read_text(args.shift))
+    pot = _layers.parse_potential(_read_text(args.potential))
+    _layers.validate_table(pot, spec)
     return spec, pot
 
 
 def _finite_for(args: SimpleNamespace, spec: ShiftSpec) -> FiniteShift:
     if spec.max_letter() is not None:
         bound = spec.max_letter() if args.max_letter is None else args.max_letter
-        finite = truncate(spec, bound)
-        return transitive_core(finite, finite.letters)  # a split names its letter groups
+        finite = _layers.truncate(spec, bound)
+        return _layers.transitive_core(finite, finite.letters)  # a split names its letter groups
     if args.max_letter is None:
         raise ValueError("--max-letter is required for countable-alphabet shifts")
-    _load("countable")
-    return covering_core(spec, range(args.max_letter + 1))
+    return _layers.covering_core(spec, range(args.max_letter + 1))
 
 
-def _optimized_graph(
-    args: SimpleNamespace,
-) -> tuple[ShiftSpec, PotentialSpec, WeightedMemoryGraph]:
+def _optimized_graph(args: SimpleNamespace) -> tuple[ShiftSpec, PotentialSpec, WeightedMemoryGraph]:
     spec, pot = _load_inputs(args)
-    _load("optimizer")
     finite = _finite_for(args, spec)
-    return spec, pot, optimize(build_memory_graph(finite, pot), args.tol)
+    return spec, pot, _layers.optimize(_layers.build_memory_graph(finite, pot), args.tol)
 
 
 def _cmd_shift_check(args: SimpleNamespace) -> int:
-    _load("shift_space", "countable")
-    spec = parse_shift_spec(_read_text(args.shift))
+    spec = _layers.parse_shift_spec(_read_text(args.shift))
     transitive = None
     if spec.max_letter() is not None:
-        transitive = is_transitive(truncate(spec, spec.max_letter()))
+        transitive = _layers.is_transitive(_layers.truncate(spec, spec.max_letter()))
     _emit_json(
         args,
         {
             "kind": spec.kind,
-            "bp": _plain(check_bp(spec, args.horizon)),
-            "bi": _plain(check_bi(spec, args.horizon)),
+            "bp": _plain(_layers.check_bp(spec, args.horizon)),
+            "bi": _plain(_layers.check_bi(spec, args.horizon)),
             "transitive": transitive,
         },
     )
@@ -182,22 +181,21 @@ def _cmd_optimize(args: SimpleNamespace) -> int:
 
 def _cmd_barrier(args: SimpleNamespace) -> int:
     spec, pot, graph = _optimized_graph(args)
-    result = compute_barrier(graph)
+    result = _layers.compute_barrier(graph)
     if args.format == "csv":
         rows = [f"{_word_key(v)},{value!r}" for v, value in sorted(result.values.items())]
         _emit(args, "\n".join(rows) + "\n")
         return 0
 
-    _load("barrier")
     base_letter = result.base_vertex[0]
     try:
-        cutoff = _plain(letter_cutoff(spec, pot, graph.shift, base_letter))
-    except TruncationError as exc:
+        cutoff = _plain(_layers.letter_cutoff(spec, pot, graph.shift, base_letter))
+    except _layers.TruncationError as exc:
         # the cutoff and bounds are diagnostics; their failure must not hide the barrier
         cutoff = {"letter": base_letter, "error": str(exc)}
     try:
         bounds = _plain(result.bounds)
-    except TruncationError as exc:
+    except _layers.TruncationError as exc:
         bounds = {"error": str(exc)}
     _emit_json(
         args,
@@ -213,10 +211,9 @@ def _cmd_barrier(args: SimpleNamespace) -> int:
 
 
 def _cmd_subaction_verify(args: SimpleNamespace) -> int:
-    _load("subaction")
     _, _, graph = _optimized_graph(args)
     values = _load_values_csv(args.values)
-    report = verify_subaction(graph, values)
+    report = _layers.verify_subaction(graph, values)
     _emit_json(
         args,
         {
@@ -238,11 +235,10 @@ def _cmd_subaction_verify(args: SimpleNamespace) -> int:
 
 
 def _cmd_subaction_compare(args: SimpleNamespace) -> int:
-    _load("subaction")
     _, _, graph = _optimized_graph(args)
     first = _load_values_csv(args.values)
     second = _load_values_csv(args.values_b)
-    report = uniqueness_comparison(graph, first, second)
+    report = _layers.uniqueness_comparison(graph, first, second)
     payload = _plain(report)
     payload.update(payload.pop("comparison"))
     _emit_json(args, payload)
@@ -251,21 +247,31 @@ def _cmd_subaction_compare(args: SimpleNamespace) -> int:
     return 0
 
 
-def _stage_summary(stage: Stage) -> dict:
+def _family_report(family: TruncationFamily, probe: BoundednessProbe | None) -> dict:
+    """The fields ``converge`` and ``demo renewal`` share: a summary of each stage,
+    whether the base and the cycle stay put, and the boundedness probe."""
+    stages = [
+        {
+            "requested": stage.requested,
+            "used": stage.used,
+            "m": stage.graph.max_mean,
+            "base": list(stage.barrier.base_vertex),
+            "cycle": [list(v) for v in stage.graph.critical_cycle],
+            "vertices": len(stage.graph.vertices),
+        }
+        for stage in family.stages
+    ]
     return {
-        "requested": stage.requested,
-        "used": stage.used,
-        "m": stage.graph.max_mean,
-        "base": list(stage.barrier.base_vertex),
-        "cycle": [list(v) for v in stage.graph.critical_cycle],
-        "vertices": len(stage.graph.vertices),
+        "stages": stages,
+        "base_stable": family.base_stable,
+        "cycle_stable": family.cycle_stable,
+        "probe": _plain(probe),
     }
 
 
 def _cmd_converge(args: SimpleNamespace) -> int:
-    _load("truncation")
     spec, pot = _load_inputs(args)
-    family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
+    family = _layers.build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
 
     if args.format == "csv":
         rows = []
@@ -277,48 +283,37 @@ def _cmd_converge(args: SimpleNamespace) -> int:
 
     stabilization = None
     if args.letters:
-        stabilization = stabilization_experiment(family, args.letters)
+        stabilization = _layers.stabilization_experiment(family, args.letters)
     probe = None
     if args.scan_to is not None:
-        probe = bp_boundedness_probe(family, spec, args.scan_to)
-    _emit_json(
-        args,
-        {
-            "stages": [_stage_summary(s) for s in family.stages],
-            "base_stable": family.base_stable,
-            "cycle_stable": family.cycle_stable,
-            "stabilization": _plain(stabilization),
-            "probe": _plain(probe),
-        },
-    )
+        probe = _layers.bp_boundedness_probe(family, spec, args.scan_to)
+    _emit_json(args, {**_family_report(family, probe), "stabilization": _plain(stabilization)})
     if args.assert_verdict and stabilization is not None and not stabilization.ok:
         return 1
     return 0
 
 
 def _cmd_demo_renewal(args: SimpleNamespace) -> int:
-    _load("truncation", "shift_space", "potential", "countable")
-    spec = ShiftSpec(kind=KIND_RENEWAL, renewal_rule=(args.a, args.b))
-    pot = PotentialSpec(depth=1, tail_kind=TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0})
-    family = build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
-    probe = bp_boundedness_probe(family, spec, args.scan_to)
-    if probe.verdict == DIVERGENT:
+    spec = _layers.ShiftSpec(kind=_layers.KIND_RENEWAL, renewal_rule=(args.a, args.b))
+    pot = _layers.PotentialSpec(
+        depth=1, tail_kind=_layers.TAIL_LINEAR, tail_scale=1.0, table={(0,): 0.0}
+    )
+    family = _layers.build_family(spec, pot, args.stages, tol=args.tol, use_cache=args.use_cache)
+    probe = _layers.bp_boundedness_probe(family, spec, args.scan_to)
+    if probe.verdict == _layers.DIVERGENT:
         conclusion = "no bounded calibrated subaction exists."
-    elif probe.verdict == BOUNDED:
+    elif probe.verdict == _layers.BOUNDED:
         conclusion = "a bounded calibrated subaction exists."
     else:
         conclusion = "the probe is inconclusive."
     _emit_json(
         args,
         {
+            **_family_report(family, probe),
             "renewal": {"a": args.a, "b": args.b},
-            "stages": [_stage_summary(s) for s in family.stages],
             "m": family.stages[-1].graph.max_mean,
-            "base_stable": family.base_stable,
-            "cycle_stable": family.cycle_stable,
-            "probe": _plain(probe),
             "verdicts": {"bp": probe.bp.status, "boundedness": probe.verdict},
-            "bi": _plain(check_bi(spec)),
+            "bi": _plain(_layers.check_bi(spec)),
             "conclusion": conclusion,
             "notes": [
                 "every renewal rule fails the exit-set check: each letter j >= 1 has "

@@ -266,17 +266,27 @@ def _barrier_on(tmp_path, shift, table, depth, *extra):
     return run(["barrier", "--shift", str(paths[0]), "--potential", str(paths[1]), *extra])
 
 
+def _strict_json(text: str):
+    """``json.loads`` that rejects Infinity, -Infinity and NaN, as strict JSON readers do."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_a_cutoff_threshold_that_overflows_is_reported_in_place(tmp_path, capsys):
-    # local_len * floor = 5 * -1e308 overflows to -inf; the barrier still prints
+    # local_len * floor = 5 * -1e308 overflows to -inf, and so do the ceilings of letters
+    # 3 and 4 (their connector length times m - low = 8e307); the barrier still prints
     shift = {"kind": "renewal", "renewal": {"a": 2, "b": 0}}
     assert _barrier_on(tmp_path, shift, {(0,): -1e308}, 1, "--max-letter", "4") == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["values"]["4"] == -8.000000000000001e307
     assert payload["cutoff"] == {
         "letter": 0,
         "error": "excursion cutoff for letter 0 needs a finite threshold, got -inf",
     }
-    assert payload["bounds"]["low_letter_peak"] == 0.0
+    assert payload["bounds"] == {"error": "ceiling on letter 3 is not finite, got inf"}
 
 
 def test_an_ambient_variation_that_overflows_is_reported_in_place(tmp_path, capsys):
@@ -636,6 +646,29 @@ def test_verify_assert_fails_on_broken_values(gm_files, tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_subaction"] is False
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        (["verify"], "worst_violation"),  # the step 1e308 -> -1e308 overflows
+        (["compare", "--values-b", "b.csv"], "constant"),  # the differences are inf and -inf
+    ],
+    ids=["verify", "compare"],
+)
+def test_a_report_number_that_is_not_finite_is_an_input_error(
+    gm_files, tmp_path, monkeypatch, capsys, command, field
+):
+    # JSON has no inf or nan: the command names the field and prints nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text("0,1e308\n1,-1e308\n", encoding="utf-8")
+    (tmp_path / "b.csv").write_text("0,-1e308\n1,1e308\n", encoding="utf-8")
+    shift, pot = gm_files
+    argv = ["subaction", *command, "--shift", shift, "--potential", pot, "--values", "a.csv"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: report field {field!r} holds a non-finite number\n"
 
 
 def test_compare_constant_difference(gm_files, tmp_path, capsys):

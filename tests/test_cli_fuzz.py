@@ -1,5 +1,6 @@
 """``cli.run`` on drawn inputs and command lines: it exits 0, 1 or 2, nothing but
-``SystemExit`` escapes it, and a barrier it prints is a calibrated subaction.
+``SystemExit`` escapes it, every JSON report it prints is strict JSON (no Infinity
+or NaN), and a barrier it prints is a calibrated subaction.
 
 Shifts are renewal, full or explicit-finite; potentials have depth 1 to 3 and
 values that are clean, tie-heavy (-1, 0 or 0 plus noise below the tolerance),
@@ -146,6 +147,10 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _reject_constant(constant: str):
+    raise AssertionError(f"{constant} is not JSON")
+
+
 def _barrier_values(argv: list[str], stdout: str) -> dict:
     if "csv" in argv:
         rows = (line.split(",") for line in stdout.splitlines())
@@ -187,5 +192,7 @@ def test_run_exits_0_1_or_2_and_a_printed_barrier_is_calibrated(case, offsets):
         argv = [files.get(a, a) for a in argv]
         code, stdout = _run(argv)
         event(f"{' '.join(a for a in argv[:2] if not a.startswith('-'))} exits {code}")
+        if stdout and "csv" not in argv:
+            json.loads(stdout, parse_constant=_reject_constant)
         if argv[0] == "barrier" and code == 0:
             _check_barrier(argv, shift, pot, stdout)

@@ -189,6 +189,29 @@ def test_unknown_names_raise_attribute_error():
         exec("from peierls import no_such_name", {})
 
 
+def test_cli_takes_only_layer_names_from_the_package():
+    with pytest.raises(AttributeError, match="^module 'peierls.cli' has no attribute 'no_such_"):
+        cli.no_such_name
+    for name in "__all__", "__path__":  # the package has both
+        assert hasattr(peierls, name)
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
+
+
+def test_a_public_name_imports_its_layer_as_an_import_statement_does(tmp_path):
+    # -X importtime logs an import statement's module, and import_module's not at all
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import peierls; peierls.optimize"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "peierls.optimizer" in {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
+
+
 @pytest.mark.parametrize(
     "name, command",
     [
