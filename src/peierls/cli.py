@@ -436,6 +436,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    gc.disable()  # a run's graphs hold no cycles: the collector would only re-walk them
     code = run(sys.argv[1:])
     gc.freeze()  # the exit-time collections skip frozen objects, and nothing needs them
     sys.exit(code)

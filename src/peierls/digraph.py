@@ -1,8 +1,10 @@
 """Deterministic digraph helpers shared by the shift and optimizer layers.
 
-Strong connectivity is Kosaraju's two-pass algorithm (Sharir 1981) over the
-successor and predecessor maps its caller holds, ``adjacency`` is the one
-builder of those maps, and ``least_exits`` the one statement of least walks.
+Strongly connected components are Kosaraju's two-pass algorithm (Sharir 1981)
+over the successor and predecessor maps its caller holds, ``reaches_all`` the
+breadth-first pass that, run each way, decides strong connectivity alone,
+``adjacency`` the one builder of those maps, and ``least_exits`` the one
+statement of least walks.
 """
 
 from __future__ import annotations
@@ -64,6 +66,18 @@ def strongly_connected_components(
                         comp.append(v)
             comps.append(sorted(comp))
     return comps
+
+
+def reaches_all(nodes: Sequence[N], succ: Mapping[N, Iterable[N]]) -> bool:
+    """Whether walks along ``succ`` from the first of the ``nodes`` reach all of them: strong
+    connectivity when it holds for the successors and for the predecessors."""
+    seen, order = set(nodes[:1]), list(nodes[:1])
+    for node in order:  # grows while it is read
+        for v in succ[node]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return 0 < len(order) == len(nodes)
 
 
 def least_exits(b: N, pred: Mapping[N, Iterable[N]]) -> dict[N, tuple[int, N]]:

@@ -10,20 +10,23 @@ every vertex on a cycle whose mean attains m.  ``optimize`` returns a new
 graph carrying these results and leaves its argument unchanged, and
 ``compute_barrier`` walks it from the canonical cycle's base.
 
-Vertices only need to be hashable and mutually sortable; library callers
-use letter words, tests are free to use bare integers.
+A graph numbers its vertices once, in sorted order, for every pass to read;
+words come back only in the results.  Vertices only need to be hashable and
+mutually sortable: library callers use letter words, tests bare integers.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import reduce
+from collections import UserDict
+from functools import cached_property, reduce
+from itertools import accumulate
 from operator import add
-from typing import TYPE_CHECKING, Any, Collection, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from . import DEFAULT_TOL
-from .digraph import adjacency, least_word, strongly_connected_components
+from .digraph import least_word, reaches_all, strongly_connected_components
 from .potential import PotentialSpec, admissible_words, evaluate
 from .shift_space import FiniteShift, _within_limit
 
@@ -42,18 +45,45 @@ class PositiveCycleError(GraphError):
     """A reduced cycle with positive weight survived; the mean value is inconsistent."""
 
 
+class _Numbered(NamedTuple):
+    """A graph by vertex number: edge e, in sorted order, runs from ``sources[e]`` to ``targets[e]``
+    with weight ``weights[e]``, u's out-edges are ``starts[u]`` up to ``starts[u + 1]``."""
+
+    words: tuple[Vertex, ...]
+    index: dict[Vertex, int]
+    sources: list[int]
+    targets: list[int]
+    weights: list[float]
+    starts: list[int]
+    succ: list[list[int]]
+    pred: list[list[int]]
+
+
+class _View(UserDict):
+    """A word-keyed map of a numbered graph, built in full when it is first read."""
+
+    def __init__(self, num: _Numbered, build: Callable[[], dict]) -> None:
+        self.num, self._build = num, build
+
+    @cached_property
+    def data(self) -> dict:
+        return self._build()
+
+
 class WeightedMemoryGraph(NamedTuple):
     """Finite weighted digraph plus the optimization results, once computed.
 
     ``optimize`` returns a copy with the ``max_mean`` / ``critical_*`` fields set and
     ``tol``, its ``tol`` raised to the float rounding of a |V|-edge walk sum: the one
     tolerance every later pass on the graph reads.  The graph it was given stays as is.
+    The passes read the numbering behind ``weights``; ``weights``, ``succ`` and ``pred``
+    are word-keyed views of it, each built when it is first read.
     """
 
     vertices: tuple[Vertex, ...]
-    weights: dict[Edge, float]
-    succ: dict[Vertex, tuple[Vertex, ...]]
-    pred: dict[Vertex, tuple[Vertex, ...]]
+    weights: Mapping[Edge, float]
+    succ: Mapping[Vertex, tuple[Vertex, ...]]
+    pred: Mapping[Vertex, tuple[Vertex, ...]]
     shift: FiniteShift | None = None
     pot: PotentialSpec | None = None
     max_mean: float | None = None
@@ -75,26 +105,49 @@ class WeightedMemoryGraph(NamedTuple):
         canonical cycle is their shortest cycle, least on ties, and m is its mean weight.
         The class is unique when it is one component whose vertices each have exactly
         one critical out-edge.  ``tol`` is the effective tolerance, ``_rounding_tol`` of
-        the caller's, and the copy carries it as its ``tol``.
+        the caller's, and the copy carries it as its ``tol``.  An edge off the graph raises
+        ``KeyError`` or ``ValueError``.
         """
-        nodes = sorted({v for edge in tight for v in edge})  # few on a cache hit
-        succ, pred = adjacency(nodes, tight)
-        comps = strongly_connected_components(nodes, succ, pred)
-        critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in succ[comp[0]])
-        comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
-        edges = [(u, v) for u, idx in comp_of.items() for v in succ[u] if comp_of.get(v) == idx]
-        cycle = _canonical_cycle(*adjacency(comp_of, edges))
-        total = birkhoff_sum(self, cycle + cycle[:1])
-        unique = len(critical) == 1 and len(edges) == len(critical[0])  # each has >= 1
-        return self._replace(
-            max_mean=total / len(cycle),
-            critical_cycle=cycle,
-            critical_class=frozenset(comp_of),
-            critical_edges=frozenset(edges),
-            critical_components=tuple(map(tuple, critical)),
-            critical_class_unique=unique,
-            tol=tol,
-        )
+        num = _numbered(self)
+        ids = sorted(_edge(num, num.index[u], num.index[v]) for u, v in tight)
+        return _optimum(self, num, ids, tol, False)
+
+
+def _adjacent(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], ...]:
+    """Successors and predecessors of vertices 0..n-1, from number pairs in sorted order."""
+    succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in pairs:
+        succ[u].append(v)
+        pred[v].append(u)
+    return succ, pred
+
+
+def _graph(verts: tuple[Vertex, ...], edges: Iterable[tuple[Edge, float]], **fields: Any):
+    """The graph on ``verts``, sorted, whose (edge, weight) pairs come in sorted order: numbered
+    once, in vertex order; its ``weights``, ``succ`` and ``pred`` are views built when read."""
+    index, sources, targets, weights = {v: i for i, v in enumerate(verts)}, [], [], []
+    for (u, v), w in edges:
+        sources.append(index[u])
+        targets.append(index[v])
+        weights.append(w)
+    succ, pred = _adjacent(len(verts), zip(sources, targets))
+    starts = [0, *accumulate(map(len, succ))]
+    num = _Numbered(verts, index, sources, targets, weights, starts, succ, pred)
+    near = lambda ns: lambda: {v: tuple(verts[t] for t in ns[u]) for u, v in enumerate(verts)}
+    pairs = lambda: {(verts[u], verts[v]): w for u, v, w in zip(sources, targets, weights)}
+    views = (_View(num, build) for build in (pairs, near(succ), near(pred)))
+    return WeightedMemoryGraph(verts, *views, **fields)
+
+
+def _numbered(graph: WeightedMemoryGraph) -> _Numbered:
+    """The numbering behind ``graph``'s views, or a new one of plain maps on sorted vertices."""
+    w = graph.weights
+    return w.num if isinstance(w, _View) else _graph(graph.vertices, sorted(w.items())).weights.num
+
+
+def _edge(num: _Numbered, u: int, v: int) -> int:
+    """The number of the edge u -> v; ValueError when there is none."""
+    return num.targets.index(v, num.starts[u], num.starts[u + 1])
 
 
 def graph_from_weights(weights: Mapping[Edge, float]) -> WeightedMemoryGraph:
@@ -102,13 +155,7 @@ def graph_from_weights(weights: Mapping[Edge, float]) -> WeightedMemoryGraph:
     if not weights:
         raise GraphError("graph needs at least one edge")
     verts = tuple(sorted({u for u, _ in weights} | {v for _, v in weights}))
-    succ, pred = adjacency(verts, sorted(weights))
-    return WeightedMemoryGraph(
-        vertices=verts,
-        weights={e: float(w) for e, w in weights.items()},
-        succ=succ,
-        pred=pred,
-    )
+    return _graph(verts, [(edge, float(w)) for edge, w in sorted(weights.items())])
 
 
 def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemoryGraph:
@@ -119,20 +166,12 @@ def build_memory_graph(finite: FiniteShift, pot: PotentialSpec) -> WeightedMemor
     if not verts:
         raise GraphError("the truncation admits no words of the memory length")
     _within_limit(sum(len(finite.succ[u[-1]]) for u in verts), "memory-graph edges", GraphError)
-    weights: dict[Edge, float] = {}
-    for u in verts:
-        for letter in finite.succ[u[-1]]:
-            v = u[1:] + (letter,) if k >= 2 else (letter,)
-            weights[(u, v)] = evaluate(pot, u + (letter,))
-    succ, pred = adjacency(verts, weights)
-    return WeightedMemoryGraph(
-        vertices=verts,
-        weights=weights,
-        succ=succ,
-        pred=pred,
-        shift=finite,
-        pot=pot,
+    edges = (  # in sorted order: the words are sorted, and so is each successor list
+        ((u, u[1:] + (letter,) if k >= 2 else (letter,)), evaluate(pot, u + (letter,)))
+        for u in verts
+        for letter in finite.succ[u[-1]]
     )
+    return _graph(verts, edges, shift=finite, pot=pot)
 
 
 def _checked_tol(tol: float) -> float:
@@ -142,9 +181,9 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
-def _rounding_tol(graph: WeightedMemoryGraph, tol: float) -> float:
-    """``tol``, raised to the float rounding of a |V|-edge walk sum when weights are large."""
-    scale = max((abs(w) for w in graph.weights.values()), default=0.0)
+def _rounding_tol(graph: WeightedMemoryGraph, tol: float, top: float = 0.0) -> float:
+    """``tol``, raised to the float rounding of a |V|-edge walk sum of the weights less ``top``."""
+    scale = max((abs(w - top) for w in _numbered(graph).weights), default=0.0)
     return max(_checked_tol(tol), 4 * len(graph.vertices) * sys.float_info.epsilon * scale)
 
 
@@ -155,8 +194,8 @@ def _require_optimized(graph: WeightedMemoryGraph) -> float:
     return graph.tol
 
 
-def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex, float]]:
-    """Max-plus policy iteration: the maximum mean m and a subaction h = -x at m.
+def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, list[float]]:
+    """Max-plus policy iteration: the maximum mean m and a subaction h = -x at m, by number.
 
     A policy picks one out-edge per vertex, the heaviest first.  Each vertex gets the
     mean eta of the policy cycle it runs into and a bias x on the way, 0 at that cycle's
@@ -164,23 +203,31 @@ def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex,
     of larger bias, if the gain passes the tolerance; at the end x[u] >= w - m + x[v].
     A policy that comes back would come back forever, so it raises ``GraphError``.
     """
-    verts, n = graph.vertices, len(graph.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    targets = [sorted(index[t] for t in graph.succ[v]) for v in verts]
-    if not all(targets):
+    num = _numbered(graph)
+    n, sources, targets, starts = len(num.words), num.sources, num.targets, num.starts
+    if not all(num.succ):
         raise GraphError("a vertex without out-edges lies on no cycle")
     # Shifted to a top weight of 0, the weights set the tolerance by their spread, not
     # their size: at 1e12 a size-based one let the two phases undo each other forever.
-    top = max(graph.weights.values())
-    shifted = {edge: w - top for edge, w in graph.weights.items()}
-    weights = [[shifted[(v, verts[t])] for t in ts] for v, ts in zip(verts, targets)]
-    tol = _rounding_tol(graph._replace(weights=shifted), tol)
-    policy = [ws.index(max(ws)) for ws in weights]  # the least target on ties
+    top = max(num.weights)
+    weights, tol = [w - top for w in num.weights], _rounding_tol(graph, tol, top)
+    # the heaviest of u's out-edges, starts[u] up to starts[u + 1]; the least target on ties
+    policy = [weights.index(max(weights[a:b]), a, b) for a, b in zip(starts, starts[1:])]
+
+    def switch(gains: list[float], floor: list[float]) -> bool:
+        """Each vertex whose best out-edge gains more than ``tol`` over its floor takes it."""
+        switched = False
+        for i in {u for u, g in zip(sources, gains) if g > floor[u] + tol}:  # and maybe more
+            a, b = starts[i], starts[i + 1]
+            if max(gains[a:b]) > floor[i] + tol:
+                policy[i], switched = gains.index(max(gains[a:b]), a, b), True
+        return switched
+
     seen: dict[tuple[int, ...], int] = {}  # each policy run so far -> its iteration, from 1
     while (key := tuple(policy)) not in seen:
         seen[key] = len(seen) + 1
-        nxt = [ts[k] for ts, k in zip(targets, policy)]
-        step = [ws[k] for ws, k in zip(weights, policy)]
+        nxt = [targets[e] for e in policy]
+        step = [weights[e] for e in policy]
         eta, x, walked = [math.nan] * n, [0.0] * n, [-1] * n
         for start in range(n):
             path, v = [], start
@@ -197,21 +244,13 @@ def _howard(graph: WeightedMemoryGraph, tol: float) -> tuple[float, dict[Vertex,
             for u in reversed(path):
                 eta[u] = eta[nxt[u]]
                 x[u] = step[u] - eta[u] + x[nxt[u]]
-        switched = False
-        for i, ts in enumerate(targets):  # first on the cycle mean
-            gains = [eta[t] for t in ts]
-            if max(gains) > eta[i] + tol:
-                policy[i], switched = gains.index(max(gains)), True
-        if switched:
-            continue
-        for i, (ts, ws) in enumerate(zip(targets, weights)):  # then on the bias
+        if not switch([eta[t] for t in targets], eta):  # first on the cycle mean, then the bias
             gains = [
-                w - eta[i] + x[t] if eta[t] >= eta[i] - tol else -math.inf for t, w in zip(ts, ws)
+                w - eta[u] + x[t] if eta[t] >= eta[u] - tol else -math.inf
+                for u, t, w in zip(sources, targets, weights)
             ]
-            if max(gains) > x[i] + tol:
-                policy[i], switched = gains.index(max(gains)), True
-        if not switched:
-            return max(eta) + top, {v: -b for v, b in zip(verts, x)}
+            if not switch(gains, x):
+                return max(eta) + top, [-b for b in x]
     raise GraphError(f"the policy of iteration {len(seen) + 1} repeats iteration {seen[key]}")
 
 
@@ -225,33 +264,36 @@ def _longest_walk(graph: WeightedMemoryGraph, seeds: Mapping[Vertex, float]) -> 
     and a vertex no seed reaches into ``GraphError``, which names float overflow
     when an edge from a reached vertex still leaves it at -inf.
     """
-    values: dict[Vertex, float] = {v: -math.inf for v in graph.vertices}
+    num = _numbered(graph)
+    values = [-math.inf] * len(num.words)
     for v, s in seeds.items():
-        if v not in values:
+        if v not in num.index:
             raise GraphError(f"seed vertex {v!r} is not in the graph")
-        values[v] = float(s)
-    edges, m, tol = sorted(graph.weights.items()), graph.max_mean, _require_optimized(graph)
-    for _ in range(len(graph.vertices) - 1):
+        values[num.index[v]] = float(s)
+    m, tol, words = graph.max_mean, _require_optimized(graph), num.words
+    edges = num.sources, num.targets, [w - m for w in num.weights]  # in sorted order
+    for _ in range(len(values) - 1):
         changed = False
-        for (u, v), w in edges:  # an unreached u gives -inf, or nan for w = inf: both lose
-            cand = values[u] + (w - m)
+        for u, v, r in zip(*edges):  # an unreached u gives -inf, or nan for w = inf: both lose
+            cand = values[u] + r
             if cand > values[v]:
                 values[v] = cand
                 changed = True
         if not changed:
             break
-    for (u, v), w in edges:
-        if values[u] + (w - m) > values[v] + tol:
+    for u, v, r in zip(*edges):
+        if values[u] + r > values[v] + tol:
             raise PositiveCycleError(
-                f"reduced cycle with positive weight through edge {u!r} -> {v!r}"
+                f"reduced cycle with positive weight through edge {words[u]!r} -> {words[v]!r}"
             )
-    stuck = sorted(v for v, x in values.items() if x == -math.inf)
+    stuck = [v for v, x in enumerate(values) if x == -math.inf]
     if stuck:
         # an edge from a reached vertex adds up to -inf only past the float range
-        overflow = any(values[u] > -math.inf for v in stuck for u in graph.pred[v])
+        overflow = any(values[u] > -math.inf for v in stuck for u in num.pred[v])
         why = " (their walk weights overflow the float range to -inf)" if overflow else ""
-        raise GraphError(f"vertices unreachable from the seeds: {stuck[:4]}{why}")
-    return values
+        stuck = [words[v] for v in stuck[:4]]
+        raise GraphError(f"vertices unreachable from the seeds: {stuck}{why}")
+    return dict(zip(words, values))
 
 
 class BarrierResult(NamedTuple):
@@ -293,22 +335,20 @@ def compute_barrier(graph: WeightedMemoryGraph) -> BarrierResult:
 
 
 def _canonical_cycle(
-    intra_succ: Mapping[Vertex, tuple[Vertex, ...]],
-    intra_pred: Mapping[Vertex, tuple[Vertex, ...]],
-) -> tuple[Vertex, ...]:
-    """Minimal-length critical cycle, lexicographically least sequence on ties.
+    verts: list[int], intra_succ: list[list[int]], intra_pred: list[list[int]]
+) -> tuple[int, ...]:
+    """Minimal-length cycle of the critical edges among ``verts``, least sequence on ties.
 
     No cycle is shorter than a loop, so the least looped vertex answers when there is one.
     When every vertex has one critical out-edge, the class is disjoint simple cycles, each
     read from its least vertex; otherwise each vertex's least walk back to itself is one.
     """
-    verts = sorted(intra_succ)
     loops = [v for v in verts if v in intra_succ[v]]
     if loops:
         return (loops[0],)
     cycles = []
     if all(len(intra_succ[v]) == 1 for v in verts):
-        seen: set[Vertex] = set()
+        seen: set[int] = set()
         for v in verts:
             if v not in seen:
                 cycles.append([v])
@@ -325,28 +365,58 @@ def _canonical_cycle(
     return tuple(min(cycles, key=len))  # the least start on ties
 
 
+def _optimum(
+    graph: WeightedMemoryGraph, num: _Numbered, tight: list[int], tol: float, whole: bool
+) -> WeightedMemoryGraph:
+    """``with_optimum`` of the ``tight`` edges by number, ascending; ``whole`` when they are
+    all the edges of a strongly connected graph."""
+    n, words, sources, targets = len(num.words), num.words, num.sources, num.targets
+    ends = lambda edges: [(sources[e], targets[e]) for e in edges]
+    near = (num.succ, num.pred) if whole else _adjacent(n, ends(tight))
+    comps = [list(range(n))] if whole else strongly_connected_components(range(n), *near)
+    critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in near[0][comp[0]])
+    comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
+    edges = [e for e in tight if comp_of.get(sources[e], -1) == comp_of.get(targets[e])]
+    if len(edges) < len(tight):
+        near = _adjacent(n, ends(edges))
+    cycle = _canonical_cycle(sorted(comp_of), *near)
+    total = 0.0  # added left to right, as birkhoff_sum adds a walk
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        total += num.weights[_edge(num, u, v)]
+    return graph._replace(
+        max_mean=total / len(cycle),
+        critical_cycle=tuple(words[v] for v in cycle),
+        critical_class=frozenset(words[v] for v in comp_of),
+        critical_edges=frozenset((words[sources[e]], words[targets[e]]) for e in edges),
+        critical_components=tuple(tuple(words[v] for v in comp) for comp in critical),
+        critical_class_unique=len(critical) == 1 and len(edges) == len(critical[0]),  # each >= 1
+        tol=tol,
+    )
+
+
 def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMemoryGraph:
     """A copy of ``graph`` carrying m, the critical class and a canonical critical cycle."""
     if not graph.vertices:
         raise GraphError("graph has no vertices")
-    comps = strongly_connected_components(graph.vertices, graph.succ, graph.pred)
-    if len(comps) != 1:
+    num, nodes = _numbered(graph), range(len(graph.vertices))
+    if not (reaches_all(nodes, num.succ) and reaches_all(nodes, num.pred)):
+        comps = strongly_connected_components(nodes, num.succ, num.pred)
         raise GraphError(f"graph must be strongly connected; found {len(comps)} components")
     mean, h = _howard(graph, tol)
-    rounding, w = _rounding_tol(graph, tol), graph.weights
+    rounding, words = _rounding_tol(graph, tol), num.words
     # h[u] + (w - m) <= h[v] + rounding on every edge certifies that no cycle beats m
     tight, excess = [], {}
-    for u in graph.vertices:
-        for v in sorted(graph.succ[u]):
-            reach = h[u] + (w[(u, v)] - mean)
-            if reach > h[v] + rounding:
-                excess[(u, v)] = reach - h[v]
-            elif reach >= h[v] - rounding:
-                tight.append((u, v))
+    for e, (u, v, w) in enumerate(zip(num.sources, num.targets, num.weights)):
+        reach = h[u] + (w - mean)
+        if reach > h[v] + rounding:
+            excess[e] = reach - h[v]
+        elif reach >= h[v] - rounding:
+            tight.append(e)
     if excess:
-        u, v = max(excess, key=excess.get)
-        raise GraphError(f"m is not certified: edge {u!r} -> {v!r} beats it by {excess[(u, v)]!r}")
-    return graph.with_optimum(tight, rounding)
+        e = max(excess, key=excess.get)
+        u, v = words[num.sources[e]], words[num.targets[e]]
+        raise GraphError(f"m is not certified: edge {u!r} -> {v!r} beats it by {excess[e]!r}")
+    return _optimum(graph, num, tight, rounding, len(tight) == len(num.weights))
 
 
 def max_mean_cycle(
@@ -379,14 +449,8 @@ class PeriodicMeasure(NamedTuple):
         return reduce(add, (w * fn(v) for v, w in zip(self.cycle, self.weights)), 0.0)
 
 
-def periodic_measure(
-    graph: WeightedMemoryGraph, cycle: Sequence[Vertex]
-) -> PeriodicMeasure:
+def periodic_measure(graph: WeightedMemoryGraph, cycle: Sequence[Vertex]) -> PeriodicMeasure:
     if not cycle:
         raise GraphError("cycle must be nonempty")
-    closed = list(cycle) + [cycle[0]]
-    integral = birkhoff_sum(graph, closed) / len(cycle)
-    n = len(cycle)
-    return PeriodicMeasure(
-        cycle=tuple(cycle), weights=(1.0 / n,) * n, f_integral=integral
-    )
+    n, integral = len(cycle), birkhoff_sum(graph, [*cycle, cycle[0]]) / len(cycle)
+    return PeriodicMeasure(cycle=tuple(cycle), weights=(1.0 / n,) * n, f_integral=integral)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .digraph import adjacency, strongly_connected_components
+from .digraph import adjacency, reaches_all, strongly_connected_components
 
 Letter = int
 Word = tuple[int, ...]
@@ -300,8 +300,7 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
 
 def is_transitive(finite: FiniteShift) -> bool:
     """Strong connectivity of the finite transition structure."""
-    comps = strongly_connected_components(finite.letters, finite.succ, finite.pred)
-    return len(comps) == 1
+    return reaches_all(finite.letters, finite.succ) and reaches_all(finite.letters, finite.pred)
 
 
 def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift:
@@ -315,9 +314,9 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
     missing = [l for l in req if l not in finite.pred]
     if missing:
         raise TransitivityError(f"letters {missing} are not present in the truncation")
-    comps = strongly_connected_components(finite.letters, finite.succ, finite.pred)
-    if len(comps) == 1:
+    if is_transitive(finite):
         return finite
+    comps = strongly_connected_components(finite.letters, finite.succ, finite.pred)
     comp_of: dict[int, int] = {}
     for ci, comp in enumerate(comps):
         for l in comp:

@@ -15,9 +15,9 @@ result that needs Howard's policy iteration.  A hit derives everything else
 from those edges through ``with_optimum``, as ``optimize`` does from the
 tight ones: the critical components, the canonical cycle, m, the uniqueness
 of the class and the barrier, so it reproduces the fresh stage bit for bit.
-An entry whose edges hold no cycle, or whose barrier walk fails, as it does
-when their cycle is not maximal, is a miss, and so is one whose stored key
-is not the stage's own.
+An entry whose edges leave the graph or hold no cycle, or whose barrier walk
+fails, as it does when their cycle is not maximal, is a miss, and so is one
+whose stored key is not the stage's own.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import math
 import os
 import tempfile
 import zlib
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .barrier import CutoffReport, letter_cutoff
 from .countable import REFUTED, SATISFIED, ConditionVerdict, check_bp, covering_core
 from .optimizer import (
     DEFAULT_TOL, BarrierResult, WeightedMemoryGraph, _rounding_tol, build_memory_graph,
@@ -37,6 +36,9 @@ from .optimizer import (
 )
 from .potential import PotentialSpec
 from .shift_space import KIND_ORACLE, ShiftSpec, Word
+
+if TYPE_CHECKING:
+    from .barrier import CutoffReport
 
 BOUNDED = "BOUNDED"
 DIVERGENT = "DIVERGENT"
@@ -114,11 +116,11 @@ def _word(obj) -> Word:
 def _restore_optimum(
     payload: object, key: str, graph: WeightedMemoryGraph, tol: float
 ) -> WeightedMemoryGraph | None:
-    """The optimized graph an entry's critical edges fix, or None when they do not fit."""
+    """The optimized graph an entry's critical edges fix, None for another schema or key."""
     if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
         return None
     edges = frozenset((_word(u), _word(v)) for u, v in payload["critical_edges"])
-    if payload.get("key") != key or not edges <= graph.weights.keys():
+    if payload.get("key") != key:
         return None
     return graph.with_optimum(edges, _rounding_tol(graph, tol))
 
@@ -219,6 +221,13 @@ def build_family(
     )
 
 
+def letter_cutoff(*args) -> CutoffReport:
+    """``barrier.letter_cutoff``, whose layer loads only when a stabilization report asks."""
+    from .barrier import letter_cutoff
+
+    return letter_cutoff(*args)
+
+
 def stabilization_experiment(
     family: TruncationFamily, letters_of_interest: Iterable[int]
 ) -> StabilizationReport:
@@ -271,9 +280,13 @@ def stabilization_experiment(
 
 
 def _slope(x: Sequence[float], y: Sequence[float]) -> float:
-    """3.11's ``statistics.linear_regression`` slope, without loading decimal and fractions."""
-    xbar, ybar = math.fsum(x) / len(x), math.fsum(y) / len(y)
-    sxy = math.fsum((a - xbar) * (b - ybar) for a, b in zip(x, y))
+    """3.11's ``statistics.linear_regression`` slope, without loading decimal and fractions;
+    ValueError when the sums pass the float range."""
+    try:
+        xbar, ybar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+        sxy = math.fsum((a - xbar) * (b - ybar) for a, b in zip(x, y))
+    except OverflowError:
+        raise ValueError("the probe's floors pass the float range in its slope fit") from None
     return sxy / math.fsum((d := a - xbar) * d for a in x)
 
 

@@ -358,7 +358,7 @@ def test_an_integer_too_large_for_a_float_is_an_input_error(tmp_path, capsys, wh
         assert err == "error: table value for (0,) must be finite\n"
 
 
-def _capped_cli(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+def _capped_cli(argv: list[str], cwd: Path, timeout: float = 60) -> subprocess.CompletedProcess:
     """``python -m peierls.cli`` in a child whose address space is capped at 400 MB, so a
     run that keeps allocating ends in a MemoryError there rather than in the test runner."""
     import resource
@@ -371,7 +371,7 @@ def _capped_cli(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -441,6 +441,32 @@ def test_a_4000_letter_ring_converges_within_a_minute(tmp_path):
     assert done.returncode == 0, done.stderr
     stages = json.loads(done.stdout)["stages"]
     assert [(s["used"], s["cycle"]) for s in stages] == [(n - 1, [[l] for l in range(n)])] * 2
+
+
+def test_optimize_on_a_250000_letter_ring_ends_within_its_time_budget(tmp_path):
+    # about 4 s and 330 MB on a 2-core machine once every pass reads one numbered graph; the
+    # word-keyed passes took 8.4 s and 470 MB, past both the budget and the child's cap
+    n = 250_000
+    edges = [[i, (i + 1) % n] for i in range(n)]
+    ring = {"kind": "explicit-finite", "alphabet_size": n, "edges": edges}
+    (tmp_path / "ring.json").write_text(json.dumps(ring), encoding="utf-8")
+    (tmp_path / "pot.json").write_text(RENEWAL_POT, encoding="utf-8")
+    argv = ["optimize", "--shift", "ring.json", "--potential", "pot.json"]
+    done = _capped_cli(argv, tmp_path, timeout=8)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["cycle"][:3] == [[0], [1], [2]]
+
+
+def test_a_probe_whose_floors_pass_the_float_range_is_an_input_error(tmp_path, capsys):
+    # floors near -1e308 overflowed math.fsum in the probe's slope fit: an OverflowError
+    table = [{"word": [0], "value": -1e308}, {"word": [1], "value": 0.0}]
+    (tmp_path / "shift.json").write_text(RENEWAL_SHIFT, encoding="utf-8")
+    (tmp_path / "pot.json").write_text(json.dumps({"depth": 1, "tail": TAIL, "table": table}))
+    argv = ["converge", "--shift", str(tmp_path / "shift.json"), "--potential"]
+    argv += [str(tmp_path / "pot.json"), "--stages", "6,12", "--scan-to", "11", "--no-cache"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: the probe's floors pass the float range in its slope fit\n")
 
 
 def test_shift_check_at_a_huge_horizon_builds_only_its_witnesses(renewal_files, tmp_path):

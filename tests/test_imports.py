@@ -24,6 +24,7 @@ COMPARE = ["subaction", "compare", "--max-letter", "6"]
 COMPARE += ["--values", "values.csv", "--values-b", "values.csv"]
 CONVERGE = ["converge", "--stages", "6,12"]
 DEMO = ["demo", "renewal", "--stages", "6,12", "--scan-to", "12", "--no-cache"]
+LETTERS = CONVERGE + ["--letters", "1"]  # a stabilization report: the cutoffs need the bounds
 
 
 def _loaded_after(code: str, cwd: Path, root: str | tuple[str, ...] = "peierls") -> set[str]:
@@ -94,8 +95,9 @@ def test_help_and_usage_errors_load_no_layer(tmp_path, argv, exit_code):
         (BARRIER, {"peierls.barrier", "peierls.countable"}),
         (VERIFY, {"peierls.subaction", "peierls.countable"}),
         (COMPARE, {"peierls.subaction", "peierls.countable"}),
-        (CONVERGE, {"peierls.barrier", "peierls.countable", "peierls.truncation"}),
-        (DEMO, {"peierls.barrier", "peierls.countable", "peierls.truncation"}),
+        (CONVERGE, {"peierls.countable", "peierls.truncation"}),
+        (DEMO, {"peierls.countable", "peierls.truncation"}),
+        (LETTERS, {"peierls.barrier", "peierls.countable", "peierls.truncation"}),
     ],
 )
 def test_each_command_loads_only_its_layers(inputs, tmp_path, command, layers):

@@ -13,6 +13,7 @@ from peierls import (
     ShiftSpec,
     birkhoff_sum,
     build_memory_graph,
+    compute_barrier,
     covering_core,
     graph_from_weights,
     max_mean_cycle,
@@ -348,6 +349,25 @@ def test_optimize_invariants_on_random_graphs(seed):
         assert u in g.critical_class and v in g.critical_class
     # no cycle in the graph beats the reported mean
     assert m >= oracle_max_mean(weights) - 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_words_and_bare_integers_number_alike(seed):
+    # a graph numbers its vertices in sorted order, and (0,) < (1,) < ... sorts as 0 < 1 < ...
+    # does, so the same weights on either give the same floats, bit for bit
+    rng = random.Random(seed)
+    ints = {e: rng.uniform(-1, 1) for e in random_graph(rng, rng.randint(1, 9))}
+    words = {((u,), (v,)): w for (u, v), w in ints.items()}
+    a, b = optimize(graph_from_weights(ints)), optimize(graph_from_weights(words))
+    assert b.max_mean.hex() == a.max_mean.hex()
+    assert b.critical_cycle == tuple((v,) for v in a.critical_cycle)
+    assert b.critical_edges == {((u,), (v,)) for u, v in a.critical_edges}
+    values = compute_barrier(a).values
+    assert {v: x.hex() for v, x in compute_barrier(b).values.items()} == {
+        (v,): x.hex() for v, x in values.items()
+    }
+    assert abs(a.max_mean - oracle_max_mean(ints)) <= a.tol
 
 
 @pytest.mark.parametrize(
