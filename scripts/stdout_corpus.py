@@ -7,9 +7,11 @@ and clean, tie-heavy, noisy or 1e12-offset table values; the commands are
 ``optimize``, ``barrier`` as JSON and as CSV, ``converge`` as JSON (with
 ``--letters`` and ``--scan-to``) and as CSV, ``shift check``, and
 ``subaction verify`` and ``compare`` on a barrier CSV printed first with
-``--out``.  A case runs in-process through ``peierls.cli.run`` in a fresh
-directory that holds its documents and its stage cache, so no case depends
-on another.
+``--out``.  After the seeded cases comes a near-limit family: the three
+command lines whose letter bound once overflowed the float range, then
+seeded cases whose table values lie in ±[1e307, 1.7e308] or are 0 or -1.
+A case runs in-process through ``peierls.cli.run`` in a fresh directory that
+holds its documents and its stage cache, so no case depends on another.
 
 ``tests/stdout_corpus.txt`` holds one line per case: the case id, the exit
 code of its last command, and the CRC-32 and length of the stdout of all its
@@ -42,6 +44,7 @@ import peierls.cli as cli
 PINNED = Path(__file__).resolve().parent.parent / "tests" / "stdout_corpus.txt"
 SEED = 27
 COUNT = 1000
+NEAR_LIMIT = 100  # cases of the near-limit family, its three fixed command lines included
 COMMANDS = (
     "shift", "optimize", "barrier", "barrier-csv", "converge", "converge-csv", "verify", "compare"
 )
@@ -91,13 +94,18 @@ def _value(rng: random.Random, values: str) -> float:
         return rng.choice([-1.0, 0.0, 0.0]) + rng.uniform(-3e-10, 3e-10)
     if values == "noisy":
         return rng.uniform(-2.0, 2.0)
+    if values == "near-limit":  # ±[1e307, 1.7e308], mixed with 0 and -1
+        if rng.randrange(3):
+            return rng.choice([1.0, -1.0]) * rng.uniform(1e307, 1.7e308)
+        return rng.choice([0.0, -1.0])
     return rng.randint(-7, 7) / 7 + 1e12
 
 
-def _potential(rng: random.Random, shift: dict) -> dict:
-    """Table words are walks of the shift from a letter below 6."""
+def _potential(rng: random.Random, shift: dict, values: str | None) -> dict:
+    """Table words are walks of the shift from a letter below 6; ``values`` names their family,
+    or None to draw one."""
     depth = rng.randint(1, 3)
-    values = rng.choice(["clean", "tie-heavy", "noisy", "1e12-offset"])
+    values = values or rng.choice(["clean", "tie-heavy", "noisy", "1e12-offset"])
     top = 5 if shift["kind"] == "renewal" else shift["alphabet_size"] - 1
     table = {}
     for _ in range(rng.randint(0, 10)):
@@ -120,9 +128,9 @@ def _joined(ints: list[int]) -> str:
     return ",".join(map(str, ints))
 
 
-def _case(rng: random.Random, index: int) -> Case:
+def _case(rng: random.Random, index: int, values: str | None = None) -> Case:
     shift = _shift(rng)
-    pot = _potential(rng, shift)
+    pot = _potential(rng, shift, values)
     renewal = shift["kind"] == "renewal"
     top = 8 if renewal else shift["alphabet_size"] - 1
     graph = ["--shift", "shift.json", "--potential", "pot.json"]
@@ -159,12 +167,38 @@ def _case(rng: random.Random, index: int) -> Case:
             if rng.randrange(3) == 0:
                 argv += ["--assert"]
         commands = [argv + (["--no-cache"] if rng.randrange(2) else [])]
-    return Case(f"{index:04d}-{shift['kind']}-{command}", shift, pot, commands)
+    family = "" if values is None else f"{values}-"
+    return Case(f"{index:04d}-{family}{shift['kind']}-{command}", shift, pot, commands)
+
+
+def _near_limit_fixed() -> list[Case]:
+    """``barrier`` with a linear and a log tail, and ``converge``, on a two-letter ring whose
+    letter bound -threshold / c passes the float range."""
+    ring = {"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 1], [1, 0]]}
+    table = [{"word": [0], "value": -4.49423283715579e307}]
+    barrier = ["barrier", "--shift", "shift.json", "--potential", "pot.json"]
+    converge = ["converge", *barrier[1:], "--stages", "0,1", "--letters", "0", "--no-cache"]
+    lines = [("linear", barrier), ("log", barrier), ("linear", converge)]
+    return [
+        Case(
+            f"{COUNT + i:04d}-near-limit-explicit-finite-{argv[0]}",
+            ring,
+            {"depth": 1, "tail": {"kind": kind, "c": 0.5}, "table": table},
+            [argv],
+        )
+        for i, (kind, argv) in enumerate(lines)
+    ]
 
 
 def cases() -> list[Case]:
+    """The seeded cases, then the near-limit family from a seed of its own, so the seeded
+    cases stay as they were."""
     rng = random.Random(SEED)
-    return [_case(rng, index) for index in range(COUNT)]
+    seeded = [_case(rng, index) for index in range(COUNT)]
+    fixed = _near_limit_fixed()
+    rng = random.Random(SEED + 1)
+    near = range(COUNT + len(fixed), COUNT + NEAR_LIMIT)
+    return seeded + fixed + [_case(rng, index, "near-limit") for index in near]
 
 
 def _shifted(values_csv: str, offsets: list[float]) -> str:
@@ -233,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         PINNED.write_text("".join(pin(case) + "\n" for case in cases()), encoding="utf-8")
         return 0
     found = mismatches()
-    print("\n\n".join(found) or f"all {COUNT} cases match {PINNED.name}")
+    print("\n\n".join(found) or f"all {COUNT + NEAR_LIMIT} cases match {PINNED.name}")
     return 1 if found else 0
 
 

@@ -256,18 +256,23 @@ def _letter_ceilings(graph: WeightedMemoryGraph, ambient: float) -> dict[int, fl
 
 def _printable_letter_bound(pot: PotentialSpec, threshold: float, what: str) -> int:
     """``coercive_letter_bound``, or ``TruncationError`` naming ``what`` when the threshold
-    is not finite or the bound has more digits than Python writes as text.
+    is not finite, -threshold / c passes the float range, or the bound has more digits than
+    Python writes as text.
 
-    A threshold overflows to -inf when table values near the float limit enter it.  A log
-    tail's bound is floor(exp(-threshold / c)): its digit count comes from the exponent,
-    sparing an exponential that takes seconds at 10,000 digits.  A bound too long to
-    print would sink the whole command; a linear tail's stays in float range.  A limit
-    of 0 (or none, before 3.10.7) means any.
+    A threshold overflows to -inf when table values near the float limit enter it, and a
+    finite one near that limit still overflows -threshold / c when c < 1, for either tail.
+    A log tail's bound is floor(exp(-threshold / c)): its digit count comes from the
+    exponent, sparing an exponential that takes seconds at 10,000 digits.  A bound too
+    long to print would sink the whole command.  A limit of 0 (or none, before 3.10.7)
+    means any.
     """
     if not math.isfinite(threshold):
         raise TruncationError(f"{what} needs a finite threshold, got {threshold!r}")
+    exponent = -threshold / pot.tail_scale
+    if not math.isfinite(exponent):
+        raise TruncationError(f"{what} passes the float range")
     if pot.tail_kind == TAIL_LOG:
-        digits = math.floor(-threshold / pot.tail_scale / math.log(10.0)) + 1
+        digits = math.floor(exponent / math.log(10.0)) + 1
         if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:
             raise TruncationError(f"{what} has {digits} digits, too many to write as decimal text")
     return coercive_letter_bound(pot, threshold)

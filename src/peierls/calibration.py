@@ -14,7 +14,6 @@ from functools import reduce
 from operator import add
 from typing import Mapping, NamedTuple
 
-from .digraph import adjacency
 from .optimizer import (
     DEFAULT_TOL, GraphError, WeightedMemoryGraph, _checked_tol, _longest_walk, _require_optimized
 )
@@ -115,7 +114,9 @@ def consistent_seed(
             f"anchors must sit on the critical class; these do not: {stray[:4]}"
         )
 
-    tight_succ, _ = adjacency(graph.critical_class, graph.critical_edges)
+    tight_succ: dict[Vertex, list[Vertex]] = {v: [] for v in graph.critical_class}
+    for u, v in graph.critical_edges:
+        tight_succ[u].append(v)
 
     seed: dict[Vertex, float] = {}
     for comp in graph.critical_components:

@@ -1,10 +1,10 @@
-"""Deterministic digraph helpers shared by the shift and optimizer layers.
+"""Deterministic digraph helpers over the successor and predecessor maps their caller holds.
 
-Strongly connected components are Kosaraju's two-pass algorithm (Sharir 1981)
-over the successor and predecessor maps its caller holds, ``reaches_all`` the
-breadth-first pass that, run each way, decides strong connectivity alone,
-``adjacency`` the one builder of those maps, and ``least_exits`` the one
-statement of least walks.
+Strongly connected components are Kosaraju's two-pass algorithm (Sharir 1981),
+``reaches_all`` the breadth-first pass that, run each way, decides strong
+connectivity alone, and ``least_exits`` the one statement of least walks.
+The maps themselves are built by their owners: ``shift_space`` for finite
+shifts and ``optimizer`` for memory graphs.
 """
 
 from __future__ import annotations
@@ -12,18 +12,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
-
-
-def adjacency(
-    nodes: Iterable[N], edges: Iterable[tuple[N, N]]
-) -> tuple[dict[N, tuple[N, ...]], dict[N, tuple[N, ...]]]:
-    """Successors in edge order and sorted predecessors of every node."""
-    succ: dict[N, list[N]] = {v: [] for v in nodes}
-    pred: dict[N, list[N]] = {v: [] for v in succ}
-    for u, v in edges:
-        succ[u].append(v)
-        pred[v].append(u)
-    return {v: tuple(s) for v, s in succ.items()}, {v: tuple(sorted(p)) for v, p in pred.items()}
 
 
 def strongly_connected_components(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .digraph import adjacency, reaches_all, strongly_connected_components
+from .digraph import reaches_all, strongly_connected_components
 
 Letter = int
 Word = tuple[int, ...]
@@ -168,12 +168,10 @@ def parse_shift_spec(document: str) -> ShiftSpec:
         edges_raw = raw.get("edges")
         if not isinstance(edges_raw, list) or not edges_raw:
             raise ShiftSpecError("explicit-finite shifts need a nonempty edges list")
-        edges: set[tuple[int, int]] = set()
         for item in edges_raw:
             if not isinstance(item, list) or len(item) != 2 or not all(map(_is_int, item)):
                 raise ShiftSpecError(f"edge entries must be [i, j] integer pairs, got {item!r}")
-            edges.add((item[0], item[1]))
-        fields["edges"] = frozenset(edges)
+        fields["edges"] = frozenset(map(tuple, edges_raw))
     if not 0 < lam < 1:  # no float(): a 400-digit integer would overflow it
         raise ShiftSpecError("metric parameter lambda must lie strictly in (0, 1)")
     return ShiftSpec(kind=kind, **fields)
@@ -230,12 +228,17 @@ class FiniteShift(NamedTuple):
 
 
 def _make_finite(letters: Iterable[int], succ: Mapping[int, Iterable[int]]) -> FiniteShift:
-    letters_t = tuple(sorted(letters))
-    keep = set(letters_t)
-    succ_t, pred_t = adjacency(
-        letters_t, [(i, j) for i in letters_t for j in succ.get(i, ()) if j in keep]
-    )
-    return FiniteShift(letters=letters_t, succ=succ_t, pred=pred_t)
+    """The structure ``succ`` induces on ascending ``letters``: successors in order, sorted
+    predecessors (gathered as the letters are read), in one pass."""
+    pred: dict = {i: [] for i in letters}
+    succ_t: dict[int, tuple[int, ...]] = {}
+    for i in pred:
+        succ_t[i] = near = tuple(filter(pred.__contains__, succ.get(i, ())))
+        for j in near:
+            pred[j].append(i)
+    for j, near in pred.items():  # in place, so the lists and their tuples never all coexist
+        pred[j] = tuple(near)
+    return FiniteShift(tuple(pred), succ_t, pred)
 
 
 def _raw_truncation_edges(spec: ShiftSpec, top: int) -> dict[int, list[int]]:
@@ -277,10 +280,12 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
     top = max_letter if cap is None else min(max_letter, cap)
     _truncation_within_limit(spec, top)
     cut = _make_finite(range(top + 1), _raw_truncation_edges(spec, top))
+    queue = [i for i in cut.letters if not (cut.pred[i] and cut.succ[i])]
+    if not queue:  # renewal, full and ring cuts strand nothing
+        return cut
+    dead = set(queue)
     ins = {i: len(near) for i, near in cut.pred.items()}
     outs = {i: len(near) for i, near in cut.succ.items()}
-    dead = {i for i in cut.letters if not (ins[i] and outs[i])}
-    queue = list(dead)
     for i in queue:  # grows while it is read
         for counts, near in ((ins, cut.succ[i]), (outs, cut.pred[i])):
             for j in near:
@@ -288,8 +293,6 @@ def truncate(spec: ShiftSpec, max_letter: int) -> FiniteShift:
                 if not counts[j] and j not in dead:
                     dead.add(j)
                     queue.append(j)
-    if not dead:  # a renewal truncation strands nothing
-        return cut
     alive = [i for i in cut.letters if i not in dead]
     if not alive:
         raise TruncationError(
@@ -331,4 +334,4 @@ def transitive_core(finite: FiniteShift, required: Iterable[int]) -> FiniteShift
             + ", ".join(map(str, groups))
         )
     core = comps[hit[0]]
-    return _make_finite(core, {i: finite.succ[i] for i in core})
+    return _make_finite(core, finite.succ)

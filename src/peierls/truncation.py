@@ -268,9 +268,7 @@ def stabilization_experiment(
                 note = ""
             except ValueError as exc:
                 note = f"prediction unavailable: {exc}"
-            if observed[0] is None:
-                ok, note = False, "values still moving at the final stage"
-            elif predicted is not None:
+            if predicted is not None:  # observed is set: the final stage is stable
                 ok = observed[2] <= predicted.confinement_bound
                 note = "" if ok else "stabilized later than the predicted bound"
         entries.append(LetterStabilization(letter, *observed, predicted, ok, note))

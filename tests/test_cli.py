@@ -302,6 +302,35 @@ def test_an_ambient_variation_that_overflows_is_reported_in_place(tmp_path, caps
     }
 
 
+def _near_limit_files(tmp_path, kind):
+    """A two-letter ring and a depth-1 table near the float limit with a tail of scale 0.5."""
+    paths = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift = {"kind": "explicit-finite", "alphabet_size": 2, "edges": [[0, 1], [1, 0]]}
+    paths[0].write_text(json.dumps(shift))
+    rows = [{"word": [0], "value": -4.49423283715579e307}]
+    paths[1].write_text(json.dumps({"depth": 1, "tail": {"kind": kind, "c": 0.5}, "table": rows}))
+    return ["--shift", str(paths[0]), "--potential", str(paths[1])]
+
+
+@pytest.mark.parametrize("kind", ["linear", "log"])
+def test_a_letter_bound_past_the_float_range_is_reported_in_place(tmp_path, capsys, kind):
+    # the threshold is finite, but -threshold / c is not: its floor raised OverflowError
+    assert run(["barrier", *_near_limit_files(tmp_path, kind)]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["cutoff"] == {
+        "letter": 0,
+        "error": "excursion cutoff for letter 0 passes the float range",
+    }
+
+
+def test_converge_notes_a_letter_bound_past_the_float_range(tmp_path, capsys):
+    argv = ["converge", *_near_limit_files(tmp_path, "linear"), "--stages", "0,1", "--letters", "0"]
+    assert run([*argv, "--no-cache"]) == 0
+    (entry,) = _strict_json(capsys.readouterr().out)["stabilization"]["entries"]
+    note = "prediction unavailable: excursion cutoff for letter 0 passes the float range"
+    assert entry["note"] == note
+
+
 @pytest.mark.parametrize("extra", [[], ["--format", "csv"]])
 def test_a_barrier_walk_whose_weights_overflow_says_so(tmp_path, capsys, extra):
     # m = 1e308 from the loop at 0, so the edge 0 -> 1 reduces to -1e308 - 1e308 = -inf
@@ -818,6 +847,12 @@ def test_demo_renewal_verdicts(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdicts"] == {"bp": "SATISFIED", "boundedness": "BOUNDED"}
     assert payload["conclusion"] == "a bounded calibrated subaction exists."
+    # three fitted letters are too few to establish a trend
+    argv = ["demo", "renewal", "--a", "2", "--b", "0", "--stages", "6", "--scan-to", "5"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdicts"] == {"bp": "REFUTED", "boundedness": "INCONCLUSIVE"}
+    assert payload["conclusion"] == "the probe is inconclusive."
 
 
 def test_repeated_runs_are_byte_identical(renewal_files, capsys):

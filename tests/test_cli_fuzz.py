@@ -4,9 +4,9 @@ or NaN), and a barrier it prints is a calibrated subaction.
 
 Shifts are renewal, full or explicit-finite; potentials have depth 1 to 3 and
 values that are clean, tie-heavy (-1, 0 or 0 plus noise below the tolerance),
-large, or JSON integers of up to 400 digits, as tail scales can be; every
-command path runs.  Alphabets, letters and stage lists stay small so the
-property takes seconds.
+large, near the float limit, or JSON integers of up to 400 digits, as tail
+scales can be; every command path runs.  Alphabets, letters and stage lists
+stay small so the property takes seconds.
 """
 
 import contextlib
@@ -41,6 +41,11 @@ VALUES = {
     ),
     "large": st.integers(-7, 7).map(lambda k: k / 7 + 1e12) | st.floats(-1e14, 1e14),
     "huge": HUGE,
+    # ROADMAP item 13's near-limit family: ±[1e307, 1.7e308], mixed with 0 and -1
+    "near-limit": st.builds(
+        float.__mul__, st.sampled_from([1.0, -1.0]), st.floats(1e307, 1.7e308)
+    )
+    | st.sampled_from([0.0, -1.0]),
 }
 PATHS = ("shift", "optimize", "barrier", "verify", "compare", "converge", "demo")
 

@@ -14,6 +14,7 @@ from peierls import (
     DIVERGENT,
     FamilyError,
     GraphError,
+    INCONCLUSIVE,
     PotentialSpec,
     ShiftSpec,
     bp_boundedness_probe,
@@ -205,6 +206,17 @@ def test_stage_ignores_corrupt_cache_entries(renewal_spec, renewal_pot):
     assert not stage.from_cache
 
 
+def test_a_cache_write_that_fails_leaves_no_temporary_file(renewal_spec, renewal_pot, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    stage = build_stage(renewal_spec, renewal_pot, 6)
+    assert _cache_files() == []
+    fresh = build_stage(renewal_spec, renewal_pot, 6, use_cache=False)
+    assert not stage.from_cache and _stage_facts(stage) == _stage_facts(fresh)
+
+
 def test_stage_cache_can_be_disabled(renewal_spec, renewal_pot):
     stage = build_stage(renewal_spec, renewal_pot, 6, use_cache=False)
     assert not stage.from_cache
@@ -253,6 +265,16 @@ def test_stabilization_flags_letters_missing_from_the_final_stage(
     assert report.ok
 
 
+def test_stabilization_starts_at_the_first_stage_that_holds_the_letter(
+    renewal_spec, renewal_pot
+):
+    family = build_family(renewal_spec, renewal_pot, [6, 12])
+    assert 9 not in family.stages[0].graph.shift.letters
+    (entry,) = stabilization_experiment(family, [9]).entries
+    assert (entry.observed_index, entry.observed_requested, entry.observed_used) == (1, 12, 12)
+    assert entry.ok is True
+
+
 def test_stabilization_needs_two_stages(renewal_spec, renewal_pot):
     family = build_family(renewal_spec, renewal_pot, [6])
     with pytest.raises(FamilyError):
@@ -294,6 +316,32 @@ def test_probe_bounded_on_one_step_entries():
     assert probe.verdict == BOUNDED
     assert probe.floor == -2.0
     assert probe.fit_letters == (1,)
+    assert probe.consistent
+
+
+def test_probe_inconclusive_when_bp_holds_but_the_floors_fall():
+    # letters 1..5 enter only from one step up, and their values above m make each
+    # step down raise the barrier, so the floors fall along them although BP holds
+    spec = ShiftSpec(kind="renewal", renewal_rule=(1, 5))
+    table = {(0,): 0.0, **{(j,): 10.0 for j in range(1, 6)}}
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table=table)
+    probe = bp_boundedness_probe(build_family(spec, pot, [8, 16]), spec, 12)
+    assert probe.bp.status == "SATISFIED"
+    assert probe.fit_letters == (1, 2, 3, 4, 5)
+    assert probe.slope < 0
+    assert probe.verdict == INCONCLUSIVE
+    assert "floors trend downward" in probe.note
+    assert probe.floor is None and probe.consistent
+
+
+def test_probe_inconclusive_when_bp_is_undecided():
+    # an oracle shift only ever refutes BP, so a satisfied one stays undecided
+    spec = ShiftSpec(kind="oracle", membership=lambda i, j: i == 0 or i == j + 1)
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1.0, table={(0,): 0.0})
+    probe = bp_boundedness_probe(build_family(spec, pot, [4, 8]), spec, 6)
+    assert probe.bp.status == "UNDECIDED"
+    assert probe.verdict == INCONCLUSIVE
+    assert probe.note == "the entry-set check was undecided within its horizon"
     assert probe.consistent
 
 
