@@ -317,7 +317,8 @@ def letter_cutoff(
                 f"beyond the budget {WIDE_BUDGET}"
             )
 
-    target = excursion_cutoff + 1
+    cap = spec.max_letter()  # a finite alphabet's stage two stops at its top letter
+    target = excursion_cutoff + 1 if cap is None else min(excursion_cutoff + 1, cap)
     within_budget(target)
     if spec.kind == KIND_RENEWAL:
         # The renewal core is exactly 0..K (see covering_core), and its
@@ -331,7 +332,7 @@ def letter_cutoff(
     elif spec.kind == KIND_FULL:
         # The full core is 0..K, K the top wanted letter inside the alphabet, after
         # covering_core's size check; every pair is an edge, so every least walk is one.
-        wide_bound = min(max(target, max(finite.letters)), spec.max_letter())
+        wide_bound = max(target, max(finite.letters))
         _truncation_within_limit(spec, wide_bound)
         within_budget(wide_bound)
         wide_len, wide_letters = 1, range(wide_bound + 1)

@@ -255,7 +255,7 @@ def _family_report(family: TruncationFamily, probe: BoundednessProbe | None) -> 
             "requested": stage.requested,
             "used": stage.used,
             "m": stage.graph.max_mean,
-            "base": list(stage.barrier.base_vertex),
+            "base": list(stage.graph.critical_cycle[0]),
             "cycle": [list(v) for v in stage.graph.critical_cycle],
             "vertices": len(stage.graph.vertices),
         }

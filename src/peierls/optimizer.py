@@ -23,7 +23,7 @@ from collections import UserDict
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import add
-from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import DEFAULT_TOL
 from .digraph import least_word, reaches_all, strongly_connected_components
@@ -73,9 +73,10 @@ class _View(UserDict):
 class WeightedMemoryGraph(NamedTuple):
     """Finite weighted digraph plus the optimization results, once computed.
 
-    ``optimize`` returns a copy with the ``max_mean`` / ``critical_*`` fields set and
-    ``tol``, its ``tol`` raised to the float rounding of a |V|-edge walk sum: the one
-    tolerance every later pass on the graph reads.  The graph it was given stays as is.
+    ``optimize`` returns a copy with the ``max_mean`` / ``critical_*`` fields set, ``tol``,
+    its ``tol`` raised to the float rounding of a |V|-edge walk sum: the one tolerance every
+    later pass on the graph reads, and ``certificate``, Howard's mean and subaction h in
+    ``vertices`` order, which decided them.  The graph it was given stays as is.
     The passes read the numbering behind ``weights``; ``weights``, ``succ`` and ``pred``
     are word-keyed views of it, each built when it is first read.
     """
@@ -93,24 +94,10 @@ class WeightedMemoryGraph(NamedTuple):
     critical_components: tuple[tuple[Vertex, ...], ...] = ()
     critical_class_unique: bool | None = None
     tol: float | None = None
+    certificate: tuple[float, tuple[float, ...]] | None = None
 
     def is_optimized(self) -> bool:
         return self.max_mean is not None
-
-    def with_optimum(self, tight: Collection[Edge], tol: float) -> WeightedMemoryGraph:
-        """A copy carrying the optimum that the ``tight`` edges fix, decided at ``tol``.
-
-        The critical components are the strongly connected pieces of the tight edges
-        that hold a cycle, and the critical edges are the tight edges inside them.  The
-        canonical cycle is their shortest cycle, least on ties, and m is its mean weight.
-        The class is unique when it is one component whose vertices each have exactly
-        one critical out-edge.  ``tol`` is the effective tolerance, ``_rounding_tol`` of
-        the caller's, and the copy carries it as its ``tol``.  An edge off the graph raises
-        ``KeyError`` or ``ValueError``.
-        """
-        num = _numbered(self)
-        ids = sorted(_edge(num, num.index[u], num.index[v]) for u, v in tight)
-        return _optimum(self, num, ids, tol, False)
 
 
 def _adjacent(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], ...]:
@@ -365,13 +352,37 @@ def _canonical_cycle(
     return tuple(min(cycles, key=len))  # the least start on ties
 
 
-def _optimum(
-    graph: WeightedMemoryGraph, num: _Numbered, tight: list[int], tol: float, whole: bool
+def _certified(
+    graph: WeightedMemoryGraph, mean: float, h: Sequence[float], tol: float
 ) -> WeightedMemoryGraph:
-    """``with_optimum`` of the ``tight`` edges by number, ascending; ``whole`` when they are
-    all the edges of a strongly connected graph."""
+    """The optimum that Howard's ``mean`` and subaction ``h``, by vertex number, prove on
+    ``graph``, strongly connected, decided at ``tol`` raised by ``_rounding_tol``.
+
+    h[u] + (w - mean) <= h[v] on every edge, within the rounding, certifies that no cycle
+    beats ``mean``; an edge that beats it, or an h of another length or not finite, raises
+    ``GraphError``.  The edges that meet it within the rounding are tight.  The critical
+    components are the strongly connected pieces of the tight edges that hold a cycle, the
+    critical edges the tight edges inside them.  The canonical cycle is their shortest
+    cycle, least on ties (``GraphError`` when there is none), and m is its mean weight.  The
+    class is unique when it is one component whose vertices each have one critical out-edge.
+    """
+    num = _numbered(graph)
     n, words, sources, targets = len(num.words), num.words, num.sources, num.targets
+    if len(h) != n or not all(map(math.isfinite, h)):
+        raise GraphError(f"a certificate needs a finite value at each of {n} vertices")
+    rounding, tight, excess = _rounding_tol(graph, tol), [], {}
+    for e, (u, v, w) in enumerate(zip(sources, targets, num.weights)):
+        reach = h[u] + (w - mean)
+        if reach > h[v] + rounding:
+            excess[e] = reach - h[v]
+        elif reach >= h[v] - rounding:
+            tight.append(e)
+    if excess:
+        e = max(excess, key=excess.get)
+        u, v = words[sources[e]], words[targets[e]]
+        raise GraphError(f"m is not certified: edge {u!r} -> {v!r} beats it by {excess[e]!r}")
     ends = lambda edges: [(sources[e], targets[e]) for e in edges]
+    whole = len(tight) == len(sources)  # then the graph is the one component
     near = (num.succ, num.pred) if whole else _adjacent(n, ends(tight))
     comps = [list(range(n))] if whole else strongly_connected_components(range(n), *near)
     critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in near[0][comp[0]])
@@ -390,7 +401,8 @@ def _optimum(
         critical_edges=frozenset((words[sources[e]], words[targets[e]]) for e in edges),
         critical_components=tuple(tuple(words[v] for v in comp) for comp in critical),
         critical_class_unique=len(critical) == 1 and len(edges) == len(critical[0]),  # each >= 1
-        tol=tol,
+        tol=rounding,
+        certificate=(mean, tuple(h)),
     )
 
 
@@ -402,21 +414,7 @@ def optimize(graph: WeightedMemoryGraph, tol: float = DEFAULT_TOL) -> WeightedMe
     if not (reaches_all(nodes, num.succ) and reaches_all(nodes, num.pred)):
         comps = strongly_connected_components(nodes, num.succ, num.pred)
         raise GraphError(f"graph must be strongly connected; found {len(comps)} components")
-    mean, h = _howard(graph, tol)
-    rounding, words = _rounding_tol(graph, tol), num.words
-    # h[u] + (w - m) <= h[v] + rounding on every edge certifies that no cycle beats m
-    tight, excess = [], {}
-    for e, (u, v, w) in enumerate(zip(num.sources, num.targets, num.weights)):
-        reach = h[u] + (w - mean)
-        if reach > h[v] + rounding:
-            excess[e] = reach - h[v]
-        elif reach >= h[v] - rounding:
-            tight.append(e)
-    if excess:
-        e = max(excess, key=excess.get)
-        u, v = words[num.sources[e]], words[num.targets[e]]
-        raise GraphError(f"m is not certified: edge {u!r} -> {v!r} beats it by {excess[e]!r}")
-    return _optimum(graph, num, tight, rounding, len(tight) == len(num.weights))
+    return _certified(graph, *_howard(graph, tol), tol)
 
 
 def max_mean_cycle(

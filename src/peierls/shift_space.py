@@ -249,9 +249,11 @@ def _raw_truncation_edges(spec: ShiftSpec, top: int) -> dict[int, list[int]]:
         succ[0] = [j for j in letters if j == 0 or renewal_is_entry(spec, j)]
     elif spec.kind == KIND_EXPLICIT:  # its edges are given
         succ = {i: [] for i in letters}
-        for i, j in sorted(spec.edges):
+        for i, j in spec.edges:
             if i <= top and j <= top:
                 succ[i].append(j)
+        for near in succ.values():  # short lists: no sort of the whole edge set
+            near.sort()
     else:  # full and oracle kinds go through the pair predicate
         succ = {i: [j for j in letters if admissible(spec, i, j)] for i in letters}
     return succ

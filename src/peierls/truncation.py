@@ -10,14 +10,15 @@ values never decrease where comparable.
 
 Stage results are cached on disk keyed by the shift, the weights, the
 requested bound and the tolerance, so sweeps over stage lists can reuse
-earlier runs.  An entry holds only its key and the critical edges, the one
-result that needs Howard's policy iteration.  A hit derives everything else
-from those edges through ``with_optimum``, as ``optimize`` does from the
-tight ones: the critical components, the canonical cycle, m, the uniqueness
-of the class and the barrier, so it reproduces the fresh stage bit for bit.
-An entry whose edges leave the graph or hold no cycle, or whose barrier walk
-fails, as it does when their cycle is not maximal, is a miss, and so is one
-whose stored key is not the stage's own.
+earlier runs.  An entry holds its key and ``optimize``'s certificate:
+Howard's mean and subaction h, the one result that needs policy iteration.
+A hit checks them on the stage's graph with the rule ``optimize`` ends
+with (``optimizer._certified``), which derives the tight edges, critical
+components, canonical cycle, m and the uniqueness of the class, so it
+reproduces the fresh stage bit for bit.  An entry an edge beats, whose h
+does not fit the graph, or whose tight edges hold no cycle is a miss, and
+so is one whose stored key is not the stage's own.  A stage walks its
+barrier each time ``Stage.barrier`` is read, and only then.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .countable import REFUTED, SATISFIED, ConditionVerdict, check_bp, covering_core
 from .optimizer import (
-    DEFAULT_TOL, BarrierResult, WeightedMemoryGraph, _rounding_tol, build_memory_graph,
+    DEFAULT_TOL, BarrierResult, WeightedMemoryGraph, _certified, build_memory_graph,
     compute_barrier, optimize,
 )
 from .potential import PotentialSpec
-from .shift_space import KIND_ORACLE, ShiftSpec, Word
+from .shift_space import KIND_ORACLE, ShiftSpec
 
 if TYPE_CHECKING:
     from .barrier import CutoffReport
@@ -44,7 +45,7 @@ BOUNDED = "BOUNDED"
 DIVERGENT = "DIVERGENT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 MIN_TREND_LETTERS = 5
 
 
@@ -53,13 +54,16 @@ class FamilyError(ValueError):
 
 
 class Stage(NamedTuple):
-    """One optimized truncation with its barrier, built or read from the cache."""
+    """One optimized truncation, built or read from the cache; ``barrier`` walks it when read."""
 
     requested: int
     used: int
     graph: WeightedMemoryGraph
-    barrier: BarrierResult
     from_cache: bool
+
+    @property
+    def barrier(self) -> BarrierResult:
+        return compute_barrier(self.graph)
 
 
 class TruncationFamily(NamedTuple):
@@ -109,22 +113,6 @@ def _cache_path(key: str) -> str:
     return os.path.join(os.environ.get("PEIERLS_CACHE_DIR", ".peierls-cache"), name)
 
 
-def _word(obj) -> Word:
-    return tuple(int(x) for x in obj)
-
-
-def _restore_optimum(
-    payload: object, key: str, graph: WeightedMemoryGraph, tol: float
-) -> WeightedMemoryGraph | None:
-    """The optimized graph an entry's critical edges fix, None for another schema or key."""
-    if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
-        return None
-    edges = frozenset((_word(u), _word(v)) for u, v in payload["critical_edges"])
-    if payload.get("key") != key:
-        return None
-    return graph.with_optimum(edges, _rounding_tol(graph, tol))
-
-
 def _write_cache(path: str, payload: dict) -> None:
     """Best effort: a cache that cannot be written leaves the stage's result alone."""
     root = os.path.dirname(path)
@@ -160,30 +148,23 @@ def build_stage(
     key = repr((spec, pot, requested, tol))
     path = _cache_path(key) if use_cache and spec.kind != KIND_ORACLE else None
 
-    barrier = None
+    optimum = None
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                optimum = _restore_optimum(json.load(handle), key, graph, tol)
-            if optimum is not None:
-                barrier = compute_barrier(optimum)
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # a missing or corrupt entry is a miss, as is one with no maximal cycle
+                entry = json.load(handle)
+            if entry["schema"] == CACHE_SCHEMA and entry["key"] == key:
+                optimum = _certified(graph, entry["mean"], entry["h"], tol)
+        except (OSError, ValueError, KeyError, TypeError, OverflowError):
+            pass  # a missing or corrupt entry is a miss, as is one whose certificate fails
 
-    from_cache = barrier is not None
+    from_cache = optimum is not None
     if not from_cache:
-        barrier = compute_barrier(optimize(graph, tol))
-    stage = Stage(
-        requested=requested,
-        used=max(core.letters),
-        graph=barrier.graph,
-        barrier=barrier,
-        from_cache=from_cache,
-    )
-    if path is not None and not from_cache:
-        edges = sorted([list(u), list(v)] for u, v in stage.graph.critical_edges)
-        _write_cache(path, {"schema": CACHE_SCHEMA, "key": key, "critical_edges": edges})
-    return stage
+        optimum = optimize(graph, tol)
+        if path is not None:
+            mean, h = optimum.certificate
+            _write_cache(path, {"schema": CACHE_SCHEMA, "key": key, "mean": mean, "h": h})
+    return Stage(requested=requested, used=max(core.letters), graph=optimum, from_cache=from_cache)
 
 
 def build_family(
@@ -216,7 +197,7 @@ def build_family(
     return TruncationFamily(
         spec=spec,
         stages=stages,
-        base_stable=len({s.barrier.base_vertex for s in stages}) == 1,
+        base_stable=len({s.graph.critical_cycle[0] for s in stages}) == 1,
         cycle_stable=len({s.graph.critical_cycle for s in stages}) == 1,
     )
 
@@ -244,6 +225,7 @@ def stabilization_experiment(
         raise FamilyError("stabilization needs at least two stages")
     final = family.stages[-1]
     tol = final.graph.tol
+    values = [stage.barrier.values for stage in family.stages]  # each stage walked once
     entries: list[LetterStabilization] = []
     for letter in sorted(set(letters_of_interest)):
         observed: tuple[int | None, ...] = (None, None, None)
@@ -254,10 +236,10 @@ def stabilization_experiment(
             for idx, stage in enumerate(family.stages):
                 if letter not in stage.graph.shift.pred:
                     continue
-                mine = {v: stage.barrier.values[v] for v in stage.graph.vertices if v[0] == letter}
+                mine = {v: values[idx][v] for v in stage.graph.vertices if v[0] == letter}
                 stable = all(
-                    abs(value - later.barrier.values[v]) <= tol
-                    for later in family.stages[idx + 1 :]
+                    abs(value - later[v]) <= tol
+                    for later in values[idx + 1 :]
                     for v, value in mine.items()
                 )
                 if stable:

@@ -156,13 +156,38 @@ def test_letter_cutoff_guards(gm_spec, gm_pot, gm_finite):
     heavy = PotentialSpec(
         depth=1, tail_kind="linear", tail_scale=1.0, table={(1,): -3000.0}
     )
-    with pytest.raises(TruncationError):
-        letter_cutoff(gm_spec, heavy, gm_finite, 1)
+    # stage one reaches letter 6001, past the budget, but the alphabet stops at 1
+    assert letter_cutoff(gm_spec, heavy, gm_finite, 1) == CutoffReport(
+        letter=1,
+        excursion_cutoff=6000,
+        confinement_bound=6001,
+        local_connect_len=2,
+        wide_connect_len=2,
+        wide_bound=1,
+    )
     one_way = ShiftSpec(
         kind="explicit-finite", alphabet_size=2, edges=frozenset({(0, 0), (0, 1), (1, 1)})
     )
     with pytest.raises(TransitivityError):
         letter_cutoff(one_way, gm_pot, truncate(one_way, 1), 0)
+
+
+def test_a_finite_alphabet_caps_stage_two_below_the_budget():
+    # stage one asks for letters up to 10001, but a 3-letter full shift's stage-two core
+    # is the whole alphabet
+    spec = ShiftSpec(kind="full", alphabet_size=3)
+    pot = PotentialSpec(
+        depth=1, tail_kind="linear", tail_scale=0.001, table={(0,): 0.0, (1,): -10.0}
+    )
+    report = letter_cutoff(spec, pot, truncate(spec, 2), 0)
+    assert report == CutoffReport(
+        letter=0,
+        excursion_cutoff=10000,
+        confinement_bound=10001,
+        local_connect_len=1,
+        wide_connect_len=1,
+        wide_bound=2,
+    )
 
 
 def test_wide_budget_caps_the_core_stage_two_builds():
@@ -213,7 +238,10 @@ def check_connect_lens(spec, pot, core, letter):
     except TruncationError:
         return False
     assert report.local_connect_len == oracle_connect_len(core.succ, letter)
-    wide = oracle_covering_core(spec, set(range(report.excursion_cutoff + 2)) | set(core.letters))
+    top = report.excursion_cutoff + 1  # the oracle drops letters past a finite alphabet
+    if spec.max_letter() is not None:
+        top = min(top, spec.max_letter())
+    wide = oracle_covering_core(spec, set(range(top + 1)) | set(core.letters))
     wide_len = oracle_connect_len(wide.succ)
     assert report.wide_bound == max(wide.letters)
     assert report.wide_connect_len == wide_len

@@ -344,6 +344,52 @@ def test_a_barrier_walk_whose_weights_overflow_says_so(tmp_path, capsys, extra):
     )
 
 
+def test_converge_prints_stages_whose_barrier_walk_overflows(tmp_path, capsys):
+    # the walk from the loop at (0, 0), m near 1e308, reaches (1, 0) and (1, 1) only past the
+    # float range; converge JSON prints no barrier value, so it walks none, and its CSV fails
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text(json.dumps({"kind": "full", "alphabet_size": 2}))
+    table = [
+        {"word": [0, 0, 0], "value": 9.906113859579084e307},
+        {"word": [0, 1, 0], "value": -1.4985021054832012e308},
+        {"word": [1, 0, 0], "value": 1.4975055582033222e308},
+        {"word": [0, 0, 1], "value": -1.0},
+        {"word": [1, 1, 1], "value": -5.483364963615397e307},
+    ]
+    pot.write_text(json.dumps({"depth": 3, "tail": {"kind": "log", "c": 1}, "table": table}))
+    argv = ["converge", "--shift", str(shift), "--potential", str(pot), "--stages", "0,1,2"]
+    assert run([*argv, "--no-cache"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert [stage["base"] for stage in payload["stages"]] == [[0, 0]] * 3
+    assert [stage["m"] for stage in payload["stages"]] == [9.906113859579084e307] * 3
+    assert run([*argv, "--no-cache", "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: vertices unreachable from the seeds: [(1, 0), (1, 1)] "
+        "(their walk weights overflow the float range to -inf)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, walks",
+    [([], 0), (["--scan-to", "23"], 1), (["--letters", "1,3"], 3), (["--format", "csv"], 3)],
+    ids=["json", "scan-to", "letters", "csv"],
+)
+def test_converge_walks_only_the_barriers_it_prints(renewal_files, monkeypatch, extra, walks):
+    from peierls import truncation
+
+    calls, walk = [], truncation.compute_barrier
+    monkeypatch.setattr(truncation, "compute_barrier", lambda g: calls.append(g) or walk(g))
+    shift, pot = renewal_files
+    argv = ["converge", "--shift", shift, "--potential", pot, "--stages", "6,12,24", *extra]
+    assert run(argv) == 0
+    assert len(calls) == walks
+    calls.clear()
+    assert run(argv) == 0  # every stage from the cache walks the same
+    assert len(calls) == walks
+
+
 def test_a_cut_of_a_finite_shift_that_is_not_transitive_names_its_groups(tmp_path, capsys):
     # cut at 2, the edge 3 -> 0 is gone, so no walk from 1 or 2 comes back to 0
     edges = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 0], [0, 2], [0, 3], [1, 1], [1, 3], [2, 1], [3, 3]]

@@ -22,7 +22,8 @@ from peierls import (
     build_stage,
     stabilization_experiment,
 )
-from peierls import barrier
+from peierls import barrier, parse_potential, parse_shift_spec
+from peierls.cli import run
 from peierls.truncation import _slope
 
 
@@ -96,10 +97,13 @@ def test_a_stage_differing_in_any_input_misses_the_cache(renewal_spec, renewal_p
 
 
 def test_cache_entry_holds_only_the_critical_structure(renewal_spec, renewal_pot):
-    build_stage(renewal_spec, renewal_pot, 6)
+    fresh = build_stage(renewal_spec, renewal_pot, 6)
     entry = _read_entry(_cache_entry_path())
-    assert sorted(entry) == ["critical_edges", "key", "schema"]
-    assert entry["schema"] == 4
+    assert sorted(entry) == ["h", "key", "mean", "schema"]
+    assert entry["schema"] == 5
+    # optimize's certificate: Howard's mean and subaction h in the order of the vertices
+    assert (entry["mean"], tuple(entry["h"])) == fresh.graph.certificate
+    assert len(entry["h"]) == len(fresh.graph.vertices)
     # the file is named by the key's CRC and length, and the entry holds the key itself
     key = repr((renewal_spec, renewal_pot, 6, DEFAULT_TOL))
     assert entry["key"] == key
@@ -130,22 +134,33 @@ def _stage_facts(stage):
 @pytest.mark.parametrize(
     "written",
     [
-        [], None, 3, {"critical_edges": []}, {"critical_edges": [[[1], [1]]]},
-        {"critical_edges": [[[2], [1]], [[1], [0]], [[0], [2]]]},
-        {"critical_edges": [[[2], [1]]]}, {"key": "(another stage)"},
+        [], None, 3, {"mean": -1.0}, {"mean": 1.0}, {"h": []}, {"h": [0.0] * 6}, {"h": [0.0] * 8},
+        {"h": [math.nan] * 7}, {"h": [0.0] * 6 + [math.inf]}, {"h": ["0"] * 7},
+        {"h": [0.0, 1.0, 3.0, 6.0, 10.0, 15.0, 22.0]}, {"mean": "0"}, {"h": None},
+        {"h": [10**400] * 7}, {"mean": 10**400}, {"key": "(another stage)"},
     ],
-    # renewal letter 1 only steps down to 0, so [[1], [1]] is a loop on a non-edge;
-    # 2 -> 1 -> 0 -> 2 is a real cycle whose mean is below the loop at 0; 2 -> 1 holds
-    # no cycle; an entry whose key is not the stage's own stands in for a CRC
-    # collision of file names
+    # the stage is the renewal core 0..6 with m = 0 at the loop on 0, and its entry holds
+    # mean 0 and h = j(j + 1)/2 at letter j; under a mean of -1 the loop beats it, under a
+    # mean of 1 no edge is tight, and h = 22 at letter 6 lets 6 -> 5 beat it; an integer
+    # past the float range overflows; an entry whose key is not the stage's own stands in
+    # for a CRC collision of file names
     ids=[
         "list",
         "null",
         "number",
-        "no-edges",
-        "loop-on-non-edge",
-        "non-maximal-cycle",
-        "acyclic",
+        "mean-below-m",
+        "mean-above-m",
+        "h-empty",
+        "h-too-short",
+        "h-too-long",
+        "h-nan",
+        "h-inf",
+        "h-strings",
+        "h-beaten",
+        "mean-string",
+        "h-null",
+        "h-past-float",
+        "mean-past-float",
         "other-key",
     ],
 )
@@ -162,6 +177,35 @@ def test_unusable_cache_entry_is_a_miss_and_is_rewritten(renewal_spec, renewal_p
     again = build_stage(renewal_spec, renewal_pot, 6)
     assert again.from_cache
     assert _barrier_facts(again.barrier) == _barrier_facts(fresh.barrier)
+
+
+def test_a_certificate_shifted_by_a_constant_still_hits(tmp_path, capsys):
+    # h + c certifies what h does, so the hit decides the stage, and prints the bytes, of a
+    # fresh run
+    shift, pot = tmp_path / "shift.json", tmp_path / "pot.json"
+    shift.write_text('{"kind": "renewal", "renewal": {"a": 2, "b": 0}}', encoding="utf-8")
+    pot.write_text(
+        '{"depth": 1, "tail": {"kind": "linear", "c": 1}, "table": [{"word": [0], "value": 0}]}',
+        encoding="utf-8",
+    )
+    spec, potential = parse_shift_spec(shift.read_text()), parse_potential(pot.read_text())
+    argv = ["converge", "--shift", str(shift), "--potential", str(pot), "--stages", "6,9"]
+    assert run([*argv, "--scan-to", "9", "--no-cache"]) == 0
+    assert run([*argv, "--format", "csv", "--no-cache"]) == 0
+    printed = capsys.readouterr().out
+    fresh = build_stage(spec, potential, 6)
+    path = _cache_entry_path()
+    entry = _read_entry(path)
+    assert entry["h"] == [0.0, 1.0, 3.0, 6.0, 10.0, 15.0, 21.0]
+    shifted = {**entry, "h": [x - 1024.5 for x in entry["h"]]}
+    _write_entry(path, shifted)
+    stage = build_stage(spec, potential, 6)
+    assert stage.from_cache
+    assert _stage_facts(stage) == _stage_facts(fresh)
+    assert run([*argv, "--scan-to", "9"]) == 0
+    assert run([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == printed
+    assert _read_entry(path) == shifted  # the hit rewrote nothing
 
 
 TWO_LOOPS = ShiftSpec(
