@@ -170,9 +170,13 @@ def covering_core(spec: ShiftSpec, letters: Iterable[int]) -> FiniteShift:
     last = max(wanted[-1], _SIZE_LIMIT) if cap is None else cap  # an oracle cut passes it first
     floor = 0  # on an explicit shift, a cut below a requested letter's least neighbour prunes it
     if spec.kind == KIND_EXPLICIT and wanted[-1] < last:  # else the one probe is at the top
-        edges = sorted(spec.edges, reverse=True)  # a letter's least neighbour is written last
-        succ, pred = {i: j for i, j in edges}, {j: i for i, j in edges}
-        floor = max(max(succ[l], pred[l]) for l in wanted)
+        least = {l: [cap, cap] for l in wanted}  # its least successor and predecessor
+        for i, j in spec.edges:  # every letter has both, none above cap
+            if i in least and j < least[i][0]:
+                least[i][0] = j
+            if j in least and i < least[j][1]:
+                least[j][1] = i
+        floor = max(map(max, least.values()))
 
     def attempt(bound: int) -> FiniteShift | TruncationError | None:
         """The covering core at ``bound``, the size error past the limit, else None."""

@@ -60,7 +60,8 @@ class _Numbered(NamedTuple):
 
 
 class _View(UserDict):
-    """A word-keyed map of a numbered graph, built in full when it is first read."""
+    """A read-only word-keyed map of a numbered graph, built in full when it is first read:
+    every pass reads the numbering, so a write would split the two."""
 
     def __init__(self, num: _Numbered, build: Callable[[], dict]) -> None:
         self.num, self._build = num, build
@@ -68,6 +69,11 @@ class _View(UserDict):
     @cached_property
     def data(self) -> dict:
         return self._build()
+
+    def _read_only(self, *args: Any) -> None:  # UserDict's other writers call the first two
+        raise TypeError("a graph's word-keyed maps are read-only; copy one with dict()")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
 
 
 class WeightedMemoryGraph(NamedTuple):
@@ -390,13 +396,10 @@ def _certified(
     edges = [e for e in tight if comp_of.get(sources[e], -1) == comp_of.get(targets[e])]
     if len(edges) < len(tight):
         near = _adjacent(n, ends(edges))
-    cycle = _canonical_cycle(sorted(comp_of), *near)
-    total = 0.0  # added left to right, as birkhoff_sum adds a walk
-    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        total += num.weights[_edge(num, u, v)]
+    cycle = tuple(words[v] for v in _canonical_cycle(sorted(comp_of), *near))
     return graph._replace(
-        max_mean=total / len(cycle),
-        critical_cycle=tuple(words[v] for v in cycle),
+        max_mean=birkhoff_sum(graph, [*cycle, cycle[0]]) / len(cycle),
+        critical_cycle=cycle,
         critical_class=frozenset(words[v] for v in comp_of),
         critical_edges=frozenset((words[sources[e]], words[targets[e]]) for e in edges),
         critical_components=tuple(tuple(words[v] for v in comp) for comp in critical),
@@ -426,12 +429,12 @@ def max_mean_cycle(
 
 def birkhoff_sum(graph: WeightedMemoryGraph, walk: Sequence[Vertex]) -> float:
     """Weight of a vertex walk, added left to right: the Birkhoff sum of its orbit segment."""
-    total = 0.0
+    num, total = _numbered(graph), 0.0
     for u, v in zip(walk, walk[1:]):
-        w = graph.weights.get((u, v))
-        if w is None:
-            raise GraphError(f"walk uses the missing edge {u!r} -> {v!r}")
-        total += w
+        try:
+            total += num.weights[_edge(num, num.index[u], num.index[v])]
+        except (KeyError, ValueError):
+            raise GraphError(f"walk uses the missing edge {u!r} -> {v!r}") from None
     return total
 
 

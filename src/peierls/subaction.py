@@ -57,7 +57,7 @@ def _edge_slack(
 
 def _check_table(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> None:
     """GraphError unless ``values`` holds a finite value for every vertex of ``graph``."""
-    missing = sorted(set(graph.succ) - set(values))
+    missing = sorted(set(graph.vertices) - set(values))
     if missing:
         raise GraphError(f"values missing for vertices: {missing[:4]}")
     nonfinite = sorted(v for v in graph.vertices if not math.isfinite(values[v]))
@@ -105,10 +105,12 @@ def compare_up_to_constant(
     if set(first) != set(second):
         raise ValueError("value tables must cover the same vertices")
     _checked_tol(tol)
-    from statistics import median  # only this function needs it
-
     diffs = [first[v] - second[v] for v in sorted(first)]
-    constant = median(diffs)
+    if not diffs:
+        raise ValueError("no median for empty data")
+    # statistics.median's rule, without loading decimal and fractions
+    ordered, half = sorted(diffs), len(diffs) // 2
+    constant = ordered[half] if len(diffs) % 2 else (ordered[half - 1] + ordered[half]) / 2
     max_dev = max(abs(d - constant) for d in diffs)
     return ComparisonReport(
         is_constant_diff=max_dev <= tol, constant=constant, max_deviation=max_dev

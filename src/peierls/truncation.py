@@ -30,7 +30,7 @@ import tempfile
 import zlib
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .countable import REFUTED, SATISFIED, ConditionVerdict, check_bp, covering_core
+from .countable import REFUTED, SATISFIED, UNDECIDED, ConditionVerdict, check_bp, covering_core
 from .optimizer import (
     DEFAULT_TOL, BarrierResult, WeightedMemoryGraph, _certified, build_memory_graph,
     compute_barrier, optimize,
@@ -47,6 +47,13 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 CACHE_SCHEMA = 5
 MIN_TREND_LETTERS = 5
+_INCONCLUSIVE_NOTES = {  # the probe's note by BP status when the floors leave it undecided
+    SATISFIED: "the exact check says every letter is entered from a bounded set, yet the scanned "
+        "floors trend downward; widen the scan to resolve the tension",
+    REFUTED: "unbounded entry sets were found, but the scanned floors do not yet show an "
+        "established downward trend",
+    UNDECIDED: "the entry-set check was undecided within its horizon",
+}
 
 
 class FamilyError(ValueError):
@@ -247,10 +254,9 @@ def stabilization_experiment(
                     break
             try:
                 predicted = letter_cutoff(family.spec, final.graph.pot, final.graph.shift, letter)
-                note = ""
             except ValueError as exc:
                 note = f"prediction unavailable: {exc}"
-            if predicted is not None:  # observed is set: the final stage is stable
+            else:  # observed is set: the final stage is stable
                 ok = observed[2] <= predicted.confinement_bound
                 note = "" if ok else "stabilized later than the predicted bound"
         entries.append(LetterStabilization(letter, *observed, predicted, ok, note))
@@ -280,6 +286,9 @@ def bp_boundedness_probe(
     fitted over those.  The divergence call needs an established trend:
     at least MIN_TREND_LETTERS fitted letters, floors non-increasing, and
     fitted slope at most -tol, with tol the final stage's ``graph.tol``.
+    BOUNDED needs BP SATISFIED and no such trend, DIVERGENT BP REFUTED and the
+    trend; else INCONCLUSIVE.  So ``consistent`` holds on every input: a check and
+    floors that disagree give INCONCLUSIVE, never an inconsistent pair.
     """
     if scan_to < 0:
         raise ValueError("scan_to must be nonnegative")
@@ -302,26 +311,15 @@ def bp_boundedness_probe(
         if j >= 1 and final.graph.shift.pred[j] and min(final.graph.shift.pred[j]) > j
     )
     slope = _slope(fit, [floors[j] for j in fit]) if len(fit) >= 2 else None
-    monotone = all(
-        floors[b] <= floors[a] + tol for a, b in zip(fit, fit[1:])
-    )
-    trending_down = (
-        len(fit) >= MIN_TREND_LETTERS and monotone and slope is not None and slope <= -tol
-    )
+    monotone = all(floors[b] <= floors[a] + tol for a, b in zip(fit, fit[1:]))
+    trending_down = len(fit) >= MIN_TREND_LETTERS and monotone and slope <= -tol
 
     floor = None
     if bp.status == SATISFIED and not trending_down:
-        verdict = BOUNDED
-        floor = min(floors.values())
+        verdict, floor = BOUNDED, min(floors.values())
         note = (
             "a bounded set of letters enters every letter, and the scanned floors "
             f"stay above {floor!r}"
-        )
-    elif bp.status == SATISFIED:
-        verdict = INCONCLUSIVE
-        note = (
-            "the exact check says every letter is entered from a bounded set, yet the "
-            "scanned floors trend downward; widen the scan to resolve the tension"
         )
     elif bp.status == REFUTED and trending_down:
         verdict = DIVERGENT
@@ -329,16 +327,8 @@ def bp_boundedness_probe(
             f"floors over letters {fit[0]}..{fit[-1]} fall with slope {slope!r}; "
             "no bounded calibrated subaction can exist"
         )
-    elif bp.status == REFUTED:
-        verdict = INCONCLUSIVE
-        note = (
-            "unbounded entry sets were found, but the scanned floors do not yet show "
-            "an established downward trend"
-        )
     else:
-        verdict = INCONCLUSIVE
-        note = "the entry-set check was undecided within its horizon"
-
+        verdict, note = INCONCLUSIVE, _INCONCLUSIVE_NOTES[bp.status]
     consistent = not (
         (bp.status == SATISFIED and verdict == DIVERGENT)
         or (bp.status == REFUTED and verdict == BOUNDED)

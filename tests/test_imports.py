@@ -157,6 +157,14 @@ def test_converge_and_demo_load_no_statistics_or_hashlib(inputs, tmp_path, comma
     assert len(os.listdir(os.environ["PEIERLS_CACHE_DIR"])) == 2
 
 
+def test_subaction_compare_loads_no_statistics(inputs, tmp_path):
+    # its median is taken in place: statistics loads decimal and fractions
+    argv = COMPARE + inputs + ["--out", "report.out"]
+    code = f"import peierls.cli\nassert peierls.cli.run({argv!r}) == 0"
+    roots = ("statistics", "decimal", "fractions")
+    assert _loaded_after(code, tmp_path, root=roots) == set()
+
+
 def _wrap_sites() -> list[tuple[str, str]]:
     """The (module, attribute) pairs perfbench/spans.py replaces, read from its source."""
     tree = ast.parse((SRC.parent / "perfbench" / "spans.py").read_text(encoding="utf-8"))

@@ -20,9 +20,11 @@ from peierls import (
     optimize,
     periodic_measure,
     var_j,
+    verify_subaction,
 )
 from peierls import optimizer
 from peierls.optimizer import DEFAULT_TOL, _certified, _howard, _longest_walk, _rounding_tol
+from peierls.shift_space import FiniteShift
 
 from oracles import (
     oracle_canonical_cycle,
@@ -100,6 +102,14 @@ def test_words_past_the_size_limit_are_refused_before_they_are_built():
         build_memory_graph(two, deep._replace(depth=19))
 
 
+def test_memory_graph_needs_a_word_of_the_memory_length():
+    # two letters and no edge: no word of length 2, the memory length at depth 3
+    stuck = FiniteShift((0, 1), {0: (), 1: ()}, {0: (), 1: ()})
+    pot = PotentialSpec(depth=3, tail_kind="linear", tail_scale=1.0)
+    with pytest.raises(GraphError, match="^the truncation admits no words of the memory length$"):
+        build_memory_graph(stuck, pot)
+
+
 def test_optimize_golden_mean(gm_graph):
     assert gm_graph.max_mean == 0.0
     assert gm_graph.critical_cycle == ((0,),)
@@ -116,6 +126,12 @@ def test_optimize_requires_strong_connectivity():
 def test_optimize_rejects_a_lone_vertex_without_a_loop():
     g = graph_from_weights({(0, 0): 0.0})._replace(weights={}, succ={0: ()}, pred={0: ()})
     with pytest.raises(GraphError):
+        optimize(g)
+
+
+def test_optimize_rejects_a_graph_without_vertices():
+    g = graph_from_weights({(0, 0): 0.0})._replace(vertices=(), weights={}, succ={}, pred={})
+    with pytest.raises(GraphError, match="^graph has no vertices$"):
         optimize(g)
 
 
@@ -198,6 +214,30 @@ def test_optimize_returns_a_new_frozen_graph():
     with pytest.raises(AttributeError):
         g.max_mean = 1.0
     assert g.max_mean is None
+
+
+def test_word_keyed_maps_refuse_every_write():
+    # the passes read the numbering behind these maps, so a write would split the two
+    g = optimize(graph_from_weights({(0, 1): 0.0, (1, 0): 0.0, (1, 1): -1.0}))
+    writes = [
+        lambda m, k: m.__setitem__(k, m[k]),
+        lambda m, k: m.__delitem__(k),
+        lambda m, k: m.update({k: m[k]}),
+        lambda m, k: m.setdefault("missing", m[k]),  # a present key is only read
+        lambda m, k: m.pop(k),
+        lambda m, k: m.popitem(),
+        lambda m, k: m.clear(),
+        lambda m, k: m.__ior__({k: m[k]}),
+    ]
+    for view, key in ((g.weights, (1, 1)), (g.succ, 0), (g.pred, 1)):
+        before = dict(view)
+        for write in writes:
+            with pytest.raises(TypeError, match="read-only"):
+                write(view, key)
+        assert view == before and repr(view) == repr(before)
+        copy = dict(view)
+        del copy[key]  # a copy stays writable
+    assert verify_subaction(g, compute_barrier(g).values).is_subaction
 
 
 def test_two_critical_components_are_both_reported(two_class_graph):

@@ -103,6 +103,11 @@ def test_admissible_word_enumeration(gm_finite):
         assert list(admissible_words(gm_finite, length)) == walks
 
 
+def test_admissible_words_need_a_positive_length(gm_finite):
+    with pytest.raises(ValueError, match="^word length must be positive$"):
+        admissible_words(gm_finite, 0)
+
+
 def test_var_and_total_variation(gm_finite, depth2_pot):
     assert var_j(depth2_pot, gm_finite, 1) == 3.0
     assert var_j(depth2_pot, gm_finite, 2) == 0.0

@@ -334,6 +334,15 @@ def test_an_explicit_alphabet_past_the_size_limit_is_a_spec_error():
     assert str(info.value) == "250001 letters of the alphabet exceed the size limit of 250000"
 
 
+def test_covering_core_refuses_too_many_no_or_negative_letters(gm_spec):
+    # 250,001 letters are counted one past the limit, never built in full
+    with pytest.raises(TruncationError, match="^letters to cover number more than the size limit"):
+        covering_core(gm_spec, range(250_001))
+    for letters in ([], [-1]):
+        with pytest.raises(ValueError, match="^letters to cover must be a nonempty set of"):
+            covering_core(gm_spec, letters)
+
+
 def test_connecting_word_gm(gm_finite):
     assert connecting_word(gm_finite, 1, 0) == ()
     assert connecting_word(gm_finite, 0, 1) == ()
@@ -362,6 +371,14 @@ def test_connecting_word_unreachable():
         connecting_word(fin, 1, 0)
 
 
+def test_connecting_word_needs_both_letters_and_an_out_edge(gm_finite):
+    with pytest.raises(ValueError, match="^letters 0, 2 must both lie in the truncation$"):
+        connecting_word(gm_finite, 0, 2)
+    dead_end = shift_space.FiniteShift((0, 1), {0: (1,), 1: ()}, {0: (), 1: (0,)})
+    with pytest.raises(ValueError, match="^letter 1 has no outgoing edge$"):
+        connecting_word(dead_end, 1, 0)
+
+
 def test_check_bp_renewal_even_entries():
     verdict = check_bp(ShiftSpec(kind="renewal", renewal_rule=(2, 0)))
     assert verdict.status == "REFUTED"
@@ -387,6 +404,12 @@ def test_checks_on_finite_kinds(gm_spec):
     full = ShiftSpec(kind="full", alphabet_size=4)
     assert check_bp(full).bound == 0
     assert check_bi(full).bound == 0
+
+
+@pytest.mark.parametrize("check", [check_bp, check_bi])
+def test_checks_refuse_a_negative_horizon(gm_spec, check):
+    with pytest.raises(ValueError, match="^horizon must be nonnegative$"):
+        check(gm_spec, horizon=-1)
 
 
 def test_oracle_kind_horizon_scan():
@@ -498,6 +521,10 @@ def test_records_reject_attribute_assignment(record):
             "entry rule must have a >= 1 and b >= 0 so entries strictly increase",
         ),
         ({"kind": "oracle"}, "oracle shifts need a membership predicate"),
+        (
+            {"kind": "explicit-finite", "alphabet_size": 2, "edges": frozenset()},
+            "explicit-finite shifts need a nonempty edge list",
+        ),
     ],
 )
 def test_invalid_shift_specs_raise_when_built_and_when_replaced(fields, message):

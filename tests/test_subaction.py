@@ -127,6 +127,14 @@ def test_preorbit_needs_contact_predecessors(gm_graph):
         calibrated_preorbit(gm_graph, {(0,): 0.0, (1,): 0.5}, (1,), 3)
 
 
+def test_preorbit_needs_a_known_start_and_nonnegative_steps(gm_graph):
+    values = compute_barrier(gm_graph).values
+    with pytest.raises(GraphError, match=r"^unknown vertex \(7,\)$"):
+        calibrated_preorbit(gm_graph, values, (7,), 3)
+    with pytest.raises(GraphError, match="^steps must be nonnegative$"):
+        calibrated_preorbit(gm_graph, values, (1,), -1)
+
+
 def test_consistent_seed_propagates_along_tight_edges(two_cycle_graph):
     assert consistent_seed(two_cycle_graph) == {0: 0.0, 1: 1.0}
     shifted = consistent_seed(two_cycle_graph, anchors={1: 0.0})
@@ -138,6 +146,14 @@ def test_consistent_seed_rejects_conflicts_and_strays(two_cycle_graph, gm_graph)
         consistent_seed(two_cycle_graph, anchors={0: 0.0, 1: 7.0})
     with pytest.raises(SeedConsistencyError):
         consistent_seed(gm_graph, anchors={(1,): 0.0})
+
+
+def test_consistent_seed_keeps_a_second_anchor_that_agrees(two_cycle_graph):
+    # 1e-12 is within the graph's tolerance, so the anchor stands in for the propagated 1.0
+    assert consistent_seed(two_cycle_graph, anchors={0: 0.0, 1: 1.0 + 1e-12}) == {
+        0: 0.0,
+        1: 1.0 + 1e-12,
+    }
 
 
 def test_fixpoint_reproduces_barrier(renewal_graph):
@@ -162,6 +178,11 @@ def test_fixpoint_rejects_wrong_seed_support(renewal_graph):
         fixpoint_subaction(renewal_graph, {(0,): 0.0, (1,): 0.0})
     with pytest.raises(SeedConsistencyError):
         fixpoint_subaction(renewal_graph, {})
+
+
+def test_fixpoint_rejects_a_seed_that_breaks_a_tight_edge(two_cycle_graph):
+    with pytest.raises(SeedConsistencyError, match="^seed breaks the tight edge 0 -> 1 by 1.0$"):
+        fixpoint_subaction(two_cycle_graph, {0: 0.0, 1: 0.0})
 
 
 def test_one_step_image_fixes_calibrated_values(renewal_graph):
@@ -285,3 +306,16 @@ def test_variation_within_depth_bounds(gm_finite):
 def test_variation_rejects_mixed_word_lengths(gm_finite, gm_pot):
     with pytest.raises(ValueError):
         variation_of_subaction({(0,): 0.0, (0, 1): 0.0}, gm_finite, gm_pot)
+
+
+def test_variation_rejects_an_empty_table(gm_finite, gm_pot):
+    with pytest.raises(ValueError, match="^values must be nonempty$"):
+        variation_of_subaction({}, gm_finite, gm_pot)
+
+
+def test_variation_flags_a_prefix_spread_past_its_bound(gm_finite, gm_pot):
+    # a depth-1 potential bounds every prefix spread by 0.0; the words after 0 spread by 1.0
+    values = {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0}
+    report = variation_of_subaction(values, gm_finite, gm_pot)
+    assert report.entries == ((1, 1.0, 0.0), (2, 0.0, 0.0))
+    assert not report.within_bounds

@@ -261,6 +261,20 @@ def test_a_cache_write_that_fails_leaves_no_temporary_file(renewal_spec, renewal
     assert not stage.from_cache and _stage_facts(stage) == _stage_facts(fresh)
 
 
+def test_a_cache_write_whose_cleanup_fails_leaves_the_stage_alone(
+    renewal_spec, renewal_pot, monkeypatch
+):
+    def refuse(*args):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    monkeypatch.setattr(os, "unlink", refuse)
+    stage = build_stage(renewal_spec, renewal_pot, 6)
+    assert [name[-4:] for name in _cache_files()] == [".tmp"]  # left behind, never read
+    fresh = build_stage(renewal_spec, renewal_pot, 6, use_cache=False)
+    assert not stage.from_cache and _stage_facts(stage) == _stage_facts(fresh)
+
+
 def test_stage_cache_can_be_disabled(renewal_spec, renewal_pot):
     stage = build_stage(renewal_spec, renewal_pot, 6, use_cache=False)
     assert not stage.from_cache
