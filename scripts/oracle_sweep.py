@@ -36,12 +36,12 @@ optimized at tolerance 1e-6; the barrier walk must return, and
 contact edges hold the critical cycle, both at the tolerance the graph
 carries.  Last, --count graphs of 2 to 8 vertices with weights k/7 + 1e12
 (one ulp there is 1.2e-4) test uniqueness: on each whose critical class is
-unique, ``uniqueness_comparison`` must find the barrier and the fixpoint
+one component, ``uniqueness_comparison`` must find the barrier and the fixpoint
 subaction of ``consistent_seed`` equal up to a constant at the graph's
 tolerance.  Exits nonzero past --tol, on a ``GraphError`` at the 1e12
 offset, on any cycle, component, offset, stage-two or cache mismatch, on a
 slope difference above 1e-12, on any tie-heavy graph that fails, or on any
-unique-class graph whose two subactions disagree.
+one-component graph whose two subactions disagree.
 """
 
 import argparse
@@ -223,18 +223,18 @@ def tie_heavy_failures(rng, count):
 
 
 def uniqueness_failures(rng, count):
-    """Of ``count`` graphs with weights k/7 + 1e12, those whose critical class is unique,
-    and how many of them hold two subactions that do not agree up to a constant."""
-    unique = inconsistent = 0
+    """Of ``count`` graphs with weights k/7 + 1e12, those whose critical class is one
+    component, and how many of them hold two subactions that do not agree up to a constant."""
+    single = inconsistent = 0
     for _ in range(count):
         weights = {e: k / 7 + 1e12 for e, k in random_graph(rng, rng.randint(2, 8)).items()}
         g = optimize(graph_from_weights(weights))
-        if g.critical_class_unique:
+        if len(g.critical_components) == 1:
             barrier = compute_barrier(g).values
             lifted = fixpoint_subaction(g, consistent_seed(g))
-            unique += 1
+            single += 1
             inconsistent += not uniqueness_comparison(g, barrier, lifted).consistent
-    return unique, inconsistent
+    return single, inconsistent
 
 
 def main(argv=None):
@@ -286,7 +286,7 @@ def main(argv=None):
     slope_bits, worst_slope = slope_differences(rng, fits)
     tie_failures = tie_heavy_failures(rng, args.count)
     tie_cache_mismatches = tie_heavy_cache_mismatches(rng, args.count)
-    unique_graphs, inconsistent = uniqueness_failures(rng, args.count)
+    single, inconsistent = uniqueness_failures(rng, args.count)
     elapsed = time.perf_counter() - started
 
     print(f"graphs checked        {args.count}")
@@ -304,7 +304,7 @@ def main(argv=None):
     print(f"worst probe slope difference {worst_slope:.3e}")
     print(f"tie-heavy graphs failing at tolerance {TIE_TOL:g} {tie_failures} of {args.count}")
     print(f"tie-heavy cache round-trip mismatches {tie_cache_mismatches} of {2 * args.count}")
-    print(f"unique classes at 1e12 with disagreeing subactions {inconsistent} of {unique_graphs}")
+    print(f"one-component classes at 1e12 with disagreeing subactions {inconsistent} of {single}")
     print(f"elapsed               {elapsed:.2f}s")
     if max(worst_mean, worst_barrier, worst_large) > args.tol:
         print("deviation beyond tolerance", file=sys.stderr)
@@ -334,7 +334,7 @@ def main(argv=None):
         print("a tie-heavy graph failed its barrier walk or subaction check", file=sys.stderr)
         return 1
     if inconsistent:
-        print("a unique critical class holds two subactions that differ", file=sys.stderr)
+        print("a one-component critical class holds two subactions that differ", file=sys.stderr)
         return 1
     return 0
 

@@ -327,37 +327,6 @@ def compute_barrier(graph: WeightedMemoryGraph) -> BarrierResult:
     return BarrierResult(base_vertex=base, values=values, graph=graph)
 
 
-def _canonical_cycle(
-    verts: list[int], intra_succ: list[list[int]], intra_pred: list[list[int]]
-) -> tuple[int, ...]:
-    """Minimal-length cycle of the critical edges among ``verts``, least sequence on ties.
-
-    No cycle is shorter than a loop, so the least looped vertex answers when there is one.
-    When every vertex has one critical out-edge, the class is disjoint simple cycles, each
-    read from its least vertex; otherwise each vertex's least walk back to itself is one.
-    """
-    loops = [v for v in verts if v in intra_succ[v]]
-    if loops:
-        return (loops[0],)
-    cycles = []
-    if all(len(intra_succ[v]) == 1 for v in verts):
-        seen: set[int] = set()
-        for v in verts:
-            if v not in seen:
-                cycles.append([v])
-                while (nxt := intra_succ[cycles[-1][-1]][0]) != v:
-                    cycles[-1].append(nxt)
-                seen.update(cycles[-1])
-    else:
-        for v in verts:
-            word = least_word(v, v, intra_pred)
-            if word is not None:
-                cycles.append([v, *word])
-    if not cycles:
-        raise GraphError("critical class contains no cycle")
-    return tuple(min(cycles, key=len))  # the least start on ties
-
-
 def _certified(
     graph: WeightedMemoryGraph, mean: float, h: Sequence[float], tol: float
 ) -> WeightedMemoryGraph:
@@ -389,21 +358,32 @@ def _certified(
         raise GraphError(f"m is not certified: edge {u!r} -> {v!r} beats it by {excess[e]!r}")
     ends = lambda edges: [(sources[e], targets[e]) for e in edges]
     whole = len(tight) == len(sources)  # then the graph is the one component
-    near = (num.succ, num.pred) if whole else _adjacent(n, ends(tight))
-    comps = [list(range(n))] if whole else strongly_connected_components(range(n), *near)
-    critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in near[0][comp[0]])
+    succ, pred = (num.succ, num.pred) if whole else _adjacent(n, ends(tight))
+    comps = [list(range(n))] if whole else strongly_connected_components(range(n), succ, pred)
+    critical = sorted(comp for comp in comps if len(comp) > 1 or comp[0] in succ[comp[0]])
+    if not critical:
+        raise GraphError("critical class contains no cycle")
     comp_of = {v: idx for idx, comp in enumerate(critical) for v in comp}
     edges = [e for e in tight if comp_of.get(sources[e], -1) == comp_of.get(targets[e])]
-    if len(edges) < len(tight):
-        near = _adjacent(n, ends(edges))
-    cycle = tuple(words[v] for v in _canonical_cycle(sorted(comp_of), *near))
+    one_each = len(edges) == len(comp_of)  # each critical vertex has at least one critical out-edge
+    if one_each:  # the class is disjoint simple cycles: the shortest, read from its least vertex
+        step, cycle = dict(ends(edges)), [min(critical, key=len)[0]]
+        while (v := step[cycle[-1]]) != cycle[0]:
+            cycle.append(v)
+    else:  # no cycle is shorter than a loop; each tight cycle lies in one critical component,
+        verts = sorted(comp_of)  # so a least walk back searches that component's edges alone
+        cycle = [v for v in verts if v in succ[v]][:1]
+        if not cycle:
+            inner = {v: [u for u in pred[v] if comp_of.get(u) == comp_of[v]] for v in verts}
+            cycle = min(([v, *least_word(v, v, inner)] for v in verts), key=len)
+    cycle = tuple(words[v] for v in cycle)
     return graph._replace(
         max_mean=birkhoff_sum(graph, [*cycle, cycle[0]]) / len(cycle),
         critical_cycle=cycle,
         critical_class=frozenset(words[v] for v in comp_of),
         critical_edges=frozenset((words[sources[e]], words[targets[e]]) for e in edges),
         critical_components=tuple(tuple(words[v] for v in comp) for comp in critical),
-        critical_class_unique=len(critical) == 1 and len(edges) == len(critical[0]),  # each >= 1
+        critical_class_unique=len(critical) == 1 and one_each,
         tol=rounding,
         certificate=(mean, tuple(h)),
     )

@@ -49,6 +49,17 @@ class UniquenessReport(NamedTuple):
     note: str
 
 
+_UNIQUENESS_NOTES = {  # the comparison's note by (one critical component, constant difference)
+    (True, True): "single critical component; the candidates agree up to a constant.",
+    (True, False): "single critical component, yet the candidates differ by a non-constant; "
+        "at least one of them is not a calibrated subaction.",
+    (False, True): "critical class splits into {} components, but these candidates "
+        "happen to agree up to a constant.",
+    (False, False): "critical class splits into {} components, so the uniqueness "
+        "hypothesis fails and the observed disagreement is expected.",
+}
+
+
 def _edge_slack(
     graph: WeightedMemoryGraph, values: Mapping[Vertex, float], u: Vertex, v: Vertex
 ) -> float:
@@ -122,35 +133,21 @@ def uniqueness_comparison(
     first: Mapping[Vertex, float],
     second: Mapping[Vertex, float],
 ) -> UniquenessReport:
-    """Compare two candidates against the unique-class hypothesis.
+    """Compare two candidates, each finite at every vertex, against the one-component hypothesis.
 
     Calibrated subactions agree up to a constant exactly when the
     critical class has a single component; with several components the
     anchor of each can move independently and disagreement is expected.
     """
-    comparison = compare_up_to_constant(first, second, _require_optimized(graph))
-    unique = bool(graph.critical_class_unique)
+    tol = _require_optimized(graph)
+    _check_table(graph, first)
+    _check_table(graph, second)
+    comparison = compare_up_to_constant(first, second, tol)
     parts = len(graph.critical_components)
-    if unique and comparison.is_constant_diff:
-        note = "single critical component; the candidates agree up to a constant."
-    elif unique and not comparison.is_constant_diff:
-        note = (
-            "single critical component, yet the candidates differ by a non-constant; "
-            "at least one of them is not a calibrated subaction."
-        )
-    elif comparison.is_constant_diff:
-        note = (
-            f"critical class splits into {parts} components, but these candidates "
-            "happen to agree up to a constant."
-        )
-    else:
-        note = (
-            f"critical class splits into {parts} components, so the uniqueness "
-            "hypothesis fails and the observed disagreement is expected."
-        )
+    one, agree = parts == 1, comparison.is_constant_diff
     return UniquenessReport(
         comparison=comparison,
-        critical_class_unique=unique,
-        consistent=not (unique and not comparison.is_constant_diff),
-        note=note,
+        critical_class_unique=bool(graph.critical_class_unique),
+        consistent=agree or not one,
+        note=_UNIQUENESS_NOTES[one, agree].format(parts),
     )

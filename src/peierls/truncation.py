@@ -151,12 +151,11 @@ def build_stage(
         raise FamilyError("stage bounds must be nonnegative")
     core = covering_core(spec, range(requested + 1))
     graph = build_memory_graph(core, pot)
-    # reprs of equal inputs listed in another order differ: a miss, never a wrong hit
-    key = repr((spec, pot, requested, tol))
-    path = _cache_path(key) if use_cache and spec.kind != KIND_ORACLE else None
-
-    optimum = None
-    if path is not None:
+    optimum, path = None, None
+    if use_cache and spec.kind != KIND_ORACLE:
+        # reprs of equal inputs listed in another order differ: a miss, never a wrong hit
+        key = repr((spec, pot, requested, tol))
+        path = _cache_path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)

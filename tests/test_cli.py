@@ -800,6 +800,21 @@ def test_compare_constant_difference(gm_files, tmp_path, capsys):
     assert payload["critical_class_unique"] is True
 
 
+@pytest.mark.parametrize("verdict", [[], ["--assert"]], ids=["report", "assert"])
+def test_compare_rejects_tables_that_miss_the_graphs_vertices(
+    renewal_files, tmp_path, capsys, verdict
+):
+    shift, pot = renewal_files
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("99,0.0\n98,1.0\n", encoding="utf-8")
+    b.write_text("99,0.5\n98,1.5\n", encoding="utf-8")
+    argv = ["subaction", "compare", "--shift", shift, "--potential", pot, "--max-letter", "4"]
+    assert run([*argv, "--values", str(a), "--values-b", str(b), *verdict]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: values missing for vertices: [(0,), (1,), (2,), (3,)]\n"
+
+
 def test_converge_csv_lists_every_stage(renewal_files, capsys):
     shift, pot = renewal_files
     code = run(

@@ -205,6 +205,23 @@ def test_optimize_finds_these_canonical_cycles_without_a_walk_search(monkeypatch
     assert optimize(graph_from_weights(weights)).critical_cycle == cycle
 
 
+@pytest.mark.parametrize(
+    "weights, cycle, built",
+    [
+        ({(0, 1): 0.0, (1, 0): 0.0}, (0, 1), 0),  # every edge is tight: the graph's own maps
+        ({(0, 0): 0.0, (0, 1): -1.0, (1, 0): -1.0}, (0,), 1),  # 1 -> 0 is tight, not critical
+    ],
+    ids=["all-tight", "loop-and-tail"],
+)
+def test_certified_builds_at_most_the_tight_adjacency(monkeypatch, weights, cycle, built):
+    graph = graph_from_weights(weights)
+    mean, h = optimize(graph).certificate
+    calls, adjacent = [], optimizer._adjacent
+    monkeypatch.setattr(optimizer, "_adjacent", lambda *args: calls.append(args) or adjacent(*args))
+    assert _certified(graph, mean, h, DEFAULT_TOL).critical_cycle == cycle
+    assert len(calls) == built
+
+
 def test_optimize_returns_a_new_frozen_graph():
     g = graph_from_weights({(0, 1): 3.0, (1, 0): -1.0})
     optimized = optimize(g)

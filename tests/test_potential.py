@@ -146,6 +146,16 @@ def test_coercive_bound_linear():
     assert coercive_letter_bound(halved, -5.0) == 10
 
 
+@pytest.mark.parametrize("threshold, bound", [(-0.011538461538461537, 8), (-9 / 780, 9)])
+def test_coercive_bound_steps_down_when_the_inversion_overshoots(threshold, bound):
+    # -t/c reads exactly 9.0, but tail(9) = -0.011538461538461539 falls below the first
+    # threshold, so the bound steps down to 8; at the threshold tail(9) itself it stays 9
+    pot = PotentialSpec(depth=1, tail_kind="linear", tail_scale=1 / 780)
+    assert -threshold / pot.tail_scale == 9.0
+    assert coercive_letter_bound(pot, threshold) == bound
+    assert sup_bound_on_letter(pot, bound) >= threshold > sup_bound_on_letter(pot, bound + 1)
+
+
 def test_coercive_bound_table_override():
     pot = PotentialSpec(
         depth=1, tail_kind="linear", tail_scale=1.0, table={(7,): 1.0, (9,): -20.0}

@@ -221,7 +221,7 @@ def test_subaction_checks_use_the_rounding_tolerance_of_large_weights():
             assert calibrated_preorbit(graph, barrier, v, steps).tail_in_critical_class
         lifted = fixpoint_subaction(graph, consistent_seed(graph))
         assert minimality_check(graph, lifted, barrier).ok
-        if graph.critical_class_unique:
+        if len(graph.critical_components) == 1:
             assert uniqueness_comparison(graph, barrier, lifted).consistent
     # the graph carries the one tolerance every check above read
     graph = optimize(graph_from_weights(tables[0]))
@@ -280,6 +280,35 @@ def test_uniqueness_comparison_unique_class(renewal_graph):
     assert report.comparison.is_constant_diff
     assert report.critical_class_unique is True
     assert report.consistent
+
+
+def test_uniqueness_comparison_decides_on_one_component_not_one_out_edge():
+    # the loop at 0 and the cycle 0 -> 1 -> 0 both attain m = 0 in one component: the
+    # class is not unique, yet calibrated subactions agree up to a constant, so a table
+    # that disagrees with the barrier is no calibrated subaction
+    graph = optimize(graph_from_weights({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0}))
+    assert len(graph.critical_components) == 1 and graph.critical_class_unique is False
+    other = {0: 0.0, 1: 1.0}
+    assert not verify_subaction(graph, other).is_subaction
+    report = uniqueness_comparison(graph, compute_barrier(graph).values, other)
+    assert not report.comparison.is_constant_diff
+    assert report.critical_class_unique is False
+    assert not report.consistent
+    assert report.note == (
+        "single critical component, yet the candidates differ by a non-constant; "
+        "at least one of them is not a calibrated subaction."
+    )
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_uniqueness_comparison_checks_both_tables(two_cycle_graph, which):
+    tables = [{0: 0.0, 1: 0.0}, {0: 0.0, 1: 0.0}]
+    tables[which] = {5: 0.0, 6: 0.0}
+    with pytest.raises(GraphError, match=r"^values missing for vertices: \[0, 1\]$"):
+        uniqueness_comparison(two_cycle_graph, *tables)
+    tables[which] = {0: 0.0, 1: math.inf}
+    with pytest.raises(GraphError, match=r"^values not finite at vertices: \[1\]$"):
+        uniqueness_comparison(two_cycle_graph, *tables)
 
 
 def test_variation_within_depth_bounds(gm_finite):

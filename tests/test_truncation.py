@@ -281,6 +281,27 @@ def test_stage_cache_can_be_disabled(renewal_spec, renewal_pot):
     assert _cache_files() == []
 
 
+class _Unprintable:
+    """A membership predicate whose repr raises: a stage that builds a cache key fails."""
+
+    def __call__(self, i, j):
+        return i == 0 or i == j + 1
+
+    def __repr__(self):
+        raise AssertionError("the cache key was built")
+
+
+@pytest.mark.parametrize("kind, use_cache", [("oracle", True), ("renewal", False)])
+def test_a_stage_without_a_cache_path_builds_no_key(kind, use_cache, renewal_pot):
+    rule = (2, 0) if kind == "renewal" else None
+    spec = ShiftSpec(kind=kind, renewal_rule=rule, membership=_Unprintable())
+    stage = build_stage(spec, renewal_pot, 6, use_cache=use_cache)
+    assert stage.used == 6 and not stage.from_cache and _cache_files() == []
+    if kind == "renewal":  # with a cache path the key is built, and this predicate fails it
+        with pytest.raises(AssertionError, match="cache key was built"):
+            build_stage(spec, renewal_pot, 6)
+
+
 def test_family_checks_monotone_requests(renewal_spec, renewal_pot):
     family = build_family(renewal_spec, renewal_pot, [6, 12])
     assert [s.used for s in family.stages] == [6, 12]
