@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .countable import connecting_word, covering_core, least_entry_letter
 from .digraph import least_exits
-from .optimizer import GraphError, WeightedMemoryGraph, _require_optimized
+from .optimizer import GraphError, WeightedMemoryGraph, _edge, _numbered, _require_optimized
 from .potential import TAIL_LINEAR, TAIL_LOG, PotentialError, PotentialSpec, tail_value
 from .potential import _prefix_spread
 from .shift_space import (
@@ -168,20 +168,21 @@ def _bound_report(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) ->
     ambient = ambient_total_variation(pot)
     per_letter = _letter_ceilings(graph, ambient)
 
-    cycle = graph.critical_cycle
+    num = _numbered(graph)
+    cycle = [num.index[v] for v in graph.critical_cycle]
     lap = 0.0
     cycle_peak = 0.0
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        lap += graph.weights[(u, v)] - m
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        lap += num.weights[_edge(num, u, v)] - m
         cycle_peak = max(cycle_peak, lap)
 
     cutoff = _printable_letter_bound(pot, m - ambient, "low-letter cutoff")
-    firsts: dict[int, set[Vertex]] = {}  # successors of the vertices starting with each low letter
-    for u in graph.vertices:
-        if u[0] <= cutoff:
-            firsts.setdefault(u[0], set()).update(graph.succ[u])
-    low_peak = max((values[min(t)] for t in firsts.values()), default=float("-inf"))
+    firsts: dict[int, set[int]] = {}  # successors of the vertices starting with each low letter
+    for u, word in enumerate(num.words):
+        if word[0] <= cutoff:
+            firsts.setdefault(word[0], set()).update(num.succ[u])
+    # the least successor by number is the least by word: the numbering is in word order
+    low_peak = max((values[num.words[min(t)]] for t in firsts.values()), default=float("-inf"))
     global_bound = max(low_peak, cycle_peak) + ambient
 
     # a ceiling past the float range bounds nothing, and JSON has no number for it

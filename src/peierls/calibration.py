@@ -19,7 +19,7 @@ from .optimizer import (
 )
 from .potential import PotentialSpec, var_j
 from .shift_space import FiniteShift, Word
-from .subaction import Vertex, _check_table, _edge_slack
+from .subaction import Vertex, _check_table
 
 
 class SeedConsistencyError(ValueError):
@@ -75,7 +75,7 @@ def calibrated_preorbit(
         sources = [
             u
             for u in graph.pred[current]
-            if abs(_edge_slack(graph, values, u, current)) <= tol
+            if abs(values[current] - values[u] + graph.max_mean - graph.weights[u, current]) <= tol
         ]
         if not sources:
             raise GraphError(

@@ -111,11 +111,13 @@ def _emit(args: SimpleNamespace, text: str) -> None:
 
 
 def _emit_json(args: SimpleNamespace, payload: dict) -> None:
+    import io
     import json  # here, like argparse, so that `import peierls.cli` loads neither
 
     report = {"schema": SCHEMA, **payload}
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    text = io.StringIO()
+    try:  # dump writes its chunks to one buffer; dumps would list them all, then join them
+        json.dump(report, text, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:  # JSON has no inf or nan: name the first field that holds one
         for field in sorted(report):
             try:
@@ -123,7 +125,7 @@ def _emit_json(args: SimpleNamespace, payload: dict) -> None:
             except ValueError:
                 raise ValueError(f"report field {field!r} holds a non-finite number") from None
         raise
-    _emit(args, text + "\n")
+    _emit(args, text.getvalue() + "\n")
 
 
 def _load_inputs(args: SimpleNamespace) -> tuple[ShiftSpec, PotentialSpec]:

@@ -9,6 +9,7 @@ shifts and ``optimizer`` for memory graphs.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
@@ -68,16 +69,17 @@ def reaches_all(nodes: Sequence[N], succ: Mapping[N, Iterable[N]]) -> bool:
     return 0 < len(order) == len(nodes)
 
 
-def least_exits(b: N, pred: Mapping[N, Iterable[N]]) -> dict[N, tuple[int, N]]:
+def least_exits(b: N, pred: Mapping[N, Iterable[N]], depth: float = inf) -> dict[N, tuple[int, N]]:
     """Length and first step of the least walk of at least one edge to ``b``, nearest first.
 
-    A least walk is a shortest one, and of those the one with the least next node.  Every
-    node that reaches ``b`` has one, ``b`` itself when it lies on a cycle.  One breadth-first
+    A least walk is a shortest one, and of those the one with the least next node.  Every node that
+    reaches ``b`` within ``depth`` edges has one, ``b`` itself on such a cycle.  One breadth-first
     pass over ``pred`` finds them all: a node keeps the least node one step nearer to ``b``.
     """
     dist, order, exits = {b: 0}, [b], {}
     for node in order:  # grows while it is read
-        d = dist[node] + 1
+        if (d := dist[node] + 1) > depth:  # breadth first: every later node is as far
+            break
         for v in pred[node]:
             if v not in exits or (exits[v][0] == d and node < exits[v][1]):
                 exits[v] = d, node
@@ -87,13 +89,13 @@ def least_exits(b: N, pred: Mapping[N, Iterable[N]]) -> dict[N, tuple[int, N]]:
     return exits
 
 
-def least_word(a: N, b: N, pred: Mapping[N, Iterable[N]]) -> tuple[N, ...] | None:
-    """Interior of the least walk a -> b of at least one edge, None when ``b`` is unreachable.
+def least_word(a: N, b: N, pred: Mapping[N, Iterable[N]], depth: float = inf) -> tuple[N, ...] | None:
+    """Interior of the least walk a -> b of one to ``depth`` edges, None when there is none.
 
     Following least first steps gives the lexicographically least interior of the shortest
     walks; ``a == b`` asks for a shortest cycle through ``a``.
     """
-    exits = least_exits(b, pred)
+    exits = least_exits(b, pred, depth)
     if a not in exits:
         return None
     word = []

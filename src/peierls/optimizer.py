@@ -337,8 +337,8 @@ def _certified(
     beats ``mean``; an edge that beats it, or an h of another length or not finite, raises
     ``GraphError``.  The edges that meet it within the rounding are tight.  The critical
     components are the strongly connected pieces of the tight edges that hold a cycle, the
-    critical edges the tight edges inside them.  The canonical cycle is their shortest
-    cycle, least on ties (``GraphError`` when there is none), and m is its mean weight.  The
+    critical edges the tight edges inside them.  The canonical cycle is their shortest cycle, least
+    on ties, in O(|V| |E|) at worst (``GraphError`` when there is none); m is its mean weight.  The
     class is unique when it is one component whose vertices each have one critical out-edge.
     """
     num = _numbered(graph)
@@ -375,7 +375,9 @@ def _certified(
         cycle = [v for v in verts if v in succ[v]][:1]
         if not cycle:
             inner = {v: [u for u in pred[v] if comp_of.get(u) == comp_of[v]] for v in verts}
-            cycle = min(([v, *least_word(v, v, inner)] for v in verts), key=len)
+            for v in verts:  # ascending, each search stopped short of the shortest cycle so far
+                if (word := least_word(v, v, inner, len(cycle) - 1 if cycle else n)) is not None:
+                    cycle = [v, *word]
     cycle = tuple(words[v] for v in cycle)
     return graph._replace(
         max_mean=birkhoff_sum(graph, [*cycle, cycle[0]]) / len(cycle),

@@ -14,7 +14,7 @@ import math
 from typing import Mapping, NamedTuple
 
 from .optimizer import DEFAULT_TOL, GraphError, WeightedMemoryGraph
-from .optimizer import _checked_tol, _require_optimized
+from .optimizer import _checked_tol, _numbered, _require_optimized
 from .shift_space import Word
 
 Vertex = Word
@@ -60,12 +60,6 @@ _UNIQUENESS_NOTES = {  # the comparison's note by (one critical component, const
 }
 
 
-def _edge_slack(
-    graph: WeightedMemoryGraph, values: Mapping[Vertex, float], u: Vertex, v: Vertex
-) -> float:
-    return values[v] - values[u] + graph.max_mean - graph.weights[(u, v)]
-
-
 def _check_table(graph: WeightedMemoryGraph, values: Mapping[Vertex, float]) -> None:
     """GraphError unless ``values`` holds a finite value for every vertex of ``graph``."""
     missing = sorted(set(graph.vertices) - set(values))
@@ -80,24 +74,21 @@ def verify_subaction(graph: WeightedMemoryGraph, values: Mapping[Vertex, float])
     """Check the subaction inequality edge by edge and locate the contact set."""
     tol = _require_optimized(graph)
     _check_table(graph, values)
+    num = _numbered(graph)
+    words, x, m = num.words, [values[v] for v in num.words], graph.max_mean
     worst = 0.0
     contact: set[Edge] = set()
-    for u, v in graph.weights:  # a maximum and a set: the edge order does not matter
-        slack = _edge_slack(graph, values, u, v)
+    entered = [False] * len(words)  # whether a contact edge enters each vertex
+    for u, v, w in zip(num.sources, num.targets, num.weights):  # a maximum and sets: any order
+        slack = x[v] - x[u] + m - w
         if -slack > worst:
             worst = -slack
         if abs(slack) <= tol:
-            contact.add((u, v))
-
-    uncalibrated = tuple(
-        v
-        for v in graph.vertices
-        if not any((u, v) in contact for u in graph.pred[v])
-    )
+            contact.add((words[u], words[v]))
+            entered[v] = True
+    uncalibrated = tuple(v for v, seen in zip(words, entered) if not seen)
     cycle = graph.critical_cycle
-    cycle_edges = {
-        (cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-    }
+    cycle_edges = set(zip(cycle, cycle[1:] + cycle[:1]))
     return SubactionReport(
         is_subaction=worst <= tol,
         worst_violation=worst,

@@ -709,6 +709,37 @@ def test_barrier_csv_round_trips_into_verify(renewal_files, tmp_path, capsys):
     assert payload["supp_in_contact"] is True
 
 
+@pytest.mark.parametrize(
+    "shift_json, max_letter",
+    [(RENEWAL_SHIFT, "6"), (json.dumps({"kind": "full", "alphabet_size": 3}), "2")],
+    ids=["renewal", "full"],
+)
+def test_barrier_json_and_verify_build_no_word_keyed_map(
+    tmp_path, monkeypatch, capsys, shift_json, max_letter
+):
+    # every pass a command runs reads the numbering; the word-keyed maps are for library code
+    from peierls import optimizer
+
+    builds, init = [], optimizer._View.__init__
+    monkeypatch.setattr(
+        optimizer._View,
+        "__init__",
+        lambda view, num, build: init(view, num, lambda: builds.append(view) or build()),
+    )
+    (tmp_path / "shift.json").write_text(shift_json, encoding="utf-8")
+    (tmp_path / "pot.json").write_text(RENEWAL_POT, encoding="utf-8")
+    io = ["--shift", str(tmp_path / "shift.json"), "--potential", str(tmp_path / "pot.json")]
+    io += ["--max-letter", max_letter]
+    values = str(tmp_path / "values.csv")
+    assert run(["barrier", *io]) == 0
+    assert "bounds" in json.loads(capsys.readouterr().out)
+    assert builds == []
+    assert run(["barrier", *io, "--format", "csv", "--out", values]) == 0
+    assert run(["subaction", "verify", *io, "--values", values, "--assert"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_calibrated"] is True
+    assert builds == []
+
+
 def test_a_barrier_with_large_weights_passes_its_own_check(tmp_path, capsys):
     # near 1e12 one ulp is 1.2e-4: the check must allow the graph's rounding, not just 1e-9
     shift = tmp_path / "full.json"

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,30 @@ def test_canonical_cycle_is_the_shortest_least_cycle_of_the_tight_edges(edges):
         return
     cycle = _certified(graph, 0.0, [0.0] * n, 0.0).critical_cycle
     assert (len(cycle), cycle) == oracle_canonical_cycle(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_canonical_cycle_of_a_loopless_tie_heavy_graph_matches_cycle_enumeration(seed):
+    # without a loop every critical vertex searches for its least cycle, each search stopped
+    # short of the shortest cycle found so far
+    rng = random.Random(seed)
+    edges = random_graph(rng, rng.randint(2, 8), rng.choice((0.3, 0.6)))
+    g = optimize(graph_from_weights({(u, v): rng.choice((-1, 0, 0)) for u, v in edges if u != v}))
+    cycle = g.critical_cycle
+    assert (len(cycle), cycle) == oracle_canonical_cycle(g.critical_edges)
+
+
+def test_canonical_cycle_of_a_complete_loopless_class_ends_within_its_time_budget():
+    # the first search finds a 2-cycle, and no later vertex can beat it: searching each
+    # vertex's least cycle in full took about 2 s on 300 vertices
+    n = 300
+    graph = graph_from_weights({(u, v): 0.0 for u in range(n) for v in range(n) if u != v})
+    mean, h = _howard(graph, DEFAULT_TOL)
+    started = time.perf_counter()
+    certified = _certified(graph, mean, h, DEFAULT_TOL)
+    assert time.perf_counter() - started < 0.5
+    assert certified.critical_cycle == (0, 1) and len(certified.critical_edges) == n * (n - 1)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peierls import (
     GraphError,
@@ -23,6 +24,7 @@ from peierls import (
     verify_subaction,
 )
 from peierls.optimizer import _rounding_tol
+from peierls.subaction import SubactionReport
 
 from oracles import random_graph
 
@@ -55,6 +57,55 @@ def test_verify_flags_uncalibrated_vertex(gm_graph):
     assert not report.is_calibrated
     assert report.uncalibrated_vertices == ((1,),)
     assert report.supp_in_contact
+
+
+def word_keyed_verify(graph, values):
+    """``verify_subaction`` over the word-keyed maps, edge by edge in the same float operations."""
+    tol, worst, contact = graph.tol, 0.0, set()
+    for u, v in graph.weights:
+        slack = values[v] - values[u] + graph.max_mean - graph.weights[(u, v)]
+        if -slack > worst:
+            worst = -slack
+        if abs(slack) <= tol:
+            contact.add((u, v))
+    uncalibrated = tuple(
+        v for v in graph.vertices if not any((u, v) in contact for u in graph.pred[v])
+    )
+    cycle = graph.critical_cycle
+    cycle_edges = {(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))}
+    return SubactionReport(
+        is_subaction=worst <= tol,
+        worst_violation=worst,
+        is_calibrated=not uncalibrated,
+        uncalibrated_vertices=uncalibrated,
+        contact_edges=frozenset(contact),
+        supp_in_contact=cycle_edges <= contact,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_verify_matches_the_word_keyed_reference_bit_for_bit(seed):
+    # tie-heavy weights, scaled and offset so that slacks round, against calibrated,
+    # shifted and broken tables; words as vertices, as the command line has them
+    rng = random.Random(seed)
+    scale, offset = rng.choice((1.0, 0.1, 1 / 3)), rng.choice((0.0, 1 / 7, 1e6 / 3))
+    weights = {
+        ((u,), (v,)): rng.choice((-1, 0, 0)) * scale + offset
+        for u, v in random_graph(rng, rng.randint(1, 8))
+    }
+    graph = optimize(graph_from_weights(weights))
+    calibrated = compute_barrier(graph).values
+    shift = rng.uniform(-10, 10)
+    broken = dict(calibrated)
+    for v in rng.sample(sorted(broken), rng.randint(1, len(broken))):
+        broken[v] += rng.choice((-0.5, 0.5, -3e-10, 2e-9, 1e-3))
+    for values in (calibrated, {v: x + shift for v, x in calibrated.items()}, broken):
+        report, reference = verify_subaction(graph, values), word_keyed_verify(graph, values)
+        assert repr(report._replace(contact_edges=None)) == repr(
+            reference._replace(contact_edges=None)
+        )
+        assert report.contact_edges == reference.contact_edges
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -246,6 +297,11 @@ def test_compare_requires_matching_supports():
     report = compare_up_to_constant({0: 0.0, 1: 1.0}, {0: 0.0, 1: 0.0})
     assert not report.is_constant_diff
     assert report.max_deviation == pytest.approx(0.5)
+
+
+def test_compare_of_empty_tables_has_no_median():
+    with pytest.raises(ValueError, match="no median for empty data"):
+        compare_up_to_constant({}, {})
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
